@@ -1,26 +1,28 @@
-"""Hot per-voxel RSRP kernels: numba-jitted loop with a pure-numpy fallback.
+"""Per-voxel RSRP in two steps: site geometry, then one gain formula per sub-beam.
 
-Backend selection: numba is used when importable unless the environment
-variable ``AIRTWIN_DISABLE_NUMBA`` is set to 1/true/yes/on, in which case the
-vectorized numpy path runs instead. Both paths implement the identical
-formula; they agree to floating-point rounding (tested at 1e-9 dB).
+Every sub-beam of a site sees a voxel at the same azimuth, elevation and
+free-space path loss, so ``site_geometry`` works those out once per site and
+``beam_rsrp_numpy`` adds a sub-beam's steered antenna gain on top:
 
-Threading: work is split into fixed-size voxel chunks whose boundaries do not
-depend on the thread count, so results are bit-identical for any ``threads``
-value. The numba kernel is compiled with ``nogil`` so chunks genuinely run in
-parallel under a thread pool.
+    RSRP = tx_power_dbm + G(wrap(az - az0), el - tilt0) - FSPL + offset_db
 
-The angle/gain math here must stay in sync with ``antenna.steered_offsets``
-and ``AntennaPattern.offset_gain_dbi`` (enforced by tests).
+``G`` is the pattern's own ``offset_gain_dbi``, so parametric and table
+patterns share one code path and the gain formula exists only in
+``antenna``.
+
+Threading: voxels are split into fixed-size chunks whose boundaries do not
+depend on the thread count, and ``run_tasks`` spreads independent tasks over
+one thread pool, so results are bit-identical for any ``threads`` value.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .antenna import wrap_angle_deg
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 _FOUR_PI_OVER_C = 4.0 * math.pi / SPEED_OF_LIGHT_M_S
@@ -28,122 +30,46 @@ _FOUR_PI_OVER_C = 4.0 * math.pi / SPEED_OF_LIGHT_M_S
 _CHUNK = 65536  # voxels per work unit; fixed so output never depends on threads
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
+def fspl(distance_m, frequency_hz):
+    """Free-space path loss 20 log10(4 pi d f / c) in dB, unchecked."""
+    return 20.0 * np.log10(_FOUR_PI_OVER_C * distance_m * frequency_hz)
 
 
-NUMBA_DISABLED = _env_flag("AIRTWIN_DISABLE_NUMBA")
+def site_geometry(centers, site_xyz, frequency_hz):
+    """Azimuth and elevation (degrees) and FSPL (dB) from one site to each point.
 
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-
-def _beam_rsrp_loop(centers, sx, sy, sz, az0_deg, tilt0_deg,
-                    g_max_dbi, hpbw_az_deg, hpbw_el_deg, sla_db, fbr_db,
-                    tx_power_dbm, frequency_hz, offset_db, out):
-    for i in range(centers.shape[0]):
-        dx = centers[i, 0] - sx
-        dy = centers[i, 1] - sy
-        dz = centers[i, 2] - sz
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-        az = math.degrees(math.atan2(dx, dy))
-        s = dz / dist
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        el = math.degrees(math.asin(s))
-        daz = (az - az0_deg) % 360.0
-        if daz > 180.0:
-            daz -= 360.0
-        del_ = el - tilt0_deg
-        a_az = 12.0 * (daz / hpbw_az_deg) ** 2
-        if a_az > sla_db:
-            a_az = sla_db
-        a_el = 12.0 * (del_ / hpbw_el_deg) ** 2
-        if a_el > sla_db:
-            a_el = sla_db
-        att = a_az + a_el
-        if att > fbr_db:
-            att = fbr_db
-        gain_dbi = g_max_dbi - att
-        fspl = 20.0 * math.log10(_FOUR_PI_OVER_C * dist * frequency_hz)
-        out[i] = tx_power_dbm + gain_dbi - fspl + offset_db
-
-
-if HAVE_NUMBA:
-    beam_rsrp_numba = njit(cache=True, nogil=True)(_beam_rsrp_loop)
-else:
-    beam_rsrp_numba = None
-
-
-def beam_rsrp_numpy(centers, sx, sy, sz, az0_deg, tilt0_deg,
-                    g_max_dbi, hpbw_az_deg, hpbw_el_deg, sla_db, fbr_db,
-                    tx_power_dbm, frequency_hz, offset_db, out):
-    dx = centers[:, 0] - sx
-    dy = centers[:, 1] - sy
-    dz = centers[:, 2] - sz
+    Azimuth is clockwise from north in (-180, 180]; elevation is upward.
+    """
+    dx = centers[:, 0] - site_xyz[0]
+    dy = centers[:, 1] - site_xyz[1]
+    dz = centers[:, 2] - site_xyz[2]
     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     az = np.degrees(np.arctan2(dx, dy))
     el = np.degrees(np.arcsin(np.clip(dz / dist, -1.0, 1.0)))
-    daz = np.mod(az - az0_deg, 360.0)
-    daz = np.where(daz > 180.0, daz - 360.0, daz)
-    del_ = el - tilt0_deg
-    a_az = np.minimum(12.0 * (daz / hpbw_az_deg) ** 2, sla_db)
-    a_el = np.minimum(12.0 * (del_ / hpbw_el_deg) ** 2, sla_db)
-    att = np.minimum(a_az + a_el, fbr_db)
-    gain_dbi = g_max_dbi - att
-    fspl = 20.0 * np.log10(_FOUR_PI_OVER_C * dist * frequency_hz)
-    out[:] = tx_power_dbm + gain_dbi - fspl + offset_db
+    return az, el, fspl(dist, frequency_hz)
+
+
+def beam_rsrp_numpy(az_deg, el_deg, fspl_db, pattern, angle, tx_power_dbm, offset_db):
+    """Per-voxel RSRP of one sub-beam steered to ``angle``, from its site's geometry."""
+    gain_dbi = pattern.offset_gain_dbi(wrap_angle_deg(az_deg - angle.azimuth_deg),
+                                       el_deg - angle.tilt_deg)
+    return tx_power_dbm + gain_dbi - fspl_db + offset_db
 
 
 def active_backend() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
-def eval_beam_rsrp_parametric(centers, site_xyz, az0_deg, tilt0_deg, pattern,
-                              tx_power_dbm, frequency_hz, offset_db,
-                              out=None, threads=1, backend=None):
-    """Per-voxel RSRP of one parametrically patterned sub-beam.
-
-    ``backend`` forces "numba" or "numpy" (used by the benchmark); default is
-    the module-level selection.
-    """
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    n = centers.shape[0]
-    if out is None:
-        out = np.empty(n, dtype=np.float64)
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba" and beam_rsrp_numba is None:
-        raise RuntimeError("numba backend requested but numba is unavailable/disabled")
-    kernel = beam_rsrp_numba if backend == "numba" else beam_rsrp_numpy
-    args = (float(site_xyz[0]), float(site_xyz[1]), float(site_xyz[2]),
-            float(az0_deg), float(tilt0_deg),
-            float(pattern.g_max_dbi), float(pattern.hpbw_az_deg),
-            float(pattern.hpbw_el_deg), float(pattern.sla_db), float(pattern.fbr_db),
-            float(tx_power_dbm), float(frequency_hz), float(offset_db))
-
-    def work(lo, hi):
-        kernel(centers[lo:hi], *args, out[lo:hi])
-
-    run_chunked(work, n, threads)
-    return out
+def chunks(n):
+    """Fixed [lo, hi) voxel chunks of [0, n)."""
+    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
 
-def run_chunked(work, n, threads=1):
-    """Run ``work(lo, hi)`` over fixed chunks of [0, n), optionally threaded."""
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if threads is None or threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            work(lo, hi)
+def run_tasks(work, tasks, threads=1):
+    """Run ``work(task)`` for every task, on a thread pool when ``threads`` > 1."""
+    if threads is None or threads <= 1 or len(tasks) <= 1:
+        for task in tasks:
+            work(task)
         return
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        list(pool.map(lambda b: work(*b), bounds))
+        list(pool.map(work, tasks))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import BoundsError, CapExceededError, ConfigurationError
 from .interference import (
     NoiseModel,
@@ -38,7 +39,7 @@ from .interference import (
 )
 from .antenna import Orientation
 from .scene import BeamAssignment, CoverageThresholds, SceneConfig, VoxelGrid
-from .spectrum import _eval_beam_field, build_field
+from .spectrum import build_field, cell_beam_slices
 
 _ANGLE_EQ_TOL = 1e-9
 
@@ -128,8 +129,10 @@ def objective(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
 class _FieldEvaluator:
     """Caches per-beam fields so one-angle changes are scored incrementally.
 
-    All reductions reuse the same helpers as build_field/build_sinr_field, so
-    incremental scores match the full rebuild bit for bit (modulo nothing).
+    Each site's geometry to every voxel is computed once here, so a candidate
+    angle costs only the gain formula. All reductions reuse the same helpers
+    as build_field/build_sinr_field, so incremental scores match the full
+    rebuild bit for bit.
     """
 
     def __init__(self, scene, grid, weights, thresholds, activity_factor,
@@ -146,12 +149,10 @@ class _FieldEvaluator:
         self.cell_ids = scene.cell_ids
         self.cell_of_row = np.asarray(
             [self.cell_ids.index(cell_id) for cell_id, _ in self.beam_keys])
-        self.slices = []
-        start = 0
-        for cell_id in self.cell_ids:
-            _, cell = scene.cell(cell_id)
-            self.slices.append((start, start + len(cell.sub_beams)))
-            start += len(cell.sub_beams)
+        self.slices = cell_beam_slices(self.cell_ids, self.beam_keys)
+        self.geometry = {site.id: kernels.site_geometry(grid.centers, site.position_m,
+                                                        scene.radio.frequency_hz)
+                         for site in scene.sites}
         self.noise_floor = noise_floor_dbm(NoiseModel.from_radio(scene.radio))
         n = grid.count
         self.beam_dbm = np.empty((len(self.beam_keys), n), dtype=np.float64)
@@ -160,11 +161,16 @@ class _FieldEvaluator:
         self._objective = None
 
     def _eval_row_into(self, key, angle, out):
-        cell_id, index = key
-        site, cell, sb = self.scene.sub_beam(cell_id, index)
-        _eval_beam_field(self.grid.centers, site, cell, sb, angle,
-                         self.scene.radio.frequency_hz, self.offset_db,
-                         out=out, threads=self.threads)
+        site, cell, sb = self.scene.sub_beam(*key)
+        az, el, loss = self.geometry[site.id]
+
+        def work(bounds):
+            lo, hi = bounds
+            out[lo:hi] = kernels.beam_rsrp_numpy(az[lo:hi], el[lo:hi], loss[lo:hi],
+                                                 sb.pattern, angle, cell.tx_power_dbm,
+                                                 self.offset_db)
+
+        kernels.run_tasks(work, kernels.chunks(self.grid.count), self.threads)
 
     def _reduce_cell(self, c):
         a, b = self.slices[c]

@@ -12,17 +12,14 @@ deployment-dependent factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .antenna import AntennaPattern, Orientation, gain
+from .antenna import Orientation, gain
 from .errors import EmptySetError, SingularityError
 from .scene import BeamAssignment, Cell, SceneConfig, Site, SubBeam, VoxelGrid
-
-SPEED_OF_LIGHT_M_S = kernels.SPEED_OF_LIGHT_M_S
 
 
 def fspl_db(distance_m, frequency_hz):
@@ -33,7 +30,7 @@ def fspl_db(distance_m, frequency_hz):
         raise ValueError("distance_m must be > 0")
     if np.any(f <= 0):
         raise ValueError("frequency_hz must be > 0")
-    out = 20.0 * np.log10(4.0 * math.pi * d * f / SPEED_OF_LIGHT_M_S)
+    out = kernels.fspl(d, f)
     if np.ndim(distance_m) == 0 and np.ndim(frequency_hz) == 0:
         return float(out)
     return out
@@ -70,35 +67,23 @@ class RadioField:
 
     def cell_beam_slices(self) -> list[tuple[int, int]]:
         """Row range [start, stop) of each cell's sub-beams in beam_rsrp_dbm."""
-        slices = []
-        start = 0
-        for cell_id in self.cell_ids:
-            stop = start
-            while stop < len(self.beam_keys) and self.beam_keys[stop][0] == cell_id:
-                stop += 1
-            slices.append((start, stop))
-            start = stop
-        return slices
+        return cell_beam_slices(self.cell_ids, self.beam_keys)
 
 
-def _eval_beam_field(centers, site, cell, sub_beam, angle, frequency_hz,
-                     offset_db, out=None, threads=1):
-    """Per-voxel RSRP of one sub-beam; kernel for parametric patterns."""
-    if isinstance(sub_beam.pattern, AntennaPattern):
-        return kernels.eval_beam_rsrp_parametric(
-            centers, site.position_m, angle.azimuth_deg, angle.tilt_deg,
-            sub_beam.pattern, cell.tx_power_dbm, frequency_hz, offset_db,
-            out=out, threads=threads)
-    # Table patterns take the generic vectorized path.
-    delta = centers - np.asarray(site.position_m)
-    dist = np.linalg.norm(delta, axis=1)
-    direction = delta / dist[:, None]
-    g = gain(sub_beam.pattern, angle, direction)
-    values = cell.tx_power_dbm + g - fspl_db(dist, frequency_hz) + offset_db
-    if out is None:
-        return values
-    out[:] = values
-    return out
+def cell_beam_slices(cell_ids, beam_keys) -> list[tuple[int, int]]:
+    """Row range [start, stop) of each cell's rows in beam-keyed arrays.
+
+    ``beam_keys`` must be grouped by cell in ``cell_ids`` order.
+    """
+    slices = []
+    start = 0
+    for cell_id in cell_ids:
+        stop = start
+        while stop < len(beam_keys) and beam_keys[stop][0] == cell_id:
+            stop += 1
+        slices.append((start, stop))
+        start = stop
+    return slices
 
 
 def _check_no_coincidence(scene: SceneConfig, centers: np.ndarray) -> None:
@@ -133,43 +118,23 @@ def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
     _check_no_coincidence(scene, centers)
 
     beam_keys = tuple(scene.beam_keys())
+    row_of = {key: row for row, key in enumerate(beam_keys)}
     beam = np.empty((len(beam_keys), grid.count), dtype=np.float64)
-    rows = []
-    for row, (cell_id, index) in enumerate(beam_keys):
-        site, cell, sb = scene.sub_beam(cell_id, index)
-        rows.append((row, site, cell, sb, assignment.angle(cell_id, index)))
+    frequency_hz = scene.radio.frequency_hz
 
-    if threads is None or threads <= 1:
-        for row, site, cell, sb, angle in rows:
-            _eval_beam_field(centers, site, cell, sb, angle,
-                             scene.radio.frequency_hz, offset_db, out=beam[row])
-    else:
-        # one pool over all (sub-beam, voxel-chunk) tasks; chunk boundaries are
-        # fixed, so the result is independent of the thread count
-        from concurrent.futures import ThreadPoolExecutor
+    def work(task):
+        site, lo, hi = task
+        az, el, loss = kernels.site_geometry(centers[lo:hi], site.position_m, frequency_hz)
+        for cell in site.cells:
+            for sb in cell.sub_beams:
+                angle = assignment.angle(cell.id, sb.index)
+                beam[row_of[(cell.id, sb.index)], lo:hi] = kernels.beam_rsrp_numpy(
+                    az, el, loss, sb.pattern, angle, cell.tx_power_dbm, offset_db)
 
-        bounds = [(lo, min(lo + kernels._CHUNK, grid.count))
-                  for lo in range(0, grid.count, kernels._CHUNK)]
-
-        def work(task):
-            row, site, cell, sb, angle, lo, hi = task
-            _eval_beam_field(centers[lo:hi], site, cell, sb, angle,
-                             scene.radio.frequency_hz, offset_db,
-                             out=beam[row, lo:hi])
-
-        tasks = [(row, site, cell, sb, angle, lo, hi)
-                 for row, site, cell, sb, angle in rows for lo, hi in bounds]
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(work, tasks))
-
+    kernels.run_tasks(work, [(site, lo, hi) for site in scene.sites
+                             for lo, hi in kernels.chunks(grid.count)], threads)
     cell_ids = scene.cell_ids
-    slices = []
-    start = 0
-    for cell_id in cell_ids:
-        _, cell = scene.cell(cell_id)
-        slices.append((start, start + len(cell.sub_beams)))
-        start += len(cell.sub_beams)
-    cell_rsrp = cell_max_from_beams(beam, slices)
+    cell_rsrp = cell_max_from_beams(beam, cell_beam_slices(cell_ids, beam_keys))
 
     return RadioField(grid=grid, cell_ids=cell_ids, cell_rsrp_dbm=cell_rsrp,
                       beam_keys=beam_keys, beam_rsrp_dbm=beam if with_beams else None,
@@ -193,11 +158,12 @@ def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
         pos = np.asarray(site.position_m)
         if np.any(np.all(sub == pos, axis=1)):
             raise SingularityError(f"a prediction point coincides with site '{site.id}'")
+        geometry = kernels.site_geometry(sub, site.position_m, scene.radio.frequency_hz)
         acc = None
         for sb in sorted(cell.sub_beams, key=lambda b: b.index):
-            vals = _eval_beam_field(sub, site, cell, sb,
-                                    assignment.angle(cell_id, sb.index),
-                                    scene.radio.frequency_hz, offset_db)
+            vals = kernels.beam_rsrp_numpy(*geometry, sb.pattern,
+                                           assignment.angle(cell_id, sb.index),
+                                           cell.tx_power_dbm, offset_db)
             acc = vals if acc is None else np.maximum(acc, vals)
         out[idx] = acc
     return out

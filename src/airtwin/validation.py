@@ -238,9 +238,11 @@ def kriging_fit(train: MeasurementSet, layer_height_m: float = DEFAULT_LAYER_HEI
                         unfittable=unfittable)
 
 
-def _krige_point(model: _LayerModel, xy: np.ndarray) -> float:
-    if model.variogram is None:
-        return float(model.constant)
+def _kriging_system(model: _LayerModel, xy: np.ndarray):
+    """Ordinary-Kriging weights at ``xy`` over its nearest training samples.
+
+    Returns (weights, neighbour indices); the weights sum to 1.
+    """
     n = len(model.values)
     if n > KRIGING_NEIGHBORS:
         _, neigh = model.tree.query(xy, k=KRIGING_NEIGHBORS)
@@ -248,7 +250,6 @@ def _krige_point(model: _LayerModel, xy: np.ndarray) -> float:
     else:
         neigh = np.arange(n)
     pts = model.points[neigh]
-    vals = model.values[neigh]
     k = len(neigh)
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     a = np.empty((k + 1, k + 1))
@@ -265,7 +266,14 @@ def _krige_point(model: _LayerModel, xy: np.ndarray) -> float:
         sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(a, b, rcond=None)[0]
-    return float(sol[:k] @ vals)
+    return sol[:k], neigh
+
+
+def _krige_point(model: _LayerModel, xy: np.ndarray) -> float:
+    if model.variogram is None:
+        return float(model.constant)
+    weights, neigh = _kriging_system(model, xy)
+    return float(weights @ model.values[neigh])
 
 
 def kriging_predict(model: KrigingModel, points, return_flags: bool = False):
@@ -298,29 +306,7 @@ def kriging_weights(model: KrigingModel, position, cell_id: str) -> np.ndarray:
     layer = model.layers[key]
     if layer.variogram is None:
         return np.full(len(layer.values), 1.0 / len(layer.values))
-    n = len(layer.values)
-    if n > KRIGING_NEIGHBORS:
-        _, neigh = layer.tree.query(pos[:2], k=KRIGING_NEIGHBORS)
-        neigh = np.atleast_1d(neigh)
-    else:
-        neigh = np.arange(n)
-    pts = layer.points[neigh]
-    k = len(neigh)
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    a = np.empty((k + 1, k + 1))
-    a[:k, :k] = layer.variogram.gamma(d)
-    np.fill_diagonal(a[:k, :k], 0.0)
-    a[k, :k] = 1.0
-    a[:k, k] = 1.0
-    a[k, k] = 0.0
-    b = np.empty(k + 1)
-    b[:k] = layer.variogram.gamma(np.sqrt(((pts - pos[:2]) ** 2).sum(axis=1)))
-    b[k] = 1.0
-    try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(a, b, rcond=None)[0]
-    return sol[:k]
+    return _kriging_system(layer, pos[:2])[0]
 
 
 # ---------------------------------------------------------------------------

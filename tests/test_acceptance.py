@@ -68,8 +68,6 @@ class _Budget:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # JIT compilation happens once here so criterion budgets measure math,
-    # not compiler time.
     scene = simple_scene(radius_m=30.0, z_max_m=20.0, voxel_m=10.0)
     grid = build_voxel_grid(scene.airspace)
     build_field(scene, grid, BeamAssignment.baseline(scene))

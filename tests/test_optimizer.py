@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from airtwin import kernels
 from airtwin.antenna import Orientation
 from airtwin.errors import BoundsError, CapExceededError, ConfigurationError
 from airtwin.interference import NoiseModel, build_sinr_field
@@ -150,6 +151,18 @@ class TestGreedy:
         a2, t2 = greedy_optimize(scene, grid, base, W, threads=2)
         assert a1.angles == a2.angles
         assert t1.steps == t2.steps
+
+    def test_threads_identical_across_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CHUNK", 997)
+        scene = simple_scene(n_cells=2, n_beams=2, radius_m=100.0, z_max_m=60.0, voxel_m=8.0)
+        grid = build_voxel_grid(scene.airspace)
+        assert grid.count > 3 * kernels._CHUNK
+        base = BeamAssignment.baseline(scene)
+        a1, t1 = greedy_optimize(scene, grid, base, W)
+        a2, t2 = greedy_optimize(scene, grid, base, W, threads=2)
+        assert a1.angles == a2.angles
+        assert t1 == t2
+        assert t1.final_objective == pytest.approx(objective(scene, grid, a1, W), abs=1e-6)
 
     def test_order_override_and_permutation_invariants(self):
         scene = random_instance(9)

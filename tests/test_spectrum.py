@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from airtwin import kernels
-from airtwin.antenna import AntennaPattern, Orientation, gain
+from airtwin.antenna import AntennaPattern, Orientation, TablePattern, gain
 from airtwin.errors import EmptySetError, SingularityError
 from airtwin.scene import BeamAssignment, CylinderSpec, build_voxel_grid
 from airtwin.spectrum import (
@@ -22,6 +23,21 @@ from airtwin.measurements import MeasurementSet
 from conftest import simple_scene
 
 C = 299_792_458.0
+
+
+def with_table_beam(scene):
+    """``scene`` with sub-beam 0 of its first cell on an asymmetric table pattern."""
+    rng = np.random.default_rng(3)
+    az = np.arange(-180.0, 181.0, 15.0)
+    el = np.arange(-90.0, 91.0, 15.0)
+    table = TablePattern(az_deg=az, el_deg=el,
+                         gain_dbi=rng.uniform(-13.0, 17.0, (az.size, el.size)))
+    site = scene.sites[0]
+    cell = site.cells[0]
+    beams = (dataclasses.replace(cell.sub_beams[0], pattern=table),) + cell.sub_beams[1:]
+    cells = (dataclasses.replace(cell, sub_beams=beams),) + site.cells[1:]
+    sites = (dataclasses.replace(site, cells=cells),) + scene.sites[1:]
+    return dataclasses.replace(scene, sites=sites)
 
 
 class TestFspl:
@@ -184,17 +200,37 @@ class TestBuildField:
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba disabled or unavailable")
-    def test_backends_agree(self, tiny):
-        scene, grid = tiny
-        key = scene.beam_keys()[0]
-        site, cell, sb = scene.sub_beam(*key)
-        args = (grid.centers, site.position_m, sb.baseline.azimuth_deg,
-                sb.baseline.tilt_deg, sb.pattern, cell.tx_power_dbm,
-                scene.radio.frequency_hz, 0.0)
-        a = kernels.eval_beam_rsrp_parametric(*args, backend="numba")
-        b = kernels.eval_beam_rsrp_parametric(*args, backend="numpy")
-        np.testing.assert_allclose(a, b, atol=1e-9)
+    def test_table_pattern_beam_matches_scalar(self):
+        scene = with_table_beam(simple_scene(n_cells=2, n_beams=2, radius_m=60.0,
+                                             z_max_m=40.0, voxel_m=10.0))
+        grid = build_voxel_grid(scene.airspace)
+        assignment = BeamAssignment.baseline(scene)
+        field = build_field(scene, grid, assignment)
+        site, cell, sb = scene.sub_beam("cell0", 0)
+        assert isinstance(sb.pattern, TablePattern)
+        row = field.beam_keys.index(("cell0", 0))
+        for v in range(grid.count):
+            ref = beam_rsrp(site, cell, sb, sb.baseline, grid.centers[v], scene.radio)
+            assert field.beam_rsrp_dbm[row, v] == pytest.approx(ref, abs=1e-9)
+        outputs = []
+        for threads in (1, 2):
+            buf = io.StringIO()
+            export_field_csv(build_field(scene, grid, assignment, threads=threads), buf)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
+
+    def test_threads_identical_across_chunk_boundaries(self, monkeypatch):
+        scene = simple_scene(n_cells=2, n_beams=2, radius_m=100.0, z_max_m=60.0, voxel_m=8.0)
+        grid = build_voxel_grid(scene.airspace)
+        assignment = BeamAssignment.baseline(scene)
+        one_chunk = build_field(scene, grid, assignment)
+        monkeypatch.setattr(kernels, "_CHUNK", 997)
+        assert grid.count > 3 * kernels._CHUNK
+        fields = [build_field(scene, grid, assignment, threads=t) for t in (1, 2, 3)]
+        np.testing.assert_allclose(fields[0].beam_rsrp_dbm, one_chunk.beam_rsrp_dbm, atol=1e-9)
+        for f in fields[1:]:
+            assert f.beam_rsrp_dbm.tobytes() == fields[0].beam_rsrp_dbm.tobytes()
+            assert f.cell_rsrp_dbm.tobytes() == fields[0].cell_rsrp_dbm.tobytes()
 
     def test_export_row_order_and_format(self):
         scene = simple_scene(n_cells=2, n_beams=1, radius_m=15.0, z_max_m=10.0,
