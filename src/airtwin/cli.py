@@ -5,7 +5,8 @@ the output directory before any result file, and all outputs are
 deterministic given (inputs, seed): dB values are printed with 4 decimals and
 JSON keys are sorted, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 input error, 3 computation error.
+Exit codes: 0 success, 2 input error (including an unreadable or unwritable
+path), 3 computation error.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         "overrides": overrides,
         "out_dir": out_dir,
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _assignment_for(scene, path: str | None) -> BeamAssignment:
@@ -366,7 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AirtwinError as exc:

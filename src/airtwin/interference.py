@@ -64,10 +64,20 @@ class SinrField:
         return np.asarray(self.cell_ids, dtype=object)[self.serving_index]
 
 
+def check_activity_factor(activity_factor: float) -> None:
+    if not 0.0 <= activity_factor <= 1.0:
+        raise ValueError(f"activity_factor must be in [0, 1], got {activity_factor}")
+
+
+def linear_mw(rsrp_dbm: np.ndarray) -> np.ndarray:
+    """dBm to mW, elementwise."""
+    return np.power(10.0, rsrp_dbm * 0.1)
+
+
 def cell_linear_sums(beam_rsrp_dbm: np.ndarray,
                      slices: list[tuple[int, int]]) -> np.ndarray:
     """Per-cell linear-domain (mW) sum over sub-beam rows, fixed beam order."""
-    lin = np.power(10.0, beam_rsrp_dbm * 0.1)
+    lin = linear_mw(beam_rsrp_dbm)
     out = np.empty((len(slices), beam_rsrp_dbm.shape[1]), dtype=np.float64)
     for c, (a, b) in enumerate(slices):
         out[c] = np.add.reduce(lin[a:b], axis=0)
@@ -88,10 +98,16 @@ def assemble_sinr(cell_rsrp_dbm: np.ndarray, cell_lin_sums: np.ndarray,
     for c in range(n_cells):
         mask = serving != c
         interference[mask] += cell_lin_sums[c][mask]
+    return serving, serving_dbm, sinr_db(serving_dbm, interference, noise_floor,
+                                         activity_factor)
+
+
+def sinr_db(serving_dbm: np.ndarray, interference_mw: np.ndarray, noise_floor: float,
+            activity_factor: float) -> np.ndarray:
+    """The module-level SINR formula, elementwise."""
     noise_mw = 10.0 ** (noise_floor * 0.1)
-    ratio = (activity_factor * interference) / noise_mw
-    sinr = serving_dbm - noise_floor - 10.0 * np.log10(1.0 + ratio)
-    return serving, serving_dbm, sinr
+    ratio = (activity_factor * interference_mw) / noise_mw
+    return serving_dbm - noise_floor - 10.0 * np.log10(1.0 + ratio)
 
 
 def build_sinr_field(field: RadioField, model: NoiseModel,
@@ -103,8 +119,7 @@ def build_sinr_field(field: RadioField, model: NoiseModel,
         raise MissingSubBeamDataError(
             "interference needs per-sub-beam RSRP; rebuild the field with with_beams=True"
         )
-    if not 0.0 <= activity_factor <= 1.0:
-        raise ValueError(f"activity_factor must be in [0, 1], got {activity_factor}")
+    check_activity_factor(activity_factor)
     floor = noise_floor_dbm(model)
     sums = cell_linear_sums(field.beam_rsrp_dbm, field.cell_beam_slices())
     serving, serving_dbm, sinr = assemble_sinr(field.cell_rsrp_dbm, sums,

@@ -18,12 +18,23 @@ is reused instead (aligning sub-beams within a cell), provided it is an
 admissible angle for this sub-beam and its own delta is non-negative. Since
 the current angle is always a candidate and reuse requires delta >= 0, the
 objective never decreases.
+
+Scoring is incremental. Within one step only the visited sub-beam's row
+changes, so everything else the score needs (the rest of its cell, the best
+other cell per voxel, the interference from the other cells) is gathered once
+per step into a context, and each candidate then costs O(N) for N voxels. The
+context adds rows and cells in the same order as the full rebuild
+(``np.add.reduce`` over a cell's rows, ``assemble_sinr`` over cells); since
+floating-point addition is not associative, that fixed order is what makes
+each candidate delta equal the full rebuild's bit for bit, and the greedy
+choices with it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +46,10 @@ from .interference import (
     assemble_sinr,
     build_sinr_field,
     cell_linear_sums,
+    check_activity_factor,
+    linear_mw,
     noise_floor_dbm,
+    sinr_db,
 )
 from .antenna import Orientation
 from .scene import BeamAssignment, CoverageThresholds, SceneConfig, VoxelGrid
@@ -52,6 +66,9 @@ class ObjectiveWeights:
     epsilon_gain: float = 0.005   # reuse threshold, fraction of current objective
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "margin_cap_db", "epsilon_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigurationError("alpha and beta must be >= 0")
         if self.margin_cap_db <= 0:
@@ -99,9 +116,9 @@ class OptimizationTrace:
 
 
 def save_trace(trace: OptimizationTrace, path) -> None:
+    text = json.dumps(trace.to_json_dict(), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(trace.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def score_fields(serving_rsrp_dbm, sinr_db, weights: ObjectiveWeights,
@@ -126,17 +143,50 @@ def objective(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
                         weights, thresholds)
 
 
+@dataclass(frozen=True)
+class _StepContext:
+    """Everything a candidate score needs that does not depend on the candidate.
+
+    Built for one scored sub-beam ``key`` and valid until the evaluator's
+    state changes. Every array has shape (N,). "Rival" is the best cell other
+    than the scored sub-beam's own (first max, so ties go to the smaller id);
+    it serves wherever the scored cell does not.
+    """
+
+    key: tuple[str, int]
+    lin_before: np.ndarray               # in-order mW sum of the cell's earlier rows
+    lin_after: tuple[np.ndarray, ...]    # mW of the cell's later rows, in row order
+    max_other_rows: np.ndarray           # max over the cell's other rows (-inf if none)
+    rival_dbm: np.ndarray                # the rival's RSRP (-inf if no other cell)
+    wins_tie: np.ndarray                 # scored cell id < rival id
+    interference_if_serving: np.ndarray  # in-order mW sum of every other cell
+    interference_before: np.ndarray      # in-order mW sum of earlier cells, rival skipped
+    interference_after: tuple[np.ndarray, ...]  # mW of each later cell, 0 where it is the rival
+
+
 class _FieldEvaluator:
     """Caches per-beam fields so one-angle changes are scored incrementally.
 
     Each site's geometry to every voxel is computed once here, so a candidate
-    angle costs only the gain formula. All reductions reuse the same helpers
-    as build_field/build_sinr_field, so incremental scores match the full
-    rebuild bit for bit.
+    angle costs only the gain formula. ``set_assignment`` and ``apply``
+    recompute the changed rows, their cells and the SINR in full, with the
+    same helpers as build_field/build_sinr_field. Between two of them,
+    ``candidate_deltas`` scores any number of angles for one sub-beam from a
+    per-step context (``_StepContext``) that holds the parts of the cell and
+    SINR reductions the candidate cannot change, so each candidate costs
+    O(N): one kernel row, one dBm-to-mW conversion, a handful of adds, the
+    serving compare and the SINR.
+
+    Floating-point addition is not associative, so the context keeps the
+    summation order of the full path: the cell's mW sum adds rows in row order
+    like ``np.add.reduce(axis=0)``, and the interference adds cells in cell
+    order like ``assemble_sinr``. That makes every candidate score equal the
+    full rebuild bit for bit.
     """
 
     def __init__(self, scene, grid, weights, thresholds, activity_factor,
                  offset_db, threads=1):
+        check_activity_factor(activity_factor)
         self.scene = scene
         self.grid = grid
         self.weights = weights
@@ -158,7 +208,9 @@ class _FieldEvaluator:
         self.beam_dbm = np.empty((len(self.beam_keys), n), dtype=np.float64)
         self.cell_max = np.empty((len(self.cell_ids), n), dtype=np.float64)
         self.cell_lin = np.empty((len(self.cell_ids), n), dtype=np.float64)
+        self._candidate_row = np.empty(n, dtype=np.float64)
         self._objective = None
+        self._context = None
 
     def _eval_row_into(self, key, angle, out):
         site, cell, sb = self.scene.sub_beam(*key)
@@ -182,41 +234,83 @@ class _FieldEvaluator:
             self._eval_row_into(key, assignment.angles[key], self.beam_dbm[self.row_of[key]])
         for c in range(len(self.cell_ids)):
             self._reduce_cell(c)
-        self._objective = self._score(self.cell_max, self.cell_lin)
+        self._rescore()
 
-    def _score(self, cell_max, cell_lin):
-        _, serving_dbm, sinr = assemble_sinr(cell_max, cell_lin, self.noise_floor,
+    def _rescore(self):
+        self._context = None
+        _, serving_dbm, sinr = assemble_sinr(self.cell_max, self.cell_lin, self.noise_floor,
                                              self.activity_factor)
-        return score_fields(serving_dbm, sinr, self.weights, self.thresholds)
+        self._objective = score_fields(serving_dbm, sinr, self.weights, self.thresholds)
 
     @property
     def objective(self) -> float:
         return self._objective
 
-    def candidate_objective(self, key, angle) -> float:
-        """Objective if ``key`` were steered to ``angle``; state unchanged."""
+    def _step_context(self, key) -> _StepContext:
+        if self._context is not None and self._context.key == key:
+            return self._context
         row = self.row_of[key]
-        c = self.cell_of_row[row]
-        a, b = self.slices[c]
-        saved = self.beam_dbm[row].copy()
-        self._eval_row_into(key, angle, self.beam_dbm[row])
-        cell_max = self.cell_max.copy()
-        cell_lin = self.cell_lin.copy()
-        cell_max[c] = np.maximum.reduce(self.beam_dbm[a:b], axis=0)
-        cell_lin[c] = cell_linear_sums(self.beam_dbm[a:b], [(0, b - a)])[0]
-        value = self._score(cell_max, cell_lin)
-        self.beam_dbm[row] = saved
-        return value
+        s = int(self.cell_of_row[row])
+        a, b = self.slices[s]
+        j = row - a
+        n = self.grid.count
+        lin = linear_mw(self.beam_dbm[a:b])
+        others = [c for c in range(len(self.cell_ids)) if c != s]
+        if others:
+            other_max = self.cell_max[others]
+            first = np.argmax(other_max, axis=0)   # first max = smallest cell id
+            rival_dbm = other_max[first, np.arange(n)]
+            rival = np.asarray(others)[first]
+        else:
+            rival_dbm = np.full(n, -np.inf)
+            rival = np.full(n, s + 1)
+        if_serving = np.zeros(n)
+        before = np.zeros(n)
+        for c in others:
+            if_serving += self.cell_lin[c]
+            if c < s:
+                np.add(before, self.cell_lin[c], out=before, where=rival != c)
+        self._context = _StepContext(
+            key=key,
+            lin_before=np.add.reduce(lin[:j], axis=0),
+            lin_after=tuple(lin[j + 1:].copy()),
+            max_other_rows=np.maximum.reduce(np.delete(self.beam_dbm[a:b], j, axis=0),
+                                             axis=0, initial=-np.inf),
+            rival_dbm=rival_dbm,
+            wins_tie=s < rival,
+            interference_if_serving=if_serving,
+            interference_before=before,
+            interference_after=tuple(np.where(rival != c, self.cell_lin[c], 0.0)
+                                     for c in others if c > s))
+        return self._context
 
-    def candidate_delta(self, key, angle) -> float:
-        return self.candidate_objective(key, angle) - self._objective
+    def _candidate_objective(self, ctx: _StepContext, angle) -> float:
+        row = self._candidate_row
+        self._eval_row_into(ctx.key, angle, row)
+        cell_lin = linear_mw(row)
+        cell_lin += ctx.lin_before
+        for lin in ctx.lin_after:
+            cell_lin += lin
+        cell_max = np.maximum(row, ctx.max_other_rows)
+        serves = (cell_max > ctx.rival_dbm) | ((cell_max == ctx.rival_dbm) & ctx.wins_tie)
+        serving_dbm = np.where(serves, cell_max, ctx.rival_dbm)
+        interference = ctx.interference_before + cell_lin
+        for term in ctx.interference_after:
+            interference += term
+        np.copyto(interference, ctx.interference_if_serving, where=serves)
+        sinr = sinr_db(serving_dbm, interference, self.noise_floor, self.activity_factor)
+        return score_fields(serving_dbm, sinr, self.weights, self.thresholds)
+
+    def candidate_deltas(self, key, angles) -> list[float]:
+        """Objective change for steering ``key`` to each angle; state unchanged."""
+        ctx = self._step_context(key)
+        return [self._candidate_objective(ctx, angle) - self._objective for angle in angles]
 
     def apply(self, key, angle):
         row = self.row_of[key]
-        c = self.cell_of_row[row]
         self._eval_row_into(key, angle, self.beam_dbm[row])
-        self._reduce_cell(c)
-        self._objective = self._score(self.cell_max, self.cell_lin)
+        self._reduce_cell(self.cell_of_row[row])
+        self._rescore()
 
 
 def score_candidate(scene: SceneConfig, grid: VoxelGrid, current: BeamAssignment,
@@ -235,7 +329,7 @@ def score_candidate(scene: SceneConfig, grid: VoxelGrid, current: BeamAssignment
     ev = _FieldEvaluator(scene, grid, weights, thresholds, activity_factor,
                          offset_db, threads)
     ev.set_assignment(current)
-    return ev.candidate_delta(target, angle)
+    return ev.candidate_deltas(target, [angle])[0]
 
 
 def default_order(scene: SceneConfig) -> list[tuple[str, int]]:
@@ -293,7 +387,7 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
             candidates.append(cur)   # current angle always competes, last index
 
         before = ev.objective
-        deltas = [ev.candidate_delta(key, cand) for cand in candidates]
+        deltas = ev.candidate_deltas(key, candidates)
         best_i = int(np.argmax(deltas))  # ties resolve to the smallest lattice index
         chosen = candidates[best_i]
         chosen_delta = best_delta = deltas[best_i]
@@ -306,7 +400,7 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
             if sb.admits(reuse_angle):
                 matches = [i for i, c in enumerate(candidates) if _same_angle(c, reuse_angle)]
                 reuse_delta = (deltas[matches[0]] if matches
-                               else ev.candidate_delta(key, reuse_angle))
+                               else ev.candidate_deltas(key, [reuse_angle])[0])
                 if reuse_delta >= 0.0:
                     chosen = reuse_angle
                     chosen_delta = reuse_delta

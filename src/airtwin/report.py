@@ -106,6 +106,10 @@ def coverage_ratios(field: RadioField, sinr: SinrField,
     idx = np.arange(field.grid.count) if mask is None else np.asarray(mask, dtype=np.int64)
     if idx.size == 0:
         raise DimensionError("voxel mask selects no voxels")
+    if idx.min() < 0 or idx.max() >= field.grid.count:
+        raise DimensionError(
+            f"voxel mask indices must lie in [0, {field.grid.count}), "
+            f"got {idx.min()}..{idx.max()}")
     serving = sinr.serving_rsrp_dbm[idx]
     sinr_db = sinr.sinr_db[idx]
     zs = field.grid.centers[idx, 2]

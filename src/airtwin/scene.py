@@ -173,6 +173,10 @@ class RadioConstants:
     noise_figure_db: float
 
     def __post_init__(self):
+        for name in ("frequency_hz", "bandwidth_hz", "noise_figure_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise SceneValidationError(
+                    f"radio.{name} must be finite, got {getattr(self, name)}")
         if self.frequency_hz <= 0:
             raise SceneValidationError(f"radio.frequency_hz must be > 0, got {self.frequency_hz}")
         if self.bandwidth_hz <= 0:

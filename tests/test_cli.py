@@ -279,3 +279,42 @@ def test_version_and_help():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Each bad input fails with exit 2 (input) or 3 (computation), one `error:`
+# line, and no result file.
+FAILURE_CASES = {
+    "alpha_nan": (2, ["optimize", "--alpha", "nan"]),
+    "beta_nan": (2, ["optimize", "--beta", "nan"]),
+    "margin_cap_nan": (2, ["optimize", "--margin-cap", "nan"]),
+    "epsilon_gain_inf": (2, ["optimize", "--epsilon-gain", "inf"]),
+    "activity_factor_5": (3, ["optimize", "--activity-factor", "5"]),
+    "frequency_nan": (2, ["build", "--set", "radio.frequency_hz=NaN"]),
+    "bandwidth_inf": (2, ["build", "--set", "radio.bandwidth_hz=Infinity"]),
+    "noise_figure_nan": (2, ["build", "--set", "radio.noise_figure_db=NaN"]),
+    "out_under_a_file": (2, ["build"]),
+    "mask_past_end": (2, ["evaluate", "--mask", "99999999"]),
+    "mask_negative": (2, ["evaluate", "--mask", "-1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
+    code, argv = FAILURE_CASES[case]
+    argv = list(argv)
+    if "--mask" in argv:
+        mask_path = tmp_path / "mask.txt"
+        mask_path.write_text(argv[-1] + "\n")
+        argv[-1] = str(mask_path)
+    out = tmp_path / "out"
+    if case == "out_under_a_file":
+        (tmp_path / "blocker").write_text("")
+        out = tmp_path / "blocker" / "out"
+    rc = main([argv[0], "--scene", tiny_scene_path, "--out", str(out), *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    if out.is_dir():
+        assert set(os.listdir(out)) <= {"manifest.json"}

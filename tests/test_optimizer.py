@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,18 @@ from airtwin.errors import BoundsError, CapExceededError, ConfigurationError
 from airtwin.interference import NoiseModel, build_sinr_field
 from airtwin.optimizer import (
     ObjectiveWeights,
+    OptimizationTrace,
+    TraceStep,
+    _FieldEvaluator,
     brute_force_optimize,
     default_order,
     greedy_optimize,
     objective,
+    save_trace,
     score_candidate,
     score_fields,
 )
-from airtwin.scene import BeamAssignment, CoverageThresholds, build_voxel_grid
+from airtwin.scene import BeamAssignment, CoverageThresholds, SceneConfig, Site, build_voxel_grid
 from airtwin.spectrum import build_field
 
 from conftest import random_instance, simple_scene
@@ -64,6 +70,21 @@ class TestObjective:
         with pytest.raises(ConfigurationError):
             ObjectiveWeights(epsilon_gain=-0.1)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "margin_cap_db", "epsilon_gain"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ObjectiveWeights(**{name: value})
+
+    def test_save_trace_refuses_nan_and_writes_nothing(self, tmp_path):
+        step = TraceStep(cell_id="cell0", beam_index=0, n_candidates=1, chosen_az_deg=0.0,
+                         chosen_tilt_deg=0.0, reused=False, objective_before=float("nan"),
+                         objective_after=0.0, best_delta=0.0, chosen_delta=0.0)
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError):
+            save_trace(OptimizationTrace((step,), 0.0, 0.0), path)
+        assert not path.exists()
+
 
 class TestScoreCandidate:
     def test_noop_delta_zero(self, tiny):
@@ -103,6 +124,69 @@ class TestScoreCandidate:
         with pytest.raises(BoundsError):
             score_candidate(scene, grid, assignment, ("cell0", 0),
                             Orientation(0.0, 89.0), W)
+
+
+def co_sited_tie_scene() -> SceneConfig:
+    """Cells cell0 and cell1 share one site, pattern, power and baselines, so
+    their cell maxima tie exactly at every voxel; cell2 is a rival elsewhere."""
+    base = simple_scene(n_cells=2, n_beams=2, radius_m=60.0, z_max_m=40.0, voxel_m=20.0)
+    site0, site1 = base.sites
+    twin = replace(site0.cells[0], id="cell1")
+    far = replace(site1.cells[0], id="cell2")
+    return replace(base, sites=(Site(id="site0", position_m=site0.position_m,
+                                     cells=(site0.cells[0], twin)),
+                                Site(id="site1", position_m=site1.position_m,
+                                     cells=(far,))))
+
+
+def assert_deltas_exact(scene, keys, threads=1):
+    """Every lattice angle's incremental delta equals the full rebuild's, bit for bit."""
+    grid = build_voxel_grid(scene.airspace)
+    current = BeamAssignment.baseline(scene)
+    ev = _FieldEvaluator(scene, grid, W, None, 1.0, 0.0, threads)
+    ev.set_assignment(current)
+    before = objective(scene, grid, current, W, threads=threads)
+    assert ev.objective == before
+    for key in keys:
+        lattice = scene.sub_beam(*key)[2].lattice()
+        full = [objective(scene, grid, current.replaced(key, angle), W, threads=threads)
+                - before for angle in lattice]
+        assert ev.candidate_deltas(key, lattice) == full, key
+    return ev
+
+
+class TestCandidateDeltasExact:
+    # Adding a cell's rows, or the interfering cells, in another order changes
+    # the last bit at some voxels. Few of those bits reach the objective, so
+    # the 3-beam scenes with 7x4 lattices are what catch a reordering;
+    # random_instance's 3-angle lattices rarely do.
+    @pytest.mark.parametrize("scene", [
+        random_instance(0, n_cells=3, n_beams=3),
+        random_instance(1, n_cells=3, n_beams=3),
+        random_instance(2, n_cells=3, n_beams=3),
+        simple_scene(n_cells=4, n_beams=3),
+    ], ids=["random0", "random1", "random2", "simple"])
+    def test_first_middle_last_sub_beam_of_each_cell(self, scene):
+        assert_deltas_exact(scene, scene.beam_keys())
+
+    def test_tied_cell_maxima_serve_the_smaller_id(self):
+        scene = co_sited_tie_scene()
+        grid = build_voxel_grid(scene.airspace)
+        current = BeamAssignment.baseline(scene)
+        field = build_field(scene, grid, current)
+        np.testing.assert_array_equal(field.cell_rsrp_dbm[0], field.cell_rsrp_dbm[1])
+        sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), 1.0)
+        assert not np.any(sinr.serving_index == 1)
+        ev = assert_deltas_exact(scene, scene.beam_keys())
+        for key in (("cell0", 0), ("cell1", 1)):   # steering to the same angle keeps the tie
+            assert ev.candidate_deltas(key, [current.angles[key]]) == [0.0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_threads_and_chunk_boundaries(self, monkeypatch, threads):
+        monkeypatch.setattr(kernels, "_CHUNK", 997)
+        scene = simple_scene(n_cells=2, n_beams=3, radius_m=100.0, z_max_m=60.0, voxel_m=8.0)
+        assert build_voxel_grid(scene.airspace).count > 3 * kernels._CHUNK
+        assert_deltas_exact(scene, scene.beam_keys(), threads=threads)
 
 
 class TestGreedy:
@@ -175,6 +259,19 @@ class TestGreedy:
             assert trace.final_objective >= trace.initial_objective - 1e-9
             for step in trace.steps:
                 assert step.objective_after >= step.objective_before - 1e-12
+
+    @pytest.mark.parametrize("activity_factor", [5.0, -0.5, float("nan")])
+    def test_bad_activity_factor_rejected_before_scoring(self, activity_factor, monkeypatch):
+        scene = random_instance(1)
+        grid = build_voxel_grid(scene.airspace)
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel ran before the activity factor was checked")
+
+        monkeypatch.setattr(kernels, "beam_rsrp_numpy", no_kernel)
+        with pytest.raises(ValueError, match="activity_factor"):
+            greedy_optimize(scene, grid, BeamAssignment.baseline(scene), W,
+                            activity_factor=activity_factor)
 
     def test_incomplete_order_rejected(self):
         scene = random_instance(1)

@@ -91,6 +91,14 @@ class TestCoverageRatios:
         assert report.count_rsrp_strict == int(
             np.sum(sinr.serving_rsrp_dbm[mask] >= THR.rsrp_strict_dbm))
 
+    @pytest.mark.parametrize("bad", [-1, "count"])
+    def test_mask_index_out_of_range_rejected(self, tiny, bad):
+        scene, grid = tiny
+        _, field, sinr = fields_for(scene)
+        mask = np.array([0, grid.count if bad == "count" else bad])
+        with pytest.raises(DimensionError, match="mask"):
+            coverage_ratios(field, sinr, THR, mask=mask)
+
     def test_invariant_under_voxel_reordering(self, tiny):
         scene, grid = tiny
         _, field, sinr = fields_for(scene)

@@ -13,6 +13,7 @@ from airtwin.errors import (
 from airtwin.scene import (
     BeamAssignment,
     CylinderSpec,
+    RadioConstants,
     build_voxel_grid,
     load_assignment,
     load_scene,
@@ -47,6 +48,14 @@ def brute_force_count(spec: CylinderSpec) -> int:
                 if (x - cx) ** 2 + (y - cy) ** 2 <= spec.radius_m ** 2:
                     count += 1
     return count
+
+
+@pytest.mark.parametrize("field", ["frequency_hz", "bandwidth_hz", "noise_figure_db"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_radio_constants_must_be_finite(field, value):
+    values = {"frequency_hz": 3.5e9, "bandwidth_hz": 1e8, "noise_figure_db": 7.0, field: value}
+    with pytest.raises(SceneValidationError, match=field):
+        RadioConstants(**values)
 
 
 class TestVoxelGrid:
