@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -65,21 +66,25 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _apply_override(doc: dict, dotted_key: str, value) -> None:
-    parts = dotted_key.split(".")
-    node = doc
-    for part in parts[:-1]:
-        if isinstance(node, list):
-            node = node[int(part)]
-        elif part in node:
-            node = node[part]
-        else:
-            raise InputError(f"--set path '{dotted_key}' not found at '{part}'")
-    last = parts[-1]
+def _override_key(node, part: str, dotted_key: str, leaf: bool):
+    """``part`` as an index of a list node or a key of a dict node (new only at the leaf)."""
     if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+        try:
+            if -len(node) <= int(part) < len(node):
+                return int(part)
+        except ValueError:
+            pass
+    elif isinstance(node, dict) and (leaf or part in node):
+        return part
+    raise InputError(f"--set path '{dotted_key}' not found at '{part}'")
+
+
+def _apply_override(doc: dict, dotted_key: str, value) -> None:
+    *path, last = dotted_key.split(".")
+    node = doc
+    for part in path:
+        node = node[_override_key(node, part, dotted_key, leaf=False)]
+    node[_override_key(node, last, dotted_key, leaf=True)] = value
 
 
 def _load_scene_with_overrides(path: str, overrides: list[str]):
@@ -132,11 +137,10 @@ def _measurements_for(args, scene):
     return load_measurements(args.measurements, mapping=args.mapping)
 
 
-def _fields_for(scene, assignment, offset_db, threads, activity_factor):
-    grid = build_voxel_grid(scene.airspace)
-    field = build_field(scene, grid, assignment, offset_db, threads=threads)
-    sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), activity_factor)
-    return grid, field, sinr
+def _fields_for(scene, grid, assignment, args):
+    field = build_field(scene, grid, assignment, args.offset_db, threads=args.threads)
+    sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), args.activity_factor)
+    return field, sinr
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +150,7 @@ def cmd_build(args) -> int:
     scene, overrides = _load_scene_with_overrides(args.scene, args.set)
     assignment = _assignment_for(scene, args.assignment)
     _write_manifest(args.out, "build", args, overrides)
-    _, field, sinr = _fields_for(scene, assignment, args.offset_db, args.threads,
-                                 args.activity_factor)
+    field, sinr = _fields_for(scene, build_voxel_grid(scene.airspace), assignment, args)
     with open(os.path.join(args.out, "field.csv"), "w") as fh:
         export_field_csv(field, fh)
     with open(os.path.join(args.out, "sinr.csv"), "w") as fh:
@@ -206,12 +209,8 @@ def cmd_optimize(args) -> int:
     save_assignment(optimized, os.path.join(args.out, "assignment.json"))
     save_trace(trace, os.path.join(args.out, "trace.json"))
 
-    noise = NoiseModel.from_radio(scene.radio)
-    field_b = build_field(scene, grid, initial, args.offset_db, threads=args.threads)
-    sinr_b = build_sinr_field(field_b, noise, args.activity_factor)
-    field_a = build_field(scene, grid, optimized, args.offset_db, threads=args.threads)
-    sinr_a = build_sinr_field(field_a, noise, args.activity_factor)
-    report = compare_report((field_b, sinr_b), (field_a, sinr_a), scene.thresholds)
+    report = compare_report(_fields_for(scene, grid, initial, args),
+                            _fields_for(scene, grid, optimized, args), scene.thresholds)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     print(f"objective {trace.initial_objective:.4f} -> {trace.final_objective:.4f}; "
           f"strict RSRP ratio {report.before.ratio_rsrp_strict:.4f} -> "
@@ -228,8 +227,8 @@ def cmd_evaluate(args) -> int:
         if not os.path.exists(args.mask):
             raise InputError(f"mask file not found: {args.mask}")
         mask = np.loadtxt(args.mask, dtype=np.int64, ndmin=1)
-    grid, field, sinr = _fields_for(scene, assignment, args.offset_db, args.threads,
-                                    args.activity_factor)
+    grid = build_voxel_grid(scene.airspace)
+    field, sinr = _fields_for(scene, grid, assignment, args)
     if args.compare_to is None:
         report = coverage_ratios(field, sinr, scene.thresholds, mask)
         save_json_report(report.to_json_dict(), os.path.join(args.out, "coverage_report.json"))
@@ -238,9 +237,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
 
     other = _assignment_for(scene, args.compare_to)
-    field_o = build_field(scene, grid, other, args.offset_db, threads=args.threads)
-    sinr_o = build_sinr_field(field_o, NoiseModel.from_radio(scene.radio),
-                              args.activity_factor)
+    field_o, sinr_o = _fields_for(scene, grid, other, args)
     report = compare_report((field_o, sinr_o), (field, sinr), scene.thresholds, mask)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     for alt in DEFAULT_HEATMAP_ALTITUDES_M:
@@ -366,6 +363,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not math.isfinite(args.offset_db):
+            raise InputError(f"--offset-db must be finite, got {args.offset_db}")
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

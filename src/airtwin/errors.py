@@ -50,10 +50,6 @@ class UnknownCellError(InputError):
     """A cell id was referenced that does not exist in the scene."""
 
 
-class MissingSubBeamDataError(InputError):
-    """A RadioField without per-sub-beam arrays was passed where they are required."""
-
-
 class ConfigurationError(InputError):
     """Inconsistent optimizer configuration (e.g. an empty candidate set)."""
 

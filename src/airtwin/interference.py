@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptySetError, MissingSubBeamDataError
+from .errors import EmptySetError
 from .scene import RadioConstants
-from .spectrum import RadioField
+
+if TYPE_CHECKING:
+    from .spectrum import RadioField
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -60,9 +63,6 @@ class SinrField:
     activity_factor: float
     noise_floor_dbm: float
 
-    def serving_cell_ids(self) -> np.ndarray:
-        return np.asarray(self.cell_ids, dtype=object)[self.serving_index]
-
 
 def check_activity_factor(activity_factor: float) -> None:
     if not 0.0 <= activity_factor <= 1.0:
@@ -74,11 +74,11 @@ def linear_mw(rsrp_dbm: np.ndarray) -> np.ndarray:
     return np.power(10.0, rsrp_dbm * 0.1)
 
 
-def cell_linear_sums(beam_rsrp_dbm: np.ndarray,
+def cell_linear_sums(beam_dbm: np.ndarray,
                      slices: list[tuple[int, int]]) -> np.ndarray:
     """Per-cell linear-domain (mW) sum over sub-beam rows, fixed beam order."""
-    lin = linear_mw(beam_rsrp_dbm)
-    out = np.empty((len(slices), beam_rsrp_dbm.shape[1]), dtype=np.float64)
+    lin = linear_mw(beam_dbm)
+    out = np.empty((len(slices), beam_dbm.shape[1]), dtype=np.float64)
     for c, (a, b) in enumerate(slices):
         out[c] = np.add.reduce(lin[a:b], axis=0)
     return out
@@ -112,17 +112,12 @@ def sinr_db(serving_dbm: np.ndarray, interference_mw: np.ndarray, noise_floor: f
 
 def build_sinr_field(field: RadioField, model: NoiseModel,
                      activity_factor: float = 1.0) -> SinrField:
-    """Derive the SINR field from a RadioField with per-sub-beam data."""
+    """Derive the SINR field from a RadioField's cell max and cell mW sum."""
     if len(field.cell_ids) < 1:
         raise EmptySetError("field must contain at least one cell")
-    if field.beam_rsrp_dbm is None:
-        raise MissingSubBeamDataError(
-            "interference needs per-sub-beam RSRP; rebuild the field with with_beams=True"
-        )
     check_activity_factor(activity_factor)
     floor = noise_floor_dbm(model)
-    sums = cell_linear_sums(field.beam_rsrp_dbm, field.cell_beam_slices())
-    serving, serving_dbm, sinr = assemble_sinr(field.cell_rsrp_dbm, sums,
+    serving, serving_dbm, sinr = assemble_sinr(field.cell_rsrp_dbm, field.cell_lin_mw,
                                                floor, activity_factor)
     return SinrField(grid=field.grid, cell_ids=field.cell_ids, serving_index=serving,
                      serving_rsrp_dbm=serving_dbm, sinr_db=sinr,

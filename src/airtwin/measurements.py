@@ -53,6 +53,8 @@ class MeasurementSet:
             raise SceneValidationError("seq must be strictly increasing along the trajectory")
         if not np.all(np.isfinite(rsrp)):
             raise SceneValidationError("rsrp_dbm values must all be finite")
+        if not np.all(np.isfinite(pos)):
+            raise SceneValidationError("sample positions must all be finite")
         if self.region is not None and n > 0 and not np.all(self.region.contains(pos)):
             raise SceneValidationError("some sample positions fall outside the declared region")
         object.__setattr__(self, "seq", seq)

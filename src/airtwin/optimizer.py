@@ -53,7 +53,7 @@ from .interference import (
 )
 from .antenna import Orientation
 from .scene import BeamAssignment, CoverageThresholds, SceneConfig, VoxelGrid
-from .spectrum import build_field, cell_beam_slices
+from .spectrum import build_field, cell_beam_slices, cell_max_from_beams
 
 _ANGLE_EQ_TOL = 1e-9
 
@@ -226,8 +226,9 @@ class _FieldEvaluator:
 
     def _reduce_cell(self, c):
         a, b = self.slices[c]
-        self.cell_max[c] = np.maximum.reduce(self.beam_dbm[a:b], axis=0)
-        self.cell_lin[c] = cell_linear_sums(self.beam_dbm[a:b], [(0, b - a)])[0]
+        rows, whole = self.beam_dbm[a:b], [(0, b - a)]
+        self.cell_max[c] = cell_max_from_beams(rows, whole)[0]
+        self.cell_lin[c] = cell_linear_sums(rows, whole)[0]
 
     def set_assignment(self, assignment: BeamAssignment):
         for key in self.beam_keys:

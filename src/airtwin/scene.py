@@ -31,6 +31,13 @@ DEFAULT_CANDIDATE_STEP = (5.0, 3.0)  # az, tilt degrees
 _ANGLE_TOL = 1e-6
 
 
+def _require_finite(section: str, spec, names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(spec, name)):
+            raise SceneValidationError(
+                f"{section}.{name} must be finite, got {getattr(spec, name)}")
+
+
 # ---------------------------------------------------------------------------
 # Airspace and voxel grid
 # ---------------------------------------------------------------------------
@@ -46,6 +53,7 @@ class CylinderSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center_m", (float(self.center_m[0]), float(self.center_m[1])))
+        _require_finite("airspace", self, ("radius_m", "z_min_m", "z_max_m", "voxel_m"))
         if self.radius_m <= 0:
             raise SceneValidationError(f"airspace.radius_m must be > 0, got {self.radius_m}")
         if self.z_max_m <= self.z_min_m:
@@ -173,10 +181,7 @@ class RadioConstants:
     noise_figure_db: float
 
     def __post_init__(self):
-        for name in ("frequency_hz", "bandwidth_hz", "noise_figure_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise SceneValidationError(
-                    f"radio.{name} must be finite, got {getattr(self, name)}")
+        _require_finite("radio", self, ("frequency_hz", "bandwidth_hz", "noise_figure_db"))
         if self.frequency_hz <= 0:
             raise SceneValidationError(f"radio.frequency_hz must be > 0, got {self.frequency_hz}")
         if self.bandwidth_hz <= 0:
@@ -197,6 +202,8 @@ class CoverageThresholds:
     sinr_strict_db: float = 5.0
 
     def __post_init__(self):
+        _require_finite("thresholds", self,
+                        ("rsrp_basic_dbm", "rsrp_strict_dbm", "sinr_basic_db", "sinr_strict_db"))
         if self.rsrp_strict_dbm < self.rsrp_basic_dbm:
             raise SceneValidationError("thresholds: rsrp_strict_dbm must be >= rsrp_basic_dbm")
         if self.sinr_strict_db < self.sinr_basic_db:
@@ -302,10 +309,6 @@ class Cell:
             raise SceneValidationError(
                 f"cell {self.id}: sub-beam indices must be exactly 0..{len(self.sub_beams) - 1}"
             )
-
-    @property
-    def baseline_assignment(self) -> dict[int, Orientation]:
-        return {sb.index: sb.baseline for sb in self.sub_beams}
 
 
 @dataclass(frozen=True)

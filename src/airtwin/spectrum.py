@@ -19,6 +19,7 @@ import numpy as np
 from . import kernels
 from .antenna import Orientation, gain
 from .errors import EmptySetError, SingularityError
+from .interference import cell_linear_sums
 from .scene import BeamAssignment, Cell, SceneConfig, Site, SubBeam, VoxelGrid
 
 
@@ -52,22 +53,12 @@ def beam_rsrp(site: Site, cell: Cell, sub_beam: SubBeam, angle: Orientation,
 
 @dataclass(frozen=True)
 class RadioField:
-    """Per-voxel RSRP, per cell and (optionally) per sub-beam, in dBm."""
+    """Per-voxel, per-cell RSRP (max over sub-beams, dBm) and summed power (mW)."""
 
     grid: VoxelGrid
-    cell_ids: tuple[str, ...]                # lexicographic
-    cell_rsrp_dbm: np.ndarray                # (n_cells, count)
-    beam_keys: tuple[tuple[str, int], ...]   # grouped by cell in cell_ids order
-    beam_rsrp_dbm: np.ndarray | None         # (n_beams, count) or None
-    assignment: BeamAssignment
-    offset_db: float
-
-    def cell_index(self, cell_id: str) -> int:
-        return self.cell_ids.index(cell_id)
-
-    def cell_beam_slices(self) -> list[tuple[int, int]]:
-        """Row range [start, stop) of each cell's sub-beams in beam_rsrp_dbm."""
-        return cell_beam_slices(self.cell_ids, self.beam_keys)
+    cell_ids: tuple[str, ...]   # lexicographic
+    cell_rsrp_dbm: np.ndarray   # (n_cells, count)
+    cell_lin_mw: np.ndarray     # (n_cells, count), sub-beams added in index order
 
 
 def cell_beam_slices(cell_ids, beam_keys) -> list[tuple[int, int]]:
@@ -95,50 +86,56 @@ def _check_no_coincidence(scene: SceneConfig, centers: np.ndarray) -> None:
             )
 
 
-def cell_max_from_beams(beam_rsrp_dbm: np.ndarray,
+def cell_max_from_beams(beam_dbm: np.ndarray,
                         slices: list[tuple[int, int]]) -> np.ndarray:
     """Cell-level field: per-voxel max over each cell's sub-beam rows."""
-    n = beam_rsrp_dbm.shape[1]
+    n = beam_dbm.shape[1]
     out = np.empty((len(slices), n), dtype=np.float64)
     for c, (a, b) in enumerate(slices):
-        out[c] = np.maximum.reduce(beam_rsrp_dbm[a:b], axis=0)
+        out[c] = np.maximum.reduce(beam_dbm[a:b], axis=0)
     return out
 
 
 def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
-                offset_db: float = 0.0, *, threads: int = 1,
-                with_beams: bool = True) -> RadioField:
-    """Evaluate every (voxel, sub-beam) RSRP and reduce to cell level.
+                offset_db: float = 0.0, *, threads: int = 1) -> RadioField:
+    """Evaluate every (voxel, sub-beam) RSRP and reduce it to cell level.
 
-    Deterministic regardless of ``threads``: per-voxel values are computed in
-    fixed chunks and the per-cell max uses a fixed sub-beam order.
+    One task per (site, voxel chunk) evaluates the chunk's sub-beam rows of
+    the site's cells and reduces them to the cells' max and mW sum, so no
+    (sub-beam, voxel) array outlives a chunk. Deterministic regardless of
+    ``threads``: chunk boundaries are fixed, the max is exact, and each cell's
+    mW sum adds its rows in sub-beam index order for every voxel.
     """
     assignment.validate_for(scene, require_lattice=False)
     centers = grid.centers
     _check_no_coincidence(scene, centers)
 
-    beam_keys = tuple(scene.beam_keys())
-    row_of = {key: row for row, key in enumerate(beam_keys)}
-    beam = np.empty((len(beam_keys), grid.count), dtype=np.float64)
+    cell_ids = scene.cell_ids
+    beam_keys = scene.beam_keys()
+    cell_rsrp = np.empty((len(cell_ids), grid.count), dtype=np.float64)
+    cell_lin = np.empty_like(cell_rsrp)
     frequency_hz = scene.radio.frequency_hz
 
     def work(task):
-        site, lo, hi = task
+        site, (rows_of_cells, slices, beams), lo, hi = task
         az, el, loss = kernels.site_geometry(centers[lo:hi], site.position_m, frequency_hz)
-        for cell in site.cells:
-            for sb in cell.sub_beams:
-                angle = assignment.angle(cell.id, sb.index)
-                beam[row_of[(cell.id, sb.index)], lo:hi] = kernels.beam_rsrp_numpy(
-                    az, el, loss, sb.pattern, angle, cell.tx_power_dbm, offset_db)
+        rows = np.empty((len(beams), hi - lo), dtype=np.float64)
+        for row, ((cell, sb), angle) in zip(rows, beams):
+            row[:] = kernels.beam_rsrp_numpy(az, el, loss, sb.pattern, angle,
+                                             cell.tx_power_dbm, offset_db)
+        cell_rsrp[rows_of_cells, lo:hi] = cell_max_from_beams(rows, slices)
+        cell_lin[rows_of_cells, lo:hi] = cell_linear_sums(rows, slices)
 
-    kernels.run_tasks(work, [(site, lo, hi) for site in scene.sites
-                             for lo, hi in kernels.chunks(grid.count)], threads)
-    cell_ids = scene.cell_ids
-    cell_rsrp = cell_max_from_beams(beam, cell_beam_slices(cell_ids, beam_keys))
-
+    tasks = []
+    for site in scene.sites:
+        own = sorted(cell.id for cell in site.cells)   # the order of cell_ids
+        keys = [key for key in beam_keys if key[0] in own]
+        plan = ([cell_ids.index(cell_id) for cell_id in own], cell_beam_slices(own, keys),
+                [(scene.sub_beam(*key)[1:], assignment.angle(*key)) for key in keys])
+        tasks.extend((site, plan, lo, hi) for lo, hi in kernels.chunks(grid.count))
+    kernels.run_tasks(work, tasks, threads)
     return RadioField(grid=grid, cell_ids=cell_ids, cell_rsrp_dbm=cell_rsrp,
-                      beam_keys=beam_keys, beam_rsrp_dbm=beam if with_beams else None,
-                      assignment=assignment, offset_db=float(offset_db))
+                      cell_lin_mw=cell_lin)
 
 
 def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
@@ -159,13 +156,11 @@ def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
         if np.any(np.all(sub == pos, axis=1)):
             raise SingularityError(f"a prediction point coincides with site '{site.id}'")
         geometry = kernels.site_geometry(sub, site.position_m, scene.radio.frequency_hz)
-        acc = None
-        for sb in sorted(cell.sub_beams, key=lambda b: b.index):
-            vals = kernels.beam_rsrp_numpy(*geometry, sb.pattern,
-                                           assignment.angle(cell_id, sb.index),
-                                           cell.tx_power_dbm, offset_db)
-            acc = vals if acc is None else np.maximum(acc, vals)
-        out[idx] = acc
+        rows = np.stack([kernels.beam_rsrp_numpy(*geometry, sb.pattern,
+                                                 assignment.angle(cell_id, sb.index),
+                                                 cell.tx_power_dbm, offset_db)
+                         for sb in cell.sub_beams])
+        out[idx] = cell_max_from_beams(rows, [(0, len(rows))])[0]
     return out
 
 

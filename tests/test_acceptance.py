@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from airtwin.antenna import AntennaPattern, Orientation, gain
-from airtwin.interference import NoiseModel, build_sinr_field, noise_floor_dbm
+from airtwin.interference import NoiseModel, build_sinr_field, linear_mw, noise_floor_dbm
 from airtwin.measurements import load_measurements
 from airtwin.optimizer import (
     ObjectiveWeights,
@@ -115,14 +115,10 @@ def test_criterion_2_sinr_properties():
 
             # adding an interfering sub-beam (a -20 dB clone, which cannot
             # change any cell-level max) never increases SINR anywhere
-            beam = np.vstack([field.beam_rsrp_dbm, field.beam_rsrp_dbm[-1] - 20.0])
-            keys = list(field.beam_keys) + [(field.beam_keys[-1][0], 99)]
-            order = sorted(range(len(keys)), key=lambda i: keys[i])
+            lin = field.cell_lin_mw.copy()
+            lin[-1] += linear_mw(field.cell_rsrp_dbm[-1] - 20.0)
             bigger = RadioField(grid=grid, cell_ids=field.cell_ids,
-                                cell_rsrp_dbm=field.cell_rsrp_dbm,
-                                beam_keys=tuple(keys[i] for i in order),
-                                beam_rsrp_dbm=beam[order], assignment=None,
-                                offset_db=0.0)
+                                cell_rsrp_dbm=field.cell_rsrp_dbm, cell_lin_mw=lin)
             sinr_more = build_sinr_field(bigger, noise, 1.0)
             assert np.all(sinr_more.sinr_db <= sinr.sinr_db)
 

@@ -295,6 +295,11 @@ FAILURE_CASES = {
     "out_under_a_file": (2, ["build"]),
     "mask_past_end": (2, ["evaluate", "--mask", "99999999"]),
     "mask_negative": (2, ["evaluate", "--mask", "-1"]),
+    "offset_db_nan": (2, ["build", "--offset-db", "nan"]),
+    "voxel_m_nan": (2, ["build", "--set", "airspace.voxel_m=NaN"]),
+    "rsrp_basic_nan": (2, ["build", "--set", "thresholds.rsrp_basic_dbm=NaN"]),
+    "set_index_past_end": (2, ["build", "--set", "sites.9.id=x"]),
+    "set_index_not_a_number": (2, ["build", "--set", "sites.x.id=x"]),
 }
 
 

@@ -3,11 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from airtwin.errors import MissingSubBeamDataError
 from airtwin.interference import (
     NoiseModel,
     build_sinr_field,
     export_sinr_csv,
+    linear_mw,
     noise_floor_dbm,
     serving_map,
 )
@@ -44,16 +44,11 @@ def synthetic_field(beam_values, cell_of_beam, cell_ids, grid=None):
 
         grid = build_voxel_grid(CylinderSpec((0.0, 0.0), 5.0, 0.0,
                                              10.0 * beam.shape[1], 10.0))
-    slices = []
-    keys = []
-    for c, cid in enumerate(cell_ids):
-        rows = [i for i, cb in enumerate(cell_of_beam) if cb == c]
-        slices.append(rows)
-        keys.extend((cid, k) for k in range(len(rows)))
-    cell_rsrp = np.stack([np.max(beam[rows], axis=0) for rows in slices])
+    rows = [[i for i, cb in enumerate(cell_of_beam) if cb == c] for c in range(len(cell_ids))]
+    cell_rsrp = np.stack([np.max(beam[r], axis=0) for r in rows])
+    cell_lin = np.stack([np.add.reduce(linear_mw(beam[r]), axis=0) for r in rows])
     return RadioField(grid=grid, cell_ids=tuple(cell_ids), cell_rsrp_dbm=cell_rsrp,
-                      beam_keys=tuple(keys), beam_rsrp_dbm=beam,
-                      assignment=None, offset_db=0.0)
+                      cell_lin_mw=cell_lin)
 
 
 class TestSinr:
@@ -92,14 +87,10 @@ class TestSinr:
         noise = NoiseModel.from_radio(scene.radio)
         before = build_sinr_field(field, noise, 1.0)
 
-        beam = np.vstack([field.beam_rsrp_dbm, field.beam_rsrp_dbm[0] - 20.0])
-        keys = list(field.beam_keys) + [(field.beam_keys[0][0], 99)]
-        order = sorted(range(len(keys)), key=lambda i: keys[i])
-        beam = beam[order]
-        keys = [keys[i] for i in order]
+        lin = field.cell_lin_mw.copy()
+        lin[0] += linear_mw(field.cell_rsrp_dbm[0] - 20.0)
         bigger = RadioField(grid=grid, cell_ids=field.cell_ids,
-                            cell_rsrp_dbm=field.cell_rsrp_dbm, beam_keys=tuple(keys),
-                            beam_rsrp_dbm=beam, assignment=None, offset_db=0.0)
+                            cell_rsrp_dbm=field.cell_rsrp_dbm, cell_lin_mw=lin)
         after = build_sinr_field(bigger, noise, 1.0)
         np.testing.assert_array_equal(after.serving_index, before.serving_index)
         assert np.all(after.sinr_db <= before.sinr_db)
@@ -120,9 +111,7 @@ class TestSinr:
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
         shifted = RadioField(grid=grid, cell_ids=field.cell_ids,
                              cell_rsrp_dbm=field.cell_rsrp_dbm + delta,
-                             beam_keys=field.beam_keys,
-                             beam_rsrp_dbm=field.beam_rsrp_dbm + delta,
-                             assignment=None, offset_db=0.0)
+                             cell_lin_mw=field.cell_lin_mw * 10.0 ** (delta / 10.0))
         a = build_sinr_field(field, NoiseModel(1e8, 7.0), 1.0)
         b = build_sinr_field(shifted, NoiseModel(1e8, 7.0 + delta), 1.0)
         np.testing.assert_allclose(a.sinr_db, b.sinr_db, atol=1e-9)
@@ -135,12 +124,6 @@ class TestSinr:
         a = build_sinr_field(field, noise, 1.0)
         b = build_sinr_field(shifted, noise, 1.0)
         assert not np.allclose(a.sinr_db, b.sinr_db)
-
-    def test_missing_beams_rejected(self, tiny):
-        scene, grid = tiny
-        field = build_field(scene, grid, BeamAssignment.baseline(scene), with_beams=False)
-        with pytest.raises(MissingSubBeamDataError):
-            build_sinr_field(field, NoiseModel.from_radio(scene.radio), 1.0)
 
     def test_activity_factor_validated(self, tiny):
         scene, grid = tiny
@@ -174,9 +157,7 @@ class TestServingMap:
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
         transformed = RadioField(grid=grid, cell_ids=field.cell_ids,
                                  cell_rsrp_dbm=2.0 * field.cell_rsrp_dbm + 5.0,
-                                 beam_keys=field.beam_keys,
-                                 beam_rsrp_dbm=field.beam_rsrp_dbm,
-                                 assignment=None, offset_db=0.0)
+                                 cell_lin_mw=field.cell_lin_mw)
         assert list(serving_map(field)) == list(serving_map(transformed))
 
 

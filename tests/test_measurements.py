@@ -48,6 +48,22 @@ class TestMeasurementSet:
                            cell_ids=np.asarray(["a", "a"], dtype=object),
                            rsrp_dbm=np.array([-80.0, np.inf]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_positions_must_be_finite(self, column, bad):
+        positions = np.zeros((2, 3))
+        positions[1, column] = bad
+        with pytest.raises(SceneValidationError, match="positions must all be finite"):
+            MeasurementSet(seq=np.array([0, 1]), positions=positions,
+                           cell_ids=np.asarray(["a", "a"], dtype=object),
+                           rsrp_dbm=np.array([-80.0, -81.0]))
+
+    def test_nan_position_in_csv_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n0,1.0,nan,5.0,a,-80.0\n")
+        with pytest.raises(SceneValidationError, match="positions must all be finite"):
+            load_measurements(path)
+
     def test_region_validation(self):
         region = CylinderSpec((0.0, 0.0), 10.0, 0.0, 10.0, 10.0)
         with pytest.raises(SceneValidationError, match="region"):

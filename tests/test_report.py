@@ -143,8 +143,9 @@ class TestDifferenceHeatmap:
         field_a = build_field(scene, grid, after_assign)
         sinr_b = build_sinr_field(field_b, noise, 1.0)
         sinr_a = build_sinr_field(field_a, noise, 1.0)
-        row = list(field_b.beam_keys).index(("cell1", 0))
-        unchanged = field_b.beam_rsrp_dbm[row] == field_a.beam_rsrp_dbm[row]
+        c = field_b.cell_ids.index("cell1")   # one sub-beam, so its cell row is its row
+        unchanged = ((field_b.cell_rsrp_dbm[c] == field_a.cell_rsrp_dbm[c])
+                     & (field_b.cell_lin_mw[c] == field_a.cell_lin_mw[c]))
         assert np.any(unchanged), "expected a floor region where the move is invisible"
         layer_idx = grid.layer_indices(10.0)
         sel = unchanged[layer_idx]

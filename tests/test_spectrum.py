@@ -8,6 +8,8 @@ import pytest
 from airtwin import kernels
 from airtwin.antenna import AntennaPattern, Orientation, TablePattern, gain
 from airtwin.errors import EmptySetError, SingularityError
+from airtwin.interference import linear_mw
+from airtwin.optimizer import ObjectiveWeights, _FieldEvaluator
 from airtwin.scene import BeamAssignment, CylinderSpec, build_voxel_grid
 from airtwin.spectrum import (
     TwinModel,
@@ -20,6 +22,7 @@ from airtwin.spectrum import (
     predict_at,
 )
 from airtwin.measurements import MeasurementSet
+from airtwin.synth import demo_scene
 from conftest import simple_scene
 
 C = 299_792_458.0
@@ -38,6 +41,44 @@ def with_table_beam(scene):
     cells = (dataclasses.replace(cell, sub_beams=beams),) + site.cells[1:]
     sites = (dataclasses.replace(site, cells=cells),) + scene.sites[1:]
     return dataclasses.replace(scene, sites=sites)
+
+
+def antenna_rows(scene, grid, assignment, cell_id):
+    """A cell's sub-beam RSRP at every voxel, in index order, through the antenna module."""
+    site, cell = scene.cell(cell_id)
+    delta = grid.centers - np.asarray(site.position_m)
+    dist = np.linalg.norm(delta, axis=1)
+    rows = []
+    for sb in sorted(cell.sub_beams, key=lambda b: b.index):
+        g = gain(sb.pattern, assignment.angle(cell_id, sb.index), delta / dist[:, None])
+        rows.append(cell.tx_power_dbm + g - fspl_db(dist, scene.radio.frequency_hz))
+    return np.asarray(rows)
+
+
+def scalar_beams(scene, assignment, cell_id, point):
+    """Scalar ``beam_rsrp`` of each of a cell's sub-beams at one point, in index order."""
+    site, cell = scene.cell(cell_id)
+    return [beam_rsrp(site, cell, sb, assignment.angle(cell_id, sb.index), point, scene.radio)
+            for sb in sorted(cell.sub_beams, key=lambda b: b.index)]
+
+
+def in_order_mw(values_dbm):
+    total = 0.0
+    for value in values_dbm:
+        total += 10.0 ** (value / 10.0)
+    return total
+
+
+def interleaved_demo():
+    """Small demo scene where site s1 owns s1c1 and s3c0, which are not adjacent in
+    ``cell_ids`` order, and cell s2c1 lists its sub-beams in reverse index order."""
+    scene = demo_scene(radius_m=200.0, height_m=150.0, voxel_m=15.0)
+    s1, s2, s3 = scene.sites
+    s1 = dataclasses.replace(s1, cells=(s1.cells[0],
+                                        dataclasses.replace(s1.cells[1], id="s3c0")))
+    reversed_cell = dataclasses.replace(s2.cells[0], sub_beams=s2.cells[0].sub_beams[::-1])
+    s2 = dataclasses.replace(s2, cells=(reversed_cell, s2.cells[1]))
+    return dataclasses.replace(scene, sites=(s1, s2, s3))
 
 
 class TestFspl:
@@ -140,8 +181,12 @@ class TestBuildField:
         shared = assignment.angle("cell0", 0)
         assignment = assignment.replaced(("cell0", 1), shared)
         field = build_field(scene, grid, assignment)
-        np.testing.assert_array_equal(field.cell_rsrp_dbm[0], field.beam_rsrp_dbm[0])
-        np.testing.assert_array_equal(field.beam_rsrp_dbm[0], field.beam_rsrp_dbm[1])
+        # two equal rows: the max is either row, and the mW sum is twice it
+        np.testing.assert_array_equal(field.cell_lin_mw[0],
+                                      2.0 * linear_mw(field.cell_rsrp_dbm[0]))
+        rows = antenna_rows(scene, grid, assignment, "cell0")
+        np.testing.assert_allclose(rows[0], rows[1], atol=1e-9)
+        np.testing.assert_allclose(field.cell_rsrp_dbm[0], rows[0], atol=1e-9)
 
     def test_demo_scene_matches_independent_recomputation(self, demo):
         # Vectorized recomputation through the antenna module (independent of
@@ -149,29 +194,30 @@ class TestBuildField:
         scene, grid = demo
         assignment = BeamAssignment.baseline(scene)
         field = build_field(scene, grid, assignment)
-        for row, (cell_id, index) in enumerate(field.beam_keys):
-            site, cell, sb = scene.sub_beam(cell_id, index)
-            delta = grid.centers - np.asarray(site.position_m)
-            dist = np.linalg.norm(delta, axis=1)
-            g = gain(sb.pattern, assignment.angle(cell_id, index), delta / dist[:, None])
-            expected = cell.tx_power_dbm + g - fspl_db(dist, scene.radio.frequency_hz)
-            np.testing.assert_allclose(field.beam_rsrp_dbm[row], expected, atol=1e-9)
-        # spot-check the scalar reference path on random (voxel, beam) pairs
+        for c, cell_id in enumerate(field.cell_ids):
+            rows = antenna_rows(scene, grid, assignment, cell_id)
+            np.testing.assert_allclose(field.cell_rsrp_dbm[c], rows.max(axis=0), atol=1e-9)
+            np.testing.assert_allclose(field.cell_lin_mw[c],
+                                       np.add.reduce(10.0 ** (rows / 10.0), axis=0),
+                                       rtol=1e-9, atol=0.0)
+        # spot-check the scalar reference path on random (voxel, cell) pairs
         rng = np.random.default_rng(0)
         for _ in range(100):
-            row = int(rng.integers(len(field.beam_keys)))
+            c = int(rng.integers(len(field.cell_ids)))
             v = int(rng.integers(grid.count))
-            cell_id, index = field.beam_keys[row]
-            site, cell, sb = scene.sub_beam(cell_id, index)
-            ref = beam_rsrp(site, cell, sb, assignment.angle(cell_id, index),
-                            grid.centers[v], scene.radio)
-            assert field.beam_rsrp_dbm[row, v] == pytest.approx(ref, abs=1e-9)
+            refs = scalar_beams(scene, assignment, field.cell_ids[c], grid.centers[v])
+            assert field.cell_rsrp_dbm[c, v] == pytest.approx(max(refs), abs=1e-9)
+            assert field.cell_lin_mw[c, v] == pytest.approx(in_order_mw(refs), rel=1e-9)
 
     def test_cell_level_dominates_beams(self, tiny):
         scene, grid = tiny
-        field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        for c, (a, b) in enumerate(field.cell_beam_slices()):
-            assert np.all(field.cell_rsrp_dbm[c][None, :] >= field.beam_rsrp_dbm[a:b])
+        assignment = BeamAssignment.baseline(scene)
+        field = build_field(scene, grid, assignment)
+        for c, cell_id in enumerate(field.cell_ids):
+            rows = antenna_rows(scene, grid, assignment, cell_id)
+            assert np.all(field.cell_rsrp_dbm[c][None, :] >= rows - 1e-9)
+            # the mW sum is at least its strongest sub-beam's power
+            assert np.all(field.cell_lin_mw[c] >= linear_mw(field.cell_rsrp_dbm[c]))
 
     def test_offset_linearity_exact(self, tiny):
         scene, grid = tiny
@@ -208,10 +254,11 @@ class TestBuildField:
         field = build_field(scene, grid, assignment)
         site, cell, sb = scene.sub_beam("cell0", 0)
         assert isinstance(sb.pattern, TablePattern)
-        row = field.beam_keys.index(("cell0", 0))
+        c = field.cell_ids.index("cell0")
         for v in range(grid.count):
-            ref = beam_rsrp(site, cell, sb, sb.baseline, grid.centers[v], scene.radio)
-            assert field.beam_rsrp_dbm[row, v] == pytest.approx(ref, abs=1e-9)
+            refs = scalar_beams(scene, assignment, "cell0", grid.centers[v])
+            assert field.cell_rsrp_dbm[c, v] == pytest.approx(max(refs), abs=1e-9)
+            assert field.cell_lin_mw[c, v] == pytest.approx(in_order_mw(refs), rel=1e-9)
         outputs = []
         for threads in (1, 2):
             buf = io.StringIO()
@@ -227,10 +274,26 @@ class TestBuildField:
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         assert grid.count > 3 * kernels._CHUNK
         fields = [build_field(scene, grid, assignment, threads=t) for t in (1, 2, 3)]
-        np.testing.assert_allclose(fields[0].beam_rsrp_dbm, one_chunk.beam_rsrp_dbm, atol=1e-9)
-        for f in fields[1:]:
-            assert f.beam_rsrp_dbm.tobytes() == fields[0].beam_rsrp_dbm.tobytes()
-            assert f.cell_rsrp_dbm.tobytes() == fields[0].cell_rsrp_dbm.tobytes()
+        for f in fields:
+            assert f.cell_rsrp_dbm.tobytes() == one_chunk.cell_rsrp_dbm.tobytes()
+            assert f.cell_lin_mw.tobytes() == one_chunk.cell_lin_mw.tobytes()
+
+    def test_cell_arrays_equal_optimizer_evaluator(self, monkeypatch):
+        # the field reduces per (site, chunk), the evaluator per full-grid cell;
+        # both must give the same bits, also for a site whose cells are not
+        # adjacent in cell_ids order and a cell listing its sub-beams out of order
+        scene = interleaved_demo()
+        grid = build_voxel_grid(scene.airspace)
+        monkeypatch.setattr(kernels, "_CHUNK", 997)
+        assert grid.count > 3 * kernels._CHUNK
+        assignment = BeamAssignment.baseline(scene)
+        ev = _FieldEvaluator(scene, grid, ObjectiveWeights(), None, 1.0, 0.0)
+        ev.set_assignment(assignment)
+        for threads in (1, 2, 3):
+            field = build_field(scene, grid, assignment, threads=threads)
+            assert field.cell_ids == ev.cell_ids
+            assert np.array_equal(field.cell_rsrp_dbm, ev.cell_max)
+            assert np.array_equal(field.cell_lin_mw, ev.cell_lin)
 
     def test_export_row_order_and_format(self):
         scene = simple_scene(n_cells=2, n_beams=1, radius_m=15.0, z_max_m=10.0,
