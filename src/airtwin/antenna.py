@@ -84,12 +84,27 @@ class AntennaPattern:
                 f"fbr_db ({self.fbr_db}) must be >= sla_db ({self.sla_db})"
             )
 
+    def azimuth_attenuation_db(self, delta_az_deg):
+        """Capped azimuth term ``min(12 (daz/hpbw_az)^2, sla)``; daz already wrapped."""
+        return np.minimum(12.0 * (np.asarray(delta_az_deg) / self.hpbw_az_deg) ** 2, self.sla_db)
+
+    def elevation_attenuation_db(self, delta_el_deg):
+        """Capped elevation term ``min(12 (del/hpbw_el)^2, sla)``."""
+        return np.minimum(12.0 * (np.asarray(delta_el_deg) / self.hpbw_el_deg) ** 2, self.sla_db)
+
+    def gain_from_attenuation_dbi(self, a_az_db, a_el_db):
+        """``g_max - min(a_az + a_el, fbr)`` from the two capped terms."""
+        return self.g_max_dbi - np.minimum(a_az_db + a_el_db, self.fbr_db)
+
     def offset_gain_dbi(self, delta_az_deg, delta_el_deg):
-        """Gain at an (az, el) offset from boresight; scalar or array."""
-        a_az = np.minimum(12.0 * (np.asarray(delta_az_deg) / self.hpbw_az_deg) ** 2, self.sla_db)
-        a_el = np.minimum(12.0 * (np.asarray(delta_el_deg) / self.hpbw_el_deg) ** 2, self.sla_db)
-        att = np.minimum(a_az + a_el, self.fbr_db)
-        gain_dbi = self.g_max_dbi - att
+        """Gain at an (az, el) offset from boresight; scalar or array.
+
+        The pattern is separable: the azimuth and elevation terms are capped
+        apart and only then combined, so a caller holding one of them fixed
+        may compute it once and combine it with many of the other.
+        """
+        gain_dbi = self.gain_from_attenuation_dbi(self.azimuth_attenuation_db(delta_az_deg),
+                                                  self.elevation_attenuation_db(delta_el_deg))
         if np.ndim(delta_az_deg) == 0 and np.ndim(delta_el_deg) == 0:
             return float(gain_dbi)
         return gain_dbi

@@ -256,7 +256,26 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _synth_altitudes(args) -> list[float]:
+    """Check synth's trajectory flags; returns the parsed ``--altitudes``."""
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
+    if not math.isfinite(args.turns):
+        raise InputError(f"--turns must be finite, got {args.turns}")
+    for flag, value in (("--line-spacing", args.line_spacing), ("--step", args.step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InputError(f"{flag} must be finite and > 0, got {value}")
+    try:
+        altitudes = [float(a) for a in args.altitudes.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--altitudes must be comma-separated numbers: {exc}") from exc
+    if not all(math.isfinite(a) for a in altitudes):
+        raise InputError(f"--altitudes must be finite, got {args.altitudes}")
+    return altitudes
+
+
 def cmd_synth(args) -> int:
+    altitudes = _synth_altitudes(args)
     scene, overrides = _load_scene_with_overrides(args.scene, args.set)
     assignment = _assignment_for(scene, args.assignment)
     _write_manifest(args.out, "synth", args, overrides)
@@ -264,10 +283,12 @@ def cmd_synth(args) -> int:
         trajectory = helix_trajectory(scene.airspace, n_points=args.samples,
                                       turns=args.turns)
     else:
-        altitudes = [float(a) for a in args.altitudes.split(",")]
         trajectory = lawnmower_trajectory(scene.airspace, altitudes,
                                           line_spacing_m=args.line_spacing,
                                           step_m=args.step)
+        if len(trajectory) == 0:
+            raise InputError(f"--line-spacing {args.line_spacing} and --step {args.step} "
+                             f"leave no lawnmower point inside the airspace")
     measurements = synthesize_measurements(scene, assignment, trajectory,
                                            sigma_db=args.noise_sigma_db, seed=args.seed,
                                            offset_db=args.offset_db, cells=args.cells)

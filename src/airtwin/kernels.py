@@ -8,7 +8,10 @@ free-space path loss, so ``site_geometry`` works those out once per site and
 
 ``G`` is the pattern's own ``offset_gain_dbi``, so parametric and table
 patterns share one code path and the gain formula exists only in
-``antenna``.
+``antenna``. ``rsrp_from_gain`` is the last step on its own: the optimizer's
+candidate loop builds a parametric gain from an azimuth term it computes
+once per distinct azimuth (``AntennaPattern`` is separable) and an
+elevation term per angle, then assembles the RSRP with the same helper.
 
 Threading: voxels are split into fixed-size chunks whose boundaries do not
 depend on the thread count, and ``run_tasks`` spreads independent tasks over
@@ -49,11 +52,16 @@ def site_geometry(centers, site_xyz, frequency_hz):
     return az, el, fspl(dist, frequency_hz)
 
 
+def rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db):
+    """RSRP (dBm) from the transmit power, antenna gain, path loss and offset."""
+    return tx_power_dbm + gain_dbi - fspl_db + offset_db
+
+
 def beam_rsrp_numpy(az_deg, el_deg, fspl_db, pattern, angle, tx_power_dbm, offset_db):
     """Per-voxel RSRP of one sub-beam steered to ``angle``, from its site's geometry."""
     gain_dbi = pattern.offset_gain_dbi(wrap_angle_deg(az_deg - angle.azimuth_deg),
                                        el_deg - angle.tilt_deg)
-    return tx_power_dbm + gain_dbi - fspl_db + offset_db
+    return rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db)
 
 
 def active_backend() -> str:

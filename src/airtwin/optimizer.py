@@ -51,7 +51,7 @@ from .interference import (
     noise_floor_dbm,
     sinr_db,
 )
-from .antenna import Orientation
+from .antenna import AntennaPattern, Orientation, wrap_angle_deg
 from .scene import BeamAssignment, CoverageThresholds, SceneConfig, VoxelGrid
 from .spectrum import build_field, cell_beam_slices, cell_max_from_beams
 
@@ -177,6 +177,14 @@ class _FieldEvaluator:
     O(N): one kernel row, one dBm-to-mW conversion, a handful of adds, the
     serving compare and the SINR.
 
+    For a parametric pattern the kernel row is split along the pattern's
+    separable form. ``candidate_deltas`` takes the angles in the caller's
+    order and recomputes the wrapped, capped azimuth term into its one (N,)
+    buffer only when the azimuth differs from the previous angle's, so an
+    az-major lattice pays for ``wrap_angle_deg`` once per column; the
+    elevation term, the combine and the RSRP are computed per angle. A table
+    pattern takes the general ``kernels.beam_rsrp_numpy`` path.
+
     Floating-point addition is not associative, so the context keeps the
     summation order of the full path: the cell's mW sum adds rows in row order
     like ``np.add.reduce(axis=0)``, and the interference adds cells in cell
@@ -209,6 +217,7 @@ class _FieldEvaluator:
         self.cell_max = np.empty((len(self.cell_ids), n), dtype=np.float64)
         self.cell_lin = np.empty((len(self.cell_ids), n), dtype=np.float64)
         self._candidate_row = np.empty(n, dtype=np.float64)
+        self._az_term = np.empty(n, dtype=np.float64)
         self._objective = None
         self._context = None
 
@@ -221,6 +230,30 @@ class _FieldEvaluator:
             out[lo:hi] = kernels.beam_rsrp_numpy(az[lo:hi], el[lo:hi], loss[lo:hi],
                                                  sb.pattern, angle, cell.tx_power_dbm,
                                                  self.offset_db)
+
+        kernels.run_tasks(work, kernels.chunks(self.grid.count), self.threads)
+
+    def _separable_row_into(self, key, angle, new_azimuth, out):
+        """``_eval_row_into`` for a parametric pattern, reusing ``_az_term``.
+
+        The wrapped and capped azimuth term is recomputed into ``_az_term``
+        only when ``new_azimuth``; the elevation term, the combine and the
+        RSRP are computed per angle, with the operands and order of
+        ``kernels.beam_rsrp_numpy``.
+        """
+        site, cell, sb = self.scene.sub_beam(*key)
+        az, el, loss = self.geometry[site.id]
+        pattern, a_az = sb.pattern, self._az_term
+
+        def work(bounds):
+            lo, hi = bounds
+            if new_azimuth:
+                a_az[lo:hi] = pattern.azimuth_attenuation_db(
+                    wrap_angle_deg(az[lo:hi] - angle.azimuth_deg))
+            gain_dbi = pattern.gain_from_attenuation_dbi(
+                a_az[lo:hi], pattern.elevation_attenuation_db(el[lo:hi] - angle.tilt_deg))
+            out[lo:hi] = kernels.rsrp_from_gain(cell.tx_power_dbm, gain_dbi, loss[lo:hi],
+                                                self.offset_db)
 
         kernels.run_tasks(work, kernels.chunks(self.grid.count), self.threads)
 
@@ -285,9 +318,7 @@ class _FieldEvaluator:
                                      for c in others if c > s))
         return self._context
 
-    def _candidate_objective(self, ctx: _StepContext, angle) -> float:
-        row = self._candidate_row
-        self._eval_row_into(ctx.key, angle, row)
+    def _candidate_objective(self, ctx: _StepContext, row) -> float:
         cell_lin = linear_mw(row)
         cell_lin += ctx.lin_before
         for lin in ctx.lin_after:
@@ -305,7 +336,16 @@ class _FieldEvaluator:
     def candidate_deltas(self, key, angles) -> list[float]:
         """Objective change for steering ``key`` to each angle; state unchanged."""
         ctx = self._step_context(key)
-        return [self._candidate_objective(ctx, angle) - self._objective for angle in angles]
+        separable = isinstance(self.scene.sub_beam(*key)[2].pattern, AntennaPattern)
+        row, last_az, deltas = self._candidate_row, None, []
+        for angle in angles:
+            if separable:
+                self._separable_row_into(key, angle, angle.azimuth_deg != last_az, row)
+                last_az = angle.azimuth_deg
+            else:
+                self._eval_row_into(key, angle, row)
+            deltas.append(self._candidate_objective(ctx, row) - self._objective)
+        return deltas
 
     def apply(self, key, angle):
         row = self.row_of[key]

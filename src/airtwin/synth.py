@@ -7,11 +7,13 @@ have a known ground truth for calibration/validation experiments.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
 from .antenna import AntennaPattern, Orientation
+from .errors import InputError
 from .measurements import MeasurementSet
 from .scene import (
     Cell,
@@ -88,8 +90,8 @@ def synthesize_measurements(scene: SceneConfig, assignment, trajectory: np.ndarr
     best cell only). Out-of-airspace trajectory points are clipped with a
     warning through ``warn`` (defaults to stderr).
     """
-    if sigma_db < 0:
-        raise ValueError("sigma_db must be >= 0")
+    if not (math.isfinite(sigma_db) and sigma_db >= 0):
+        raise InputError(f"noise sigma_db must be finite and >= 0, got {sigma_db}")
     trajectory, n_clipped = clip_to_airspace(trajectory, scene.airspace)
     if n_clipped and warn is not False:
         message = f"warning: clipped {n_clipped} trajectory point(s) to the airspace"

@@ -1,9 +1,11 @@
 """Shared scene factories and fixtures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from airtwin.antenna import AntennaPattern, Orientation
+from airtwin.antenna import AntennaPattern, Orientation, TablePattern
 from airtwin.scene import (
     BeamAssignment,
     Cell,
@@ -49,6 +51,21 @@ def simple_scene(n_cells=1, n_beams=1, radius_m=100.0, z_max_m=60.0, voxel_m=20.
         airspace=CylinderSpec((0.0, 0.0), radius_m, 0.0, z_max_m, voxel_m),
         radio=RadioConstants(frequency_hz, bandwidth_hz, noise_figure_db),
         thresholds=thresholds or CoverageThresholds())
+
+
+def with_table_beam(scene):
+    """``scene`` with sub-beam 0 of its first cell on an asymmetric table pattern."""
+    rng = np.random.default_rng(3)
+    az = np.arange(-180.0, 181.0, 15.0)
+    el = np.arange(-90.0, 91.0, 15.0)
+    table = TablePattern(az_deg=az, el_deg=el,
+                         gain_dbi=rng.uniform(-13.0, 17.0, (az.size, el.size)))
+    site = scene.sites[0]
+    cell = site.cells[0]
+    beams = (dataclasses.replace(cell.sub_beams[0], pattern=table),) + cell.sub_beams[1:]
+    cells = (dataclasses.replace(cell, sub_beams=beams),) + site.cells[1:]
+    sites = (dataclasses.replace(site, cells=cells),) + scene.sites[1:]
+    return dataclasses.replace(scene, sites=sites)
 
 
 def random_instance(seed, n_cells=2, n_beams=2, n_tilts=3):

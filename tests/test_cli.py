@@ -300,6 +300,18 @@ FAILURE_CASES = {
     "rsrp_basic_nan": (2, ["build", "--set", "thresholds.rsrp_basic_dbm=NaN"]),
     "set_index_past_end": (2, ["build", "--set", "sites.9.id=x"]),
     "set_index_not_a_number": (2, ["build", "--set", "sites.x.id=x"]),
+    "synth_noise_sigma_nan": (2, ["synth", "--noise-sigma-db", "nan"]),
+    "synth_samples_negative": (2, ["synth", "--samples", "-5"]),
+    "synth_altitudes_not_a_number": (2, ["synth", "--altitudes", "10,abc",
+                                         "--trajectory", "lawnmower"]),
+    "synth_altitudes_nan": (2, ["synth", "--altitudes", "10,nan", "--trajectory", "lawnmower"]),
+    "synth_step_zero": (2, ["synth", "--step", "0", "--trajectory", "lawnmower"]),
+    "synth_step_inf": (2, ["synth", "--step", "inf", "--trajectory", "lawnmower"]),
+    "synth_line_spacing_negative": (2, ["synth", "--line-spacing", "-1",
+                                        "--trajectory", "lawnmower"]),
+    "synth_turns_inf": (2, ["synth", "--turns", "inf"]),
+    "synth_line_spacing_past_airspace": (2, ["synth", "--line-spacing", "1e6",
+                                             "--trajectory", "lawnmower"]),
 }
 
 
@@ -321,5 +333,7 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    if case.startswith("synth_") and case != "synth_noise_sigma_nan":
+        assert argv[1] in err   # a bad synth flag is named in the error
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}

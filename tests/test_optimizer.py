@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airtwin import kernels
-from airtwin.antenna import Orientation
+from airtwin import antenna, kernels, optimizer
+from airtwin.antenna import Orientation, TablePattern
 from airtwin.errors import BoundsError, CapExceededError, ConfigurationError
 from airtwin.interference import NoiseModel, build_sinr_field
 from airtwin.optimizer import (
@@ -23,7 +23,7 @@ from airtwin.optimizer import (
 from airtwin.scene import BeamAssignment, CoverageThresholds, SceneConfig, Site, build_voxel_grid
 from airtwin.spectrum import build_field
 
-from conftest import random_instance, simple_scene
+from conftest import random_instance, simple_scene, with_table_beam
 
 W = ObjectiveWeights(alpha=1.0, beta=0.1, margin_cap_db=10.0, epsilon_gain=0.005)
 
@@ -139,8 +139,12 @@ def co_sited_tie_scene() -> SceneConfig:
                                      cells=(far,))))
 
 
-def assert_deltas_exact(scene, keys, threads=1):
-    """Every lattice angle's incremental delta equals the full rebuild's, bit for bit."""
+def assert_deltas_exact(scene, keys, threads=1, order=None):
+    """Every lattice angle's incremental delta equals the full rebuild's, bit for bit.
+
+    ``order(lattice)`` gives the angles in the order they are scored
+    (default: the lattice's own az-major order).
+    """
     grid = build_voxel_grid(scene.airspace)
     current = BeamAssignment.baseline(scene)
     ev = _FieldEvaluator(scene, grid, W, None, 1.0, 0.0, threads)
@@ -149,10 +153,21 @@ def assert_deltas_exact(scene, keys, threads=1):
     assert ev.objective == before
     for key in keys:
         lattice = scene.sub_beam(*key)[2].lattice()
+        if order is not None:
+            lattice = order(lattice)
         full = [objective(scene, grid, current.replaced(key, angle), W, threads=threads)
                 - before for angle in lattice]
         assert ev.candidate_deltas(key, lattice) == full, key
     return ev
+
+
+def interleaved(lattice):
+    """Tilt-major order: consecutive angles differ in azimuth, and each azimuth returns."""
+    return sorted(lattice, key=lambda a: (a.tilt_deg, a.azimuth_deg))
+
+
+def shuffled(lattice):
+    return [lattice[i] for i in np.random.default_rng(5).permutation(len(lattice))]
 
 
 class TestCandidateDeltasExact:
@@ -187,6 +202,73 @@ class TestCandidateDeltasExact:
         scene = simple_scene(n_cells=2, n_beams=3, radius_m=100.0, z_max_m=60.0, voxel_m=8.0)
         assert build_voxel_grid(scene.airspace).count > 3 * kernels._CHUNK
         assert_deltas_exact(scene, scene.beam_keys(), threads=threads)
+        assert_deltas_exact(scene, scene.beam_keys(), threads=threads, order=interleaved)
+
+    def test_table_pattern_sub_beam(self):
+        # The table-pattern sub-beam takes the general kernel path; the other
+        # sub-beams of its cell and site take the separable one.
+        scene = with_table_beam(simple_scene(n_cells=3, n_beams=3))
+        assert isinstance(scene.sub_beam("cell0", 0)[2].pattern, TablePattern)
+        assert_deltas_exact(scene, scene.beam_keys())
+        assert_deltas_exact(scene, scene.beam_keys(), order=interleaved)
+
+    @pytest.mark.parametrize("order, returns", [(lambda lat: lat[::-1], False),
+                                                 (interleaved, True), (shuffled, True)],
+                             ids=["reversed", "interleaved", "shuffled"])
+    def test_any_angle_order(self, order, returns):
+        scene = simple_scene(n_cells=4, n_beams=3)
+        azimuths = [a.azimuth_deg for a in order(scene.sub_beam("cell0", 0)[2].lattice())]
+        runs = [az for i, az in enumerate(azimuths) if i == 0 or az != azimuths[i - 1]]
+        assert (len(runs) > len(set(runs))) == returns   # an azimuth comes back after another
+        assert_deltas_exact(scene, scene.beam_keys(), order=order)
+
+    def test_same_angle_on_another_site_after_a_call(self):
+        # A term kept from the previous call would belong to another site.
+        scene = simple_scene(n_cells=2, n_beams=1, az_halfwidth_deg=180.0)
+        grid = build_voxel_grid(scene.airspace)
+        current = BeamAssignment.baseline(scene)
+        ev = _FieldEvaluator(scene, grid, W, None, 1.0, 0.0)
+        ev.set_assignment(current)
+        before = objective(scene, grid, current, W)
+        angle = Orientation(current.angles[("cell0", 0)].azimuth_deg, 5.0)
+        for key in (("cell0", 0), ("cell1", 0)):
+            full = objective(scene, grid, current.replaced(key, angle), W) - before
+            assert ev.candidate_deltas(key, [angle]) == [full], key
+
+    def test_simple_cell2_lattice_crosses_north(self):
+        scene = simple_scene(n_cells=4, n_beams=3)
+        keys = [key for key in scene.beam_keys() if key[0] == "cell2"]
+        for key in keys:
+            azimuths = [a.azimuth_deg for a in scene.sub_beam(*key)[2].lattice()]
+            assert min(azimuths) < 90.0 and max(azimuths) > 270.0, key
+        az = kernels.site_geometry(build_voxel_grid(scene.airspace).centers,
+                                   scene.cell("cell2")[0].position_m,
+                                   scene.radio.frequency_hz)[0]
+        assert az.min() < 0.0 < az.max()   # the site sees voxels on both sides of north
+        assert_deltas_exact(scene, keys)
+
+
+def test_wrap_once_per_lattice_column(monkeypatch):
+    """Losing the per-azimuth term makes this 56 wraps, not 7."""
+    scene = simple_scene(n_cells=2, tilt_bounds=(0.0, 21.0), candidate_step=(5.0, 3.0))
+    grid = build_voxel_grid(scene.airspace)
+    assert grid.count <= kernels._CHUNK   # one chunk: one wrap per distinct azimuth
+    key = ("cell0", 0)
+    lattice = scene.sub_beam(*key)[2].lattice()
+    assert len(lattice) == 56 and len({a.azimuth_deg for a in lattice}) == 7
+    ev = _FieldEvaluator(scene, grid, W, None, 1.0, 0.0)
+    ev.set_assignment(BeamAssignment.baseline(scene))
+    calls = []
+    original = antenna.wrap_angle_deg
+
+    def counted(angle):
+        calls.append(1)
+        return original(angle)
+
+    for module in (antenna, kernels, optimizer):
+        monkeypatch.setattr(module, "wrap_angle_deg", counted)
+    ev.candidate_deltas(key, lattice)
+    assert len(calls) == 7
 
 
 class TestGreedy:

@@ -23,24 +23,9 @@ from airtwin.spectrum import (
 )
 from airtwin.measurements import MeasurementSet
 from airtwin.synth import demo_scene
-from conftest import simple_scene
+from conftest import simple_scene, with_table_beam
 
 C = 299_792_458.0
-
-
-def with_table_beam(scene):
-    """``scene`` with sub-beam 0 of its first cell on an asymmetric table pattern."""
-    rng = np.random.default_rng(3)
-    az = np.arange(-180.0, 181.0, 15.0)
-    el = np.arange(-90.0, 91.0, 15.0)
-    table = TablePattern(az_deg=az, el_deg=el,
-                         gain_dbi=rng.uniform(-13.0, 17.0, (az.size, el.size)))
-    site = scene.sites[0]
-    cell = site.cells[0]
-    beams = (dataclasses.replace(cell.sub_beams[0], pattern=table),) + cell.sub_beams[1:]
-    cells = (dataclasses.replace(cell, sub_beams=beams),) + site.cells[1:]
-    sites = (dataclasses.replace(site, cells=cells),) + scene.sites[1:]
-    return dataclasses.replace(scene, sites=sites)
 
 
 def antenna_rows(scene, grid, assignment, cell_id):
