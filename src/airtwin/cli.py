@@ -6,7 +6,7 @@ deterministic given (inputs, seed): dB values are printed with 4 decimals and
 JSON keys are sorted, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 input error (including an unreadable or unwritable
-path), 3 computation error.
+path), 3 computation error (including running out of memory).
 """
 
 from __future__ import annotations
@@ -177,7 +177,18 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _check_validate_flags(args) -> None:
+    if args.folds < 1:
+        raise InputError(f"--folds must be >= 1, got {args.folds}")
+    if not (math.isfinite(args.train_fraction) and 0.0 < args.train_fraction < 1.0):
+        raise InputError(f"--train-fraction must be finite and in (0, 1), "
+                         f"got {args.train_fraction}")
+    if not (math.isfinite(args.layer_height) and args.layer_height > 0.0):
+        raise InputError(f"--layer-height must be finite and > 0, got {args.layer_height}")
+
+
 def cmd_validate(args) -> int:
+    _check_validate_flags(args)
     scene, overrides = _load_scene_with_overrides(args.scene, args.set)
     assignment = _assignment_for(scene, args.assignment)
     measurements = _measurements_for(args, scene)
@@ -395,6 +406,10 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

@@ -16,18 +16,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.spatial import cKDTree
 
 from .errors import EmptySetError, SizeError
 from .measurements import MeasurementSet
 from .spectrum import TwinModel, calibrate_offset
 
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
+
 DEFAULT_LAYER_HEIGHT_M = 10.0
 KRIGING_NEIGHBORS = 32
 VARIOGRAM_LAG_BINS = 20
+
+
+# scipy is imported on first use, so only the commands that fit or query a
+# baseline pay its import time. fit_variogram calls this module attribute, so
+# a wrapper put in its place (the benchmark's trace counts residual
+# evaluations that way) sees every fit.
+def least_squares(fun, x0, **kwargs):
+    """``scipy.optimize.least_squares``, imported at the first call."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(fun, x0, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +180,8 @@ def fit_variogram(points: np.ndarray, values: np.ndarray) -> VariogramModel:
         fit = least_squares(residual, x0=x0,
                             bounds=([0.0, 1e-9, 1e-6], [np.inf, np.inf, np.inf]))
         nugget, partial, rng = fit.x
+    except ImportError:
+        raise   # a missing scipy is not a failed fit
     except Exception:
         nugget, partial, rng = 0.0, sill0, max(h_max / 3.0, 1.0)
     return VariogramModel(nugget=float(nugget), sill=float(nugget + max(partial, 1e-9)),
@@ -199,6 +214,8 @@ def _layer_bin(z: float, layer_height_m: float) -> int:
 
 def kriging_fit(train: MeasurementSet, layer_height_m: float = DEFAULT_LAYER_HEIGHT_M) -> KrigingModel:
     """Partition training samples into altitude layers and fit per (layer, cell)."""
+    from scipy.spatial import cKDTree
+
     if len(train) == 0:
         raise EmptySetError("kriging_fit needs a nonempty training set")
     bins = np.floor(train.positions[:, 2] / layer_height_m).astype(int)
@@ -350,6 +367,8 @@ class NearestNeighborPredictor:
     """Plain nearest-training-sample lookup per cell (the Kriging foil)."""
 
     def fit(self, train: MeasurementSet):
+        from scipy.spatial import cKDTree
+
         trees = {}
         values = {}
         for cid in sorted(set(str(c) for c in train.cell_ids)):
@@ -447,6 +466,8 @@ def run_validation(measurements: MeasurementSet, predictors: dict,
                 rmse_db[name] = rmse(errors)
                 n_fallback[name] = int(np.count_nonzero(flags))
                 pooled_errors[name].append(errors)
+            except ImportError:
+                raise   # a missing scipy fails the run, not one predictor
             except Exception as exc:   # a failed predictor must not sink the fold
                 failed[name] = f"{type(exc).__name__}: {exc}"
         fold_results.append(FoldResult(

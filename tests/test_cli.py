@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import airtwin.cli
 from airtwin.cli import main
 from airtwin.measurements import load_measurements
 from airtwin.scene import BeamAssignment, build_voxel_grid, load_scene, save_assignment, save_scene
@@ -312,6 +315,17 @@ FAILURE_CASES = {
     "synth_turns_inf": (2, ["synth", "--turns", "inf"]),
     "synth_line_spacing_past_airspace": (2, ["synth", "--line-spacing", "1e6",
                                              "--trajectory", "lawnmower"]),
+    # The measurement file does not exist: the flag check must come first.
+    "validate_folds_zero": (2, ["validate", "--folds", "0", "--measurements", "none.csv"]),
+    "validate_folds_negative": (2, ["validate", "--folds", "-2", "--measurements", "none.csv"]),
+    "validate_train_fraction_above_one": (2, ["validate", "--train-fraction", "1.5",
+                                              "--measurements", "none.csv"]),
+    "validate_train_fraction_nan": (2, ["validate", "--train-fraction", "nan",
+                                        "--measurements", "none.csv"]),
+    "validate_layer_height_zero": (2, ["validate", "--layer-height", "0",
+                                       "--measurements", "none.csv"]),
+    "validate_layer_height_nan": (2, ["validate", "--layer-height", "nan",
+                                      "--measurements", "none.csv"]),
 }
 
 
@@ -333,7 +347,33 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
-    if case.startswith("synth_") and case != "synth_noise_sigma_nan":
-        assert argv[1] in err   # a bad synth flag is named in the error
+    if case.startswith(("synth_", "validate_")) and case != "synth_noise_sigma_nan":
+        assert argv[1] in err   # a bad synth or validate flag is named in the error
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 14.6 TiB", "error: out of memory: Unable to allocate 14.6 TiB"),
+    ("", "error: out of memory"),
+])
+def test_out_of_memory_is_one_error_line(message, line, tiny_scene_path, tmp_path, capsys,
+                                         monkeypatch):
+    def no_memory(airspace):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(airtwin.cli, "build_voxel_grid", no_memory)
+    rc = main(["build", "--scene", tiny_scene_path, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported by the first variogram fit or tree build, not by ``import``."""
+    src = os.path.dirname(os.path.dirname(airtwin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, airtwin.cli, airtwin; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

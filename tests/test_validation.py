@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from airtwin import validation
 from airtwin.errors import EmptySetError, SizeError
 from airtwin.measurements import MeasurementSet
 from airtwin.scene import BeamAssignment
@@ -127,6 +130,31 @@ class TestVariogram:
         values = chol @ rng.standard_normal(500)
         model = fit_variogram(pts, values)
         assert 0.5 * rng_m <= model.range_m <= 1.5 * rng_m
+
+    @staticmethod
+    def _noisy_field():
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(0.0, 500.0, size=(60, 2))
+        return pts, np.sin(pts[:, 0] / 80.0) + 0.1 * rng.standard_normal(60)
+
+    def test_fit_goes_through_module_least_squares(self, monkeypatch):
+        # Tracing counts residual evaluations by patching this module attribute.
+        calls = []
+        scipy_fit = validation.least_squares
+
+        def counting(fun, x0, **kwargs):
+            calls.append(fun)
+            return scipy_fit(fun, x0, **kwargs)
+
+        monkeypatch.setattr(validation, "least_squares", counting)
+        fit_variogram(*self._noisy_field())
+        assert len(calls) >= 1
+        assert "scipy.optimize" in sys.modules
+
+    def test_missing_scipy_raises_instead_of_falling_back(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        with pytest.raises(ImportError):
+            fit_variogram(*self._noisy_field())
 
 
 class TestKriging:
@@ -315,6 +343,13 @@ class TestRunValidation:
             assert "boom" in fold.failed
             assert "twin" in fold.rmse_db
         assert "boom" not in report.pooled_rmse_db
+
+    def test_missing_scipy_fails_the_run(self, monkeypatch):
+        scene, assignment, mset = self._dataset(noise=0.0)
+        monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+        with pytest.raises(ImportError):
+            run_validation(mset, {"twin": TwinPredictor(scene, assignment),
+                                  "nn": NearestNeighborPredictor()})
 
     def test_needs_two_predictors(self):
         scene, assignment, mset = self._dataset(noise=0.0)
