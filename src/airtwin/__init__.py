@@ -7,61 +7,3 @@ sequential selection strategy.
 """
 
 __version__ = "0.1.0"
-
-from .antenna import AntennaPattern, Orientation, TablePattern, gain, steered_offsets
-from .interference import (
-    NoiseModel,
-    SinrField,
-    build_sinr_field,
-    noise_floor_dbm,
-    serving_map,
-)
-from .measurements import MeasurementSet, load_measurements, save_measurements
-from .optimizer import (
-    ObjectiveWeights,
-    OptimizationTrace,
-    brute_force_optimize,
-    greedy_optimize,
-    objective,
-    score_candidate,
-)
-from .report import CoverageReport, compare_report, coverage_ratios, difference_heatmap
-from .scene import (
-    BeamAssignment,
-    Cell,
-    CoverageThresholds,
-    CylinderSpec,
-    RadioConstants,
-    SceneConfig,
-    Site,
-    SubBeam,
-    VoxelGrid,
-    build_voxel_grid,
-    load_scene,
-    save_scene,
-    voxel_center,
-)
-from .spectrum import (
-    CalibrationOffset,
-    RadioField,
-    TwinModel,
-    beam_rsrp,
-    build_field,
-    calibrate_offset,
-    drift_check,
-    fspl_db,
-    predict_at,
-)
-from .validation import (
-    FoldSpec,
-    KrigingPredictor,
-    NearestNeighborPredictor,
-    TwinPredictor,
-    VariogramModel,
-    block_holdout_folds,
-    error_cdf,
-    kriging_fit,
-    kriging_predict,
-    rmse,
-    run_validation,
-)

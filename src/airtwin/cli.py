@@ -203,6 +203,9 @@ def cmd_validate(args) -> int:
     save_validation_report(report, os.path.join(args.out, "validation_report.json"))
     for name, value in sorted(report.pooled_rmse_db.items()):
         print(f"pooled RMSE {name}: {value:.4f} dB")
+    for name in sorted(set(predictors) - set(report.pooled_rmse_db)):
+        print(f"warning: {name} failed in every fold: {report.folds[0].failed[name]}",
+              file=sys.stderr)
     return EXIT_OK
 
 
@@ -214,14 +217,15 @@ def cmd_optimize(args) -> int:
                                margin_cap_db=args.margin_cap,
                                epsilon_gain=args.epsilon_gain)
     grid = build_voxel_grid(scene.airspace)
-    optimized, trace = greedy_optimize(scene, grid, initial, weights,
-                                       activity_factor=args.activity_factor,
-                                       offset_db=args.offset_db, threads=args.threads)
+    optimized, trace, field = greedy_optimize(scene, grid, initial, weights,
+                                              activity_factor=args.activity_factor,
+                                              offset_db=args.offset_db, threads=args.threads)
     save_assignment(optimized, os.path.join(args.out, "assignment.json"))
     save_trace(trace, os.path.join(args.out, "trace.json"))
 
-    report = compare_report(_fields_for(scene, grid, initial, args),
-                            _fields_for(scene, grid, optimized, args), scene.thresholds)
+    after = (field, build_sinr_field(field, NoiseModel.from_radio(scene.radio),
+                                     args.activity_factor))
+    report = compare_report(_fields_for(scene, grid, initial, args), after, scene.thresholds)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     print(f"objective {trace.initial_objective:.4f} -> {trace.final_objective:.4f}; "
           f"strict RSRP ratio {report.before.ratio_rsrp_strict:.4f} -> "
@@ -397,6 +401,8 @@ def main(argv=None) -> int:
     try:
         if not math.isfinite(args.offset_db):
             raise InputError(f"--offset-db must be finite, got {args.offset_db}")
+        if args.threads < 1:
+            raise InputError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

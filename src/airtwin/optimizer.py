@@ -19,15 +19,17 @@ admissible angle for this sub-beam and its own delta is non-negative. Since
 the current angle is always a candidate and reuse requires delta >= 0, the
 objective never decreases.
 
-Scoring is incremental. Within one step only the visited sub-beam's row
-changes, so everything else the score needs (the rest of its cell, the best
-other cell per voxel, the interference from the other cells) is gathered once
-per step into a context, and each candidate then costs O(N) for N voxels. The
-context adds rows and cells in the same order as the full rebuild
-(``np.add.reduce`` over a cell's rows, ``assemble_sinr`` over cells); since
-floating-point addition is not associative, that fixed order is what makes
-each candidate delta equal the full rebuild's bit for bit, and the greedy
-choices with it.
+Scoring is incremental. The pass keeps one RadioField, the cell max and cell
+mW sum that ``build_field`` returns. Within one step only the visited
+sub-beam's row changes, so the step recomputes that cell's rows once and
+gathers everything else the score needs (the rest of its cell, the best other
+cell per voxel, the interference from the other cells) into a context; each
+candidate then costs O(N) for N voxels, and the chosen angle rewrites that
+one cell of the field. The context adds rows and cells in the same order as
+the full rebuild (``np.add.reduce`` over a cell's rows, ``assemble_sinr``
+over cells); since floating-point addition is not associative, that fixed
+order is what makes each candidate delta, and the field after each step,
+equal the full rebuild's bit for bit, and the greedy choices with it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .interference import (
     NoiseModel,
     assemble_sinr,
     build_sinr_field,
-    cell_linear_sums,
     check_activity_factor,
     linear_mw,
     noise_floor_dbm,
@@ -53,7 +54,7 @@ from .interference import (
 )
 from .antenna import AntennaPattern, Orientation, wrap_angle_deg
 from .scene import BeamAssignment, CoverageThresholds, SceneConfig, VoxelGrid
-from .spectrum import build_field, cell_beam_slices, cell_max_from_beams
+from .spectrum import RadioField, build_field
 
 _ANGLE_EQ_TOL = 1e-9
 
@@ -154,6 +155,7 @@ class _StepContext:
     """
 
     key: tuple[str, int]
+    cell: int                            # the scored sub-beam's cell, into cell_ids
     lin_before: np.ndarray               # in-order mW sum of the cell's earlier rows
     lin_after: tuple[np.ndarray, ...]    # mW of the cell's later rows, in row order
     max_other_rows: np.ndarray           # max over the cell's other rows (-inf if none)
@@ -164,20 +166,36 @@ class _StepContext:
     interference_after: tuple[np.ndarray, ...]  # mW of each later cell, 0 where it is the rival
 
 
+def _cell_with_row(ctx: _StepContext, row):
+    """The scored cell's max and mW sum with ``row`` as the scored sub-beam's row.
+
+    Adds the rows in row order, like ``np.add.reduce(axis=0)`` in build_field.
+    """
+    cell_lin = linear_mw(row)
+    cell_lin += ctx.lin_before
+    for lin in ctx.lin_after:
+        cell_lin += lin
+    return np.maximum(row, ctx.max_other_rows), cell_lin
+
+
 class _FieldEvaluator:
-    """Caches per-beam fields so one-angle changes are scored incrementally.
+    """Scores one-angle changes of a RadioField incrementally.
 
-    Each site's geometry to every voxel is computed once here, so a candidate
-    angle costs only the gain formula. ``set_assignment`` and ``apply``
-    recompute the changed rows, their cells and the SINR in full, with the
-    same helpers as build_field/build_sinr_field. Between two of them,
-    ``candidate_deltas`` scores any number of angles for one sub-beam from a
-    per-step context (``_StepContext``) that holds the parts of the cell and
-    SINR reductions the candidate cannot change, so each candidate costs
-    O(N): one kernel row, one dBm-to-mW conversion, a handful of adds, the
-    serving compare and the SINR.
+    The state is the current angles and their ``RadioField`` (cell max and
+    cell mW sum), equal to ``build_field`` of those angles bit for bit:
+    ``set_assignment`` calls build_field, and ``apply`` rewrites the one cell
+    that a new angle changes. No sub-beam row is kept between steps.
 
-    For a parametric pattern the kernel row is split along the pattern's
+    Each site's geometry to every voxel is computed once here, so a row at
+    any angle costs only the gain formula. ``candidate_deltas`` scores any
+    number of angles for one sub-beam from a per-step context
+    (``_StepContext``). The context recomputes the visited cell's rows once,
+    at the current angles, and holds the parts of the cell and SINR
+    reductions the candidate cannot change, so each candidate costs O(N):
+    one kernel row, one dBm-to-mW conversion, a handful of adds, the serving
+    compare and the SINR. ``apply`` reuses the context to write the cell.
+
+    For a parametric pattern the candidate row is split along the pattern's
     separable form. ``candidate_deltas`` takes the angles in the caller's
     order and recomputes the wrapped, capped azimuth term into its one (N,)
     buffer only when the azimuth differs from the previous angle's, so an
@@ -203,21 +221,15 @@ class _FieldEvaluator:
         self.offset_db = float(offset_db)
         self.threads = threads
         self.beam_keys = list(scene.beam_keys())
-        self.row_of = {key: i for i, key in enumerate(self.beam_keys)}
         self.cell_ids = scene.cell_ids
-        self.cell_of_row = np.asarray(
-            [self.cell_ids.index(cell_id) for cell_id, _ in self.beam_keys])
-        self.slices = cell_beam_slices(self.cell_ids, self.beam_keys)
         self.geometry = {site.id: kernels.site_geometry(grid.centers, site.position_m,
                                                         scene.radio.frequency_hz)
                          for site in scene.sites}
         self.noise_floor = noise_floor_dbm(NoiseModel.from_radio(scene.radio))
-        n = grid.count
-        self.beam_dbm = np.empty((len(self.beam_keys), n), dtype=np.float64)
-        self.cell_max = np.empty((len(self.cell_ids), n), dtype=np.float64)
-        self.cell_lin = np.empty((len(self.cell_ids), n), dtype=np.float64)
-        self._candidate_row = np.empty(n, dtype=np.float64)
-        self._az_term = np.empty(n, dtype=np.float64)
+        self.angles: dict[tuple[str, int], Orientation] = {}
+        self.field: RadioField | None = None
+        self._candidate_row = np.empty(grid.count, dtype=np.float64)
+        self._az_term = np.empty(grid.count, dtype=np.float64)
         self._objective = None
         self._context = None
 
@@ -257,23 +269,16 @@ class _FieldEvaluator:
 
         kernels.run_tasks(work, kernels.chunks(self.grid.count), self.threads)
 
-    def _reduce_cell(self, c):
-        a, b = self.slices[c]
-        rows, whole = self.beam_dbm[a:b], [(0, b - a)]
-        self.cell_max[c] = cell_max_from_beams(rows, whole)[0]
-        self.cell_lin[c] = cell_linear_sums(rows, whole)[0]
-
     def set_assignment(self, assignment: BeamAssignment):
-        for key in self.beam_keys:
-            self._eval_row_into(key, assignment.angles[key], self.beam_dbm[self.row_of[key]])
-        for c in range(len(self.cell_ids)):
-            self._reduce_cell(c)
+        self.field = build_field(self.scene, self.grid, assignment, self.offset_db,
+                                 threads=self.threads)
+        self.angles = dict(assignment.angles)
         self._rescore()
 
     def _rescore(self):
         self._context = None
-        _, serving_dbm, sinr = assemble_sinr(self.cell_max, self.cell_lin, self.noise_floor,
-                                             self.activity_factor)
+        _, serving_dbm, sinr = assemble_sinr(self.field.cell_rsrp_dbm, self.field.cell_lin_mw,
+                                             self.noise_floor, self.activity_factor)
         self._objective = score_fields(serving_dbm, sinr, self.weights, self.thresholds)
 
     @property
@@ -283,15 +288,21 @@ class _FieldEvaluator:
     def _step_context(self, key) -> _StepContext:
         if self._context is not None and self._context.key == key:
             return self._context
-        row = self.row_of[key]
-        s = int(self.cell_of_row[row])
-        a, b = self.slices[s]
-        j = row - a
+        s = self.cell_ids.index(key[0])
+        keys = [k for k in self.beam_keys if k[0] == key[0]]
+        j = keys.index(key)
         n = self.grid.count
-        lin = linear_mw(self.beam_dbm[a:b])
+        rows = np.empty((len(keys), n), dtype=np.float64)
+        for i, k in enumerate(keys):
+            self._eval_row_into(k, self.angles[k], rows[i])
+        max_other_rows = np.maximum.reduce(np.delete(rows, j, axis=0), axis=0,
+                                           initial=-np.inf)
+        lin = linear_mw(rows)
+        del rows   # at paper scale the rows are 200+ MB; free them before the context
+        cell_max, cell_lin = self.field.cell_rsrp_dbm, self.field.cell_lin_mw
         others = [c for c in range(len(self.cell_ids)) if c != s]
         if others:
-            other_max = self.cell_max[others]
+            other_max = cell_max[others]
             first = np.argmax(other_max, axis=0)   # first max = smallest cell id
             rival_dbm = other_max[first, np.arange(n)]
             rival = np.asarray(others)[first]
@@ -301,29 +312,25 @@ class _FieldEvaluator:
         if_serving = np.zeros(n)
         before = np.zeros(n)
         for c in others:
-            if_serving += self.cell_lin[c]
+            if_serving += cell_lin[c]
             if c < s:
-                np.add(before, self.cell_lin[c], out=before, where=rival != c)
+                np.add(before, cell_lin[c], out=before, where=rival != c)
         self._context = _StepContext(
             key=key,
+            cell=s,
             lin_before=np.add.reduce(lin[:j], axis=0),
             lin_after=tuple(lin[j + 1:].copy()),
-            max_other_rows=np.maximum.reduce(np.delete(self.beam_dbm[a:b], j, axis=0),
-                                             axis=0, initial=-np.inf),
+            max_other_rows=max_other_rows,
             rival_dbm=rival_dbm,
             wins_tie=s < rival,
             interference_if_serving=if_serving,
             interference_before=before,
-            interference_after=tuple(np.where(rival != c, self.cell_lin[c], 0.0)
+            interference_after=tuple(np.where(rival != c, cell_lin[c], 0.0)
                                      for c in others if c > s))
         return self._context
 
     def _candidate_objective(self, ctx: _StepContext, row) -> float:
-        cell_lin = linear_mw(row)
-        cell_lin += ctx.lin_before
-        for lin in ctx.lin_after:
-            cell_lin += lin
-        cell_max = np.maximum(row, ctx.max_other_rows)
+        cell_max, cell_lin = _cell_with_row(ctx, row)
         serves = (cell_max > ctx.rival_dbm) | ((cell_max == ctx.rival_dbm) & ctx.wins_tie)
         serving_dbm = np.where(serves, cell_max, ctx.rival_dbm)
         interference = ctx.interference_before + cell_lin
@@ -348,9 +355,13 @@ class _FieldEvaluator:
         return deltas
 
     def apply(self, key, angle):
-        row = self.row_of[key]
-        self._eval_row_into(key, angle, self.beam_dbm[row])
-        self._reduce_cell(self.cell_of_row[row])
+        """Steer ``key`` to ``angle``: rewrite its cell's max and mW sum, rescore."""
+        ctx = self._step_context(key)
+        row = self._candidate_row
+        self._eval_row_into(key, angle, row)
+        self.field.cell_rsrp_dbm[ctx.cell], self.field.cell_lin_mw[ctx.cell] = (
+            _cell_with_row(ctx, row))
+        self.angles[key] = angle
         self._rescore()
 
 
@@ -401,8 +412,13 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
                     thresholds: CoverageThresholds | None = None,
                     order: list[tuple[str, int]] | None = None, *,
                     activity_factor: float = 1.0, offset_db: float = 0.0,
-                    threads: int = 1) -> tuple[BeamAssignment, OptimizationTrace]:
-    """One greedy sequential pass over all sub-beams; monotone by construction."""
+                    threads: int = 1
+                    ) -> tuple[BeamAssignment, OptimizationTrace, RadioField]:
+    """One greedy sequential pass over all sub-beams; monotone by construction.
+
+    Returns the optimized assignment, the trace and the optimized assignment's
+    field, which equals ``build_field`` of it.
+    """
     initial.validate_for(scene, require_lattice=True)
     if order is None:
         order = default_order(scene)
@@ -412,7 +428,6 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
     ev = _FieldEvaluator(scene, grid, weights, thresholds, activity_factor,
                          offset_db, threads)
     ev.set_assignment(initial)
-    current = dict(initial.angles)
     initial_objective = ev.objective
     last_assigned: dict[str, Orientation] = {}
     steps = []
@@ -423,7 +438,7 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
         candidates = sb.lattice()
         if not candidates:
             raise ConfigurationError(f"{cell_id}[{index}] has an empty candidate lattice")
-        cur = current[key]
+        cur = ev.angles[key]
         if not any(_same_angle(cur, c) for c in candidates):
             candidates.append(cur)   # current angle always competes, last index
 
@@ -448,7 +463,6 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
                     reused = True
 
         ev.apply(key, chosen)
-        current[key] = chosen
         last_assigned[cell_id] = chosen
         steps.append(TraceStep(
             cell_id=cell_id, beam_index=index, n_candidates=len(candidates),
@@ -458,7 +472,7 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
 
     trace = OptimizationTrace(steps=tuple(steps), initial_objective=initial_objective,
                               final_objective=ev.objective)
-    return BeamAssignment(current), trace
+    return BeamAssignment(ev.angles), trace, ev.field
 
 
 def brute_force_optimize(scene: SceneConfig, grid: VoxelGrid,
@@ -493,14 +507,13 @@ def brute_force_optimize(scene: SceneConfig, grid: VoxelGrid,
             f"brute force refused: candidate product {size} exceeds cap {cap}"
         )
 
-    ev = _FieldEvaluator(scene, grid, weights, thresholds, activity_factor,
-                         offset_db, threads)
     best_assignment = None
     best_value = -np.inf
     for combo in itertools.product(*candidate_sets):
         assignment = BeamAssignment(dict(zip(keys, combo)))
-        ev.set_assignment(assignment)
-        value = ev.objective
+        value = objective(scene, grid, assignment, weights, thresholds,
+                          activity_factor=activity_factor, offset_db=offset_db,
+                          threads=threads)
         if value > best_value:
             best_value = value
             best_assignment = assignment

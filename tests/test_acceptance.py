@@ -154,7 +154,7 @@ def test_criterion_4_optimizer_oracle_equivalence():
             assert grid.count <= 300
             base = BeamAssignment.baseline(scene)
             initial = objective(scene, grid, base, W)
-            optimized, trace = greedy_optimize(scene, grid, base, W)
+            optimized, trace, _ = greedy_optimize(scene, grid, base, W)
             _, best = brute_force_optimize(scene, grid, W, initial=base)
             assert initial - 1e-9 <= trace.final_objective <= best + 1e-9
             for step in trace.steps:
@@ -163,7 +163,7 @@ def test_criterion_4_optimizer_oracle_equivalence():
             scene = random_instance(100 + seed, n_cells=1, n_beams=1, n_tilts=3)
             grid = build_voxel_grid(scene.airspace)
             base = BeamAssignment.baseline(scene)
-            _, trace = greedy_optimize(scene, grid, base, W)
+            _, trace, _ = greedy_optimize(scene, grid, base, W)
             _, best = brute_force_optimize(scene, grid, W, initial=base)
             assert trace.final_objective == pytest.approx(best, abs=1e-9)
 
@@ -183,7 +183,7 @@ def test_criterion_5_reuse_rule_soundness():
         for scene in scenes:
             grid = build_voxel_grid(scene.airspace)
             base = BeamAssignment.baseline(scene)
-            _, trace = greedy_optimize(scene, grid, base, eager)
+            _, trace, _ = greedy_optimize(scene, grid, base, eager)
             assigned = {}
             for step in trace.steps:
                 if step.reused:
@@ -193,7 +193,7 @@ def test_criterion_5_reuse_rule_soundness():
                     assert step.chosen_delta >= 0.0
                 assigned.setdefault(step.cell_id, set()).add(
                     (step.chosen_az_deg, step.chosen_tilt_deg))
-            _, trace0 = greedy_optimize(scene, grid, base, disabled)
+            _, trace0, _ = greedy_optimize(scene, grid, base, disabled)
             assert all(not s.reused for s in trace0.steps)
         assert total_reused > 0
 
@@ -274,7 +274,7 @@ def test_criterion_9_end_to_end_desk_scale(demo):
     noise = NoiseModel.from_radio(scene.radio)
 
     with _Budget(9, "end-to-end desk-scale optimization", 300.0):
-        optimized, trace = greedy_optimize(scene, grid, base, W, threads=1)
+        optimized, trace, _ = greedy_optimize(scene, grid, base, W, threads=1)
         # (a) the objective never decreases
         assert trace.final_objective >= trace.initial_objective
         for step in trace.steps:

@@ -176,6 +176,27 @@ class TestValidate:
         assert 1.8 <= report["pooled_rmse_db"]["twin_offset"] <= 2.2
 
 
+    def test_predictor_failing_every_fold_is_one_warning(self, tiny_scene_path, tmp_path,
+                                                          capsys):
+        synth_out = tmp_path / "synth"
+        main(["synth", "--scene", tiny_scene_path, "--out", str(synth_out),
+              "--samples", "60"])
+        argv = ["validate", "--scene", tiny_scene_path,
+                "--measurements", str(synth_out / "measurements.csv")]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+        assert capsys.readouterr().err == ""
+        # 1 mm layers leave every (layer, cell) group too small to krige
+        assert main([*argv, "--out", str(tmp_path / "val"), "--layer-height", "0.001"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: kriging failed in every fold: SizeError: no (layer, cell) group has "
+            "the 3+ samples needed to fit"]
+        assert "kriging" not in captured.out
+        report = json.loads(read(tmp_path / "val" / "validation_report.json"))
+        assert all("kriging" in fold["failed"] for fold in report["folds"])
+
+
 class TestOptimizeAndEvaluate:
     def make_tiny_opt_scene(self, tmp_path, n_cells=2):
         from conftest import random_instance
@@ -299,6 +320,8 @@ FAILURE_CASES = {
     "mask_past_end": (2, ["evaluate", "--mask", "99999999"]),
     "mask_negative": (2, ["evaluate", "--mask", "-1"]),
     "offset_db_nan": (2, ["build", "--offset-db", "nan"]),
+    "threads_zero": (2, ["build", "--threads", "0"]),
+    "threads_negative": (2, ["optimize", "--threads", "-3"]),
     "voxel_m_nan": (2, ["build", "--set", "airspace.voxel_m=NaN"]),
     "rsrp_basic_nan": (2, ["build", "--set", "thresholds.rsrp_basic_dbm=NaN"]),
     "set_index_past_end": (2, ["build", "--set", "sites.9.id=x"]),
@@ -347,8 +370,8 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
-    if case.startswith(("synth_", "validate_")) and case != "synth_noise_sigma_nan":
-        assert argv[1] in err   # a bad synth or validate flag is named in the error
+    if case.startswith(("synth_", "validate_", "threads_")) and case != "synth_noise_sigma_nan":
+        assert argv[1] in err   # a bad synth, validate or --threads flag is named in the error
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}
 

@@ -258,6 +258,7 @@ def test_wrap_once_per_lattice_column(monkeypatch):
     assert len(lattice) == 56 and len({a.azimuth_deg for a in lattice}) == 7
     ev = _FieldEvaluator(scene, grid, W, None, 1.0, 0.0)
     ev.set_assignment(BeamAssignment.baseline(scene))
+    ev.candidate_deltas(key, [])   # the step context's rows are not counted
     calls = []
     original = antenna.wrap_angle_deg
 
@@ -277,7 +278,7 @@ class TestGreedy:
             scene = random_instance(seed, n_cells=1, n_beams=1, n_tilts=3)
             grid = build_voxel_grid(scene.airspace)
             base = BeamAssignment.baseline(scene)
-            got, trace = greedy_optimize(scene, grid, base, W)
+            got, trace, _ = greedy_optimize(scene, grid, base, W)
             best, best_value = brute_force_optimize(scene, grid, W, initial=base)
             assert trace.final_objective == pytest.approx(best_value, abs=1e-9)
             assert got.angles == best.angles
@@ -286,7 +287,7 @@ class TestGreedy:
         scene = random_instance(4, n_cells=2, n_beams=2)
         grid = build_voxel_grid(scene.airspace)
         w = ObjectiveWeights(alpha=1.0, beta=0.1, margin_cap_db=10.0, epsilon_gain=0.0)
-        _, trace = greedy_optimize(scene, grid, BeamAssignment.baseline(scene), w)
+        _, trace, _ = greedy_optimize(scene, grid, BeamAssignment.baseline(scene), w)
         assert all(not s.reused for s in trace.steps)
 
     def test_oracle_bracketing_ten_seeds(self):
@@ -297,7 +298,7 @@ class TestGreedy:
             assert grid.count <= 300
             base = BeamAssignment.baseline(scene)
             initial_value = objective(scene, grid, base, W)
-            got, trace = greedy_optimize(scene, grid, base, W)
+            got, trace, _ = greedy_optimize(scene, grid, base, W)
             _, best_value = brute_force_optimize(scene, grid, W, initial=base)
             assert trace.initial_objective == pytest.approx(initial_value, abs=1e-9)
             assert trace.final_objective >= initial_value - 1e-9
@@ -313,8 +314,8 @@ class TestGreedy:
         scene = random_instance(7)
         grid = build_voxel_grid(scene.airspace)
         base = BeamAssignment.baseline(scene)
-        a1, t1 = greedy_optimize(scene, grid, base, W)
-        a2, t2 = greedy_optimize(scene, grid, base, W, threads=2)
+        a1, t1, _ = greedy_optimize(scene, grid, base, W)
+        a2, t2, _ = greedy_optimize(scene, grid, base, W, threads=2)
         assert a1.angles == a2.angles
         assert t1.steps == t2.steps
 
@@ -324,11 +325,24 @@ class TestGreedy:
         grid = build_voxel_grid(scene.airspace)
         assert grid.count > 3 * kernels._CHUNK
         base = BeamAssignment.baseline(scene)
-        a1, t1 = greedy_optimize(scene, grid, base, W)
-        a2, t2 = greedy_optimize(scene, grid, base, W, threads=2)
+        a1, t1, _ = greedy_optimize(scene, grid, base, W)
+        a2, t2, _ = greedy_optimize(scene, grid, base, W, threads=2)
         assert a1.angles == a2.angles
         assert t1 == t2
         assert t1.final_objective == pytest.approx(objective(scene, grid, a1, W), abs=1e-6)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_returned_field_equals_build_field(self, monkeypatch, threads):
+        monkeypatch.setattr(kernels, "_CHUNK", 997)
+        scene = simple_scene(n_cells=3, n_beams=3, radius_m=100.0, z_max_m=60.0, voxel_m=8.0)
+        grid = build_voxel_grid(scene.airspace)
+        base = BeamAssignment.baseline(scene)
+        optimized, _, field = greedy_optimize(scene, grid, base, W, threads=threads)
+        assert optimized.angles != base.angles
+        full = build_field(scene, grid, optimized, threads=threads)
+        assert field.cell_ids == full.cell_ids
+        assert np.array_equal(field.cell_rsrp_dbm, full.cell_rsrp_dbm)
+        assert np.array_equal(field.cell_lin_mw, full.cell_lin_mw)
 
     def test_order_override_and_permutation_invariants(self):
         scene = random_instance(9)
@@ -337,7 +351,7 @@ class TestGreedy:
         order_a = default_order(scene)
         order_b = list(reversed(order_a))
         for order in (order_a, order_b):
-            _, trace = greedy_optimize(scene, grid, base, W, order=order)
+            _, trace, _ = greedy_optimize(scene, grid, base, W, order=order)
             assert trace.final_objective >= trace.initial_objective - 1e-9
             for step in trace.steps:
                 assert step.objective_after >= step.objective_before - 1e-12
@@ -381,7 +395,7 @@ class TestReuseRule:
         scene = self.reuse_scene()
         grid = build_voxel_grid(scene.airspace)
         w = ObjectiveWeights(alpha=1.0, beta=0.1, margin_cap_db=10.0, epsilon_gain=0.5)
-        _, trace = greedy_optimize(scene, grid, BeamAssignment.baseline(scene), w)
+        _, trace, _ = greedy_optimize(scene, grid, BeamAssignment.baseline(scene), w)
         reused_steps = [s for s in trace.steps if s.reused]
         assert reused_steps, "expected the reuse rule to fire at least once"
         assigned = {}
@@ -395,7 +409,7 @@ class TestReuseRule:
     def test_reused_angle_was_previously_assigned_same_cell(self, demo):
         scene, grid = demo
         w = ObjectiveWeights(alpha=1.0, beta=0.1, margin_cap_db=10.0, epsilon_gain=0.5)
-        _, trace = greedy_optimize(scene, grid, BeamAssignment.baseline(scene), w)
+        _, trace, _ = greedy_optimize(scene, grid, BeamAssignment.baseline(scene), w)
         assigned = {}
         for step in trace.steps:
             if step.reused:

@@ -263,22 +263,34 @@ class TestBuildField:
             assert f.cell_rsrp_dbm.tobytes() == one_chunk.cell_rsrp_dbm.tobytes()
             assert f.cell_lin_mw.tobytes() == one_chunk.cell_lin_mw.tobytes()
 
-    def test_cell_arrays_equal_optimizer_evaluator(self, monkeypatch):
-        # the field reduces per (site, chunk), the evaluator per full-grid cell;
-        # both must give the same bits, also for a site whose cells are not
-        # adjacent in cell_ids order and a cell listing its sub-beams out of order
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_optimizer_field_after_applies_equals_build_field(self, monkeypatch, threads):
+        # the field reduces per (site, chunk), the evaluator rewrites one cell
+        # per step from full-grid rows; both must give the same bits, also for
+        # a site whose cells are not adjacent in cell_ids order and a cell
+        # listing its sub-beams out of order
         scene = interleaved_demo()
         grid = build_voxel_grid(scene.airspace)
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         assert grid.count > 3 * kernels._CHUNK
         assignment = BeamAssignment.baseline(scene)
-        ev = _FieldEvaluator(scene, grid, ObjectiveWeights(), None, 1.0, 0.0)
+        ev = _FieldEvaluator(scene, grid, ObjectiveWeights(), None, 1.0, 0.0, threads)
         ev.set_assignment(assignment)
-        for threads in (1, 2, 3):
+        keys = scene.beam_keys()
+        steps = [("s1c1", 0), ("s2c1", 0), ("s2c1", 6), ("s3c0", 3), ("s1c1", 0),
+                 ("s3c2", 6), ("s2c2", 1)]
+        for i, key in enumerate(steps):
+            lattice = scene.sub_beam(*key)[2].lattice()
+            angle = lattice[(5 * i + 3) % len(lattice)]
+            other = keys[(11 * i + 5) % len(keys)]   # apply must not reuse its context
+            ev.candidate_deltas(other, scene.sub_beam(*other)[2].lattice()[:2])
+            ev.apply(key, angle)
+            assignment = assignment.replaced(key, angle)
+            assert ev.angles == assignment.angles
             field = build_field(scene, grid, assignment, threads=threads)
-            assert field.cell_ids == ev.cell_ids
-            assert np.array_equal(field.cell_rsrp_dbm, ev.cell_max)
-            assert np.array_equal(field.cell_lin_mw, ev.cell_lin)
+            assert field.cell_ids == ev.field.cell_ids
+            assert np.array_equal(field.cell_rsrp_dbm, ev.field.cell_rsrp_dbm), key
+            assert np.array_equal(field.cell_lin_mw, ev.field.cell_lin_mw), key
 
     def test_export_row_order_and_format(self):
         scene = simple_scene(n_cells=2, n_beams=1, radius_m=15.0, z_max_m=10.0,
