@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -53,6 +54,11 @@ from .validation import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
+
+# A calibration offset is a few dB. Past about 3,000 dB the dBm-to-mW
+# conversion overflows and SINR turns NaN, so --offset-db is bounded well
+# below that.
+MAX_OFFSET_DB = 1000.0
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -137,6 +143,21 @@ def _measurements_for(args, scene):
     return load_measurements(args.measurements, mapping=args.mapping)
 
 
+def _load_mask(path: str) -> np.ndarray:
+    """The voxel indices in a ``--mask`` file; a malformed or empty file is an input error."""
+    if not os.path.exists(path):
+        raise InputError(f"mask file not found: {path}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # numpy's "no data"; reported below
+        try:
+            mask = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        except ValueError as exc:
+            raise InputError(f"--mask {path} must hold integer voxel indices: {exc}") from exc
+    if mask.size == 0:
+        raise InputError(f"--mask {path} holds no voxel index")
+    return mask
+
+
 def _fields_for(scene, grid, assignment, args):
     field = build_field(scene, grid, assignment, args.offset_db, threads=args.threads)
     sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), args.activity_factor)
@@ -217,15 +238,20 @@ def cmd_optimize(args) -> int:
                                margin_cap_db=args.margin_cap,
                                epsilon_gain=args.epsilon_gain)
     grid = build_voxel_grid(scene.airspace)
+    # The pass rewrites the initial field in place, so the "before" side keeps
+    # only its SINR field; the report reads nothing else of the RadioField but
+    # its grid.
+    field, sinr_before = _fields_for(scene, grid, initial, args)
     optimized, trace, field = greedy_optimize(scene, grid, initial, weights,
                                               activity_factor=args.activity_factor,
-                                              offset_db=args.offset_db, threads=args.threads)
+                                              offset_db=args.offset_db, threads=args.threads,
+                                              field=field)
     save_assignment(optimized, os.path.join(args.out, "assignment.json"))
     save_trace(trace, os.path.join(args.out, "trace.json"))
 
     after = (field, build_sinr_field(field, NoiseModel.from_radio(scene.radio),
                                      args.activity_factor))
-    report = compare_report(_fields_for(scene, grid, initial, args), after, scene.thresholds)
+    report = compare_report((field, sinr_before), after, scene.thresholds)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     print(f"objective {trace.initial_objective:.4f} -> {trace.final_objective:.4f}; "
           f"strict RSRP ratio {report.before.ratio_rsrp_strict:.4f} -> "
@@ -237,11 +263,7 @@ def cmd_evaluate(args) -> int:
     scene, overrides = _load_scene_with_overrides(args.scene, args.set)
     assignment = _assignment_for(scene, args.assignment)
     _write_manifest(args.out, "evaluate", args, overrides)
-    mask = None
-    if args.mask is not None:
-        if not os.path.exists(args.mask):
-            raise InputError(f"mask file not found: {args.mask}")
-        mask = np.loadtxt(args.mask, dtype=np.int64, ndmin=1)
+    mask = None if args.mask is None else _load_mask(args.mask)
     grid = build_voxel_grid(scene.airspace)
     field, sinr = _fields_for(scene, grid, assignment, args)
     if args.compare_to is None:
@@ -399,8 +421,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not math.isfinite(args.offset_db):
-            raise InputError(f"--offset-db must be finite, got {args.offset_db}")
+        if not (math.isfinite(args.offset_db) and abs(args.offset_db) <= MAX_OFFSET_DB):
+            raise InputError(f"--offset-db must be finite and within +-{MAX_OFFSET_DB:g} dB, "
+                             f"got {args.offset_db}")
         if args.threads < 1:
             raise InputError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)

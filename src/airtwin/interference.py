@@ -69,9 +69,9 @@ def check_activity_factor(activity_factor: float) -> None:
         raise ValueError(f"activity_factor must be in [0, 1], got {activity_factor}")
 
 
-def linear_mw(rsrp_dbm: np.ndarray) -> np.ndarray:
+def linear_mw(rsrp_dbm: np.ndarray, out=None) -> np.ndarray:
     """dBm to mW, elementwise."""
-    return np.power(10.0, rsrp_dbm * 0.1)
+    return np.power(10.0, np.multiply(rsrp_dbm, 0.1, out=out), out=out)
 
 
 def cell_linear_sums(beam_dbm: np.ndarray,
@@ -96,18 +96,21 @@ def assemble_sinr(cell_rsrp_dbm: np.ndarray, cell_lin_sums: np.ndarray,
     serving_dbm = cell_rsrp_dbm[serving, np.arange(n)]
     interference = np.zeros(n, dtype=np.float64)
     for c in range(n_cells):
-        mask = serving != c
-        interference[mask] += cell_lin_sums[c][mask]
+        np.add(interference, cell_lin_sums[c], out=interference, where=serving != c)
     return serving, serving_dbm, sinr_db(serving_dbm, interference, noise_floor,
                                          activity_factor)
 
 
 def sinr_db(serving_dbm: np.ndarray, interference_mw: np.ndarray, noise_floor: float,
-            activity_factor: float) -> np.ndarray:
-    """The module-level SINR formula, elementwise."""
+            activity_factor: float, out=None) -> np.ndarray:
+    """The module-level SINR formula, elementwise; ``out`` may be ``interference_mw``."""
     noise_mw = 10.0 ** (noise_floor * 0.1)
-    ratio = (activity_factor * interference_mw) / noise_mw
-    return serving_dbm - noise_floor - 10.0 * np.log10(1.0 + ratio)
+    loss = np.multiply(activity_factor, interference_mw, out=out)
+    loss = np.divide(loss, noise_mw, out=out)
+    loss = np.add(1.0, loss, out=out)
+    loss = np.log10(loss, out=out)
+    loss = np.multiply(10.0, loss, out=out)
+    return np.subtract(serving_dbm - noise_floor, loss, out=out)
 
 
 def build_sinr_field(field: RadioField, model: NoiseModel,

@@ -12,6 +12,10 @@ patterns share one code path and the gain formula exists only in
 candidate loop builds a parametric gain from an azimuth term it computes
 once per distinct azimuth (``AntennaPattern`` is separable) and an
 elevation term per angle, then assembles the RSRP with the same helper.
+That loop scores a candidate chunk by chunk in reused buffers, so the
+helpers it calls (here ``rsrp_from_gain``; the pattern terms, ``linear_mw``
+and ``sinr_db``) take an ``out=`` array and run the same operations, in the
+same order, with or without it.
 
 Threading: voxels are split into fixed-size chunks whose boundaries do not
 depend on the thread count, and ``run_tasks`` spreads independent tasks over
@@ -52,9 +56,11 @@ def site_geometry(centers, site_xyz, frequency_hz):
     return az, el, fspl(dist, frequency_hz)
 
 
-def rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db):
+def rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db, out=None):
     """RSRP (dBm) from the transmit power, antenna gain, path loss and offset."""
-    return tx_power_dbm + gain_dbi - fspl_db + offset_db
+    rsrp = np.add(tx_power_dbm, gain_dbi, out=out)
+    rsrp = np.subtract(rsrp, fspl_db, out=out)
+    return np.add(rsrp, offset_db, out=out)
 
 
 def beam_rsrp_numpy(az_deg, el_deg, fspl_db, pattern, angle, tx_power_dbm, offset_db):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,13 +123,29 @@ def save_trace(trace: OptimizationTrace, path) -> None:
         fh.write(text + "\n")
 
 
+def _score_terms(serving_rsrp_dbm, sinr_db, weights: ObjectiveWeights,
+                 thresholds: CoverageThresholds, covered=None, margin=None):
+    """The per-voxel part of ``score_fields``: the covered mask and the capped margin."""
+    covered = np.greater_equal(serving_rsrp_dbm, thresholds.rsrp_strict_dbm, out=covered)
+    covered &= sinr_db >= thresholds.sinr_basic_db
+    margin = np.subtract(sinr_db, thresholds.sinr_strict_db, out=margin)
+    return covered, np.minimum(margin, weights.margin_cap_db, out=margin)
+
+
+def _score_total(covered, margin, weights: ObjectiveWeights) -> float:
+    """The reduction of ``score_fields``, over the whole (N,) arrays.
+
+    ``np.sum`` adds pairwise, so its bits depend on the array it sees; a
+    caller that fills the arrays chunk by chunk still sums them at once.
+    """
+    return (weights.alpha * int(np.count_nonzero(covered))
+            + weights.beta * float(np.sum(margin)))
+
+
 def score_fields(serving_rsrp_dbm, sinr_db, weights: ObjectiveWeights,
                  thresholds: CoverageThresholds) -> float:
-    covered = ((serving_rsrp_dbm >= thresholds.rsrp_strict_dbm)
-               & (sinr_db >= thresholds.sinr_basic_db))
-    n_cov = int(np.count_nonzero(covered))
-    margin = np.minimum(sinr_db - thresholds.sinr_strict_db, weights.margin_cap_db)
-    return weights.alpha * n_cov + weights.beta * float(np.sum(margin))
+    return _score_total(*_score_terms(serving_rsrp_dbm, sinr_db, weights, thresholds),
+                        weights)
 
 
 def objective(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
@@ -160,22 +177,23 @@ class _StepContext:
     lin_after: tuple[np.ndarray, ...]    # mW of the cell's later rows, in row order
     max_other_rows: np.ndarray           # max over the cell's other rows (-inf if none)
     rival_dbm: np.ndarray                # the rival's RSRP (-inf if no other cell)
-    wins_tie: np.ndarray                 # scored cell id < rival id
+    serves_above: np.ndarray             # the scored cell serves where its max exceeds this
     interference_if_serving: np.ndarray  # in-order mW sum of every other cell
     interference_before: np.ndarray      # in-order mW sum of earlier cells, rival skipped
     interference_after: tuple[np.ndarray, ...]  # mW of each later cell, 0 where it is the rival
 
 
-def _cell_with_row(ctx: _StepContext, row):
-    """The scored cell's max and mW sum with ``row`` as the scored sub-beam's row.
+def _cell_with_row(ctx: _StepContext, voxels: slice, row, cell_max, cell_lin):
+    """The scored cell's max and mW sum at ``voxels``, with ``row`` as the scored row.
 
-    Adds the rows in row order, like ``np.add.reduce(axis=0)`` in build_field.
+    Writes them into ``cell_max`` (which may be ``row``) and ``cell_lin``, and
+    adds the rows in row order, like ``np.add.reduce(axis=0)`` in build_field.
     """
-    cell_lin = linear_mw(row)
-    cell_lin += ctx.lin_before
+    linear_mw(row, out=cell_lin)
+    cell_lin += ctx.lin_before[voxels]
     for lin in ctx.lin_after:
-        cell_lin += lin
-    return np.maximum(row, ctx.max_other_rows), cell_lin
+        cell_lin += lin[voxels]
+    np.maximum(row, ctx.max_other_rows[voxels], out=cell_max)
 
 
 class _FieldEvaluator:
@@ -183,17 +201,25 @@ class _FieldEvaluator:
 
     The state is the current angles and their ``RadioField`` (cell max and
     cell mW sum), equal to ``build_field`` of those angles bit for bit:
-    ``set_assignment`` calls build_field, and ``apply`` rewrites the one cell
-    that a new angle changes. No sub-beam row is kept between steps.
+    ``set_assignment`` calls build_field (or takes the caller's build of it),
+    and ``apply`` rewrites the one cell that a new angle changes. No sub-beam
+    row is kept between steps.
 
     Each site's geometry to every voxel is computed once here, so a row at
     any angle costs only the gain formula. ``candidate_deltas`` scores any
     number of angles for one sub-beam from a per-step context
     (``_StepContext``). The context recomputes the visited cell's rows once,
     at the current angles, and holds the parts of the cell and SINR
-    reductions the candidate cannot change, so each candidate costs O(N):
-    one kernel row, one dBm-to-mW conversion, a handful of adds, the serving
-    compare and the SINR. ``apply`` reuses the context to write the cell.
+    reductions the candidate cannot change, so each candidate costs O(N).
+    ``apply`` reuses the context to write the cell.
+
+    A candidate is scored in one pass per voxel chunk, on
+    ``kernels.run_tasks``: the row, its mW, the in-order cell adds, the cell
+    max, the serving compare and select, the in-order interference adds and
+    the SINR all go through a few chunk-sized buffers per worker, and the
+    chunk's covered mask and capped margin land in two (N,) buffers. One
+    count and one sum over those whole buffers then give the score, so the
+    pairwise sum sees the same array for any thread count.
 
     For a parametric pattern the candidate row is split along the pattern's
     separable form. ``candidate_deltas`` takes the angles in the caller's
@@ -228,8 +254,10 @@ class _FieldEvaluator:
         self.noise_floor = noise_floor_dbm(NoiseModel.from_radio(scene.radio))
         self.angles: dict[tuple[str, int], Orientation] = {}
         self.field: RadioField | None = None
-        self._candidate_row = np.empty(grid.count, dtype=np.float64)
+        self._row = np.empty(grid.count, dtype=np.float64)
         self._az_term = np.empty(grid.count, dtype=np.float64)
+        self._covered = np.empty(grid.count, dtype=bool)
+        self._margin = np.empty(grid.count, dtype=np.float64)
         self._objective = None
         self._context = None
 
@@ -245,33 +273,12 @@ class _FieldEvaluator:
 
         kernels.run_tasks(work, kernels.chunks(self.grid.count), self.threads)
 
-    def _separable_row_into(self, key, angle, new_azimuth, out):
-        """``_eval_row_into`` for a parametric pattern, reusing ``_az_term``.
-
-        The wrapped and capped azimuth term is recomputed into ``_az_term``
-        only when ``new_azimuth``; the elevation term, the combine and the
-        RSRP are computed per angle, with the operands and order of
-        ``kernels.beam_rsrp_numpy``.
-        """
-        site, cell, sb = self.scene.sub_beam(*key)
-        az, el, loss = self.geometry[site.id]
-        pattern, a_az = sb.pattern, self._az_term
-
-        def work(bounds):
-            lo, hi = bounds
-            if new_azimuth:
-                a_az[lo:hi] = pattern.azimuth_attenuation_db(
-                    wrap_angle_deg(az[lo:hi] - angle.azimuth_deg))
-            gain_dbi = pattern.gain_from_attenuation_dbi(
-                a_az[lo:hi], pattern.elevation_attenuation_db(el[lo:hi] - angle.tilt_deg))
-            out[lo:hi] = kernels.rsrp_from_gain(cell.tx_power_dbm, gain_dbi, loss[lo:hi],
-                                                self.offset_db)
-
-        kernels.run_tasks(work, kernels.chunks(self.grid.count), self.threads)
-
-    def set_assignment(self, assignment: BeamAssignment):
-        self.field = build_field(self.scene, self.grid, assignment, self.offset_db,
-                                 threads=self.threads)
+    def set_assignment(self, assignment: BeamAssignment, field: RadioField | None = None):
+        """Take ``assignment`` as the state; ``field``, if given, is its build_field."""
+        if field is None:
+            field = build_field(self.scene, self.grid, assignment, self.offset_db,
+                                threads=self.threads)
+        self.field = field
         self.angles = dict(assignment.angles)
         self._rescore()
 
@@ -297,15 +304,19 @@ class _FieldEvaluator:
             self._eval_row_into(k, self.angles[k], rows[i])
         max_other_rows = np.maximum.reduce(np.delete(rows, j, axis=0), axis=0,
                                            initial=-np.inf)
-        lin = linear_mw(rows)
-        del rows   # at paper scale the rows are 200+ MB; free them before the context
+        lin = linear_mw(rows, out=rows)   # in place: at paper scale the rows are 200+ MB
+        lin_before = np.add.reduce(lin[:j], axis=0)
+        lin_after = tuple(lin[j + 1:].copy())
+        del rows, lin
         cell_max, cell_lin = self.field.cell_rsrp_dbm, self.field.cell_lin_mw
         others = [c for c in range(len(self.cell_ids)) if c != s]
-        if others:
-            other_max = cell_max[others]
-            first = np.argmax(other_max, axis=0)   # first max = smallest cell id
-            rival_dbm = other_max[first, np.arange(n)]
-            rival = np.asarray(others)[first]
+        if others:   # the first max over the other cells, like argmax: ties keep the smaller id
+            rival_dbm = cell_max[others[0]].copy()
+            rival = np.full(n, others[0])
+            for c in others[1:]:
+                better = cell_max[c] > rival_dbm
+                np.copyto(rival_dbm, cell_max[c], where=better)
+                np.copyto(rival, c, where=better)
         else:
             rival_dbm = np.full(n, -np.inf)
             rival = np.full(n, s + 1)
@@ -318,49 +329,98 @@ class _FieldEvaluator:
         self._context = _StepContext(
             key=key,
             cell=s,
-            lin_before=np.add.reduce(lin[:j], axis=0),
-            lin_after=tuple(lin[j + 1:].copy()),
+            lin_before=lin_before,
+            lin_after=lin_after,
             max_other_rows=max_other_rows,
             rival_dbm=rival_dbm,
-            wins_tie=s < rival,
+            # A tie goes to the smaller id; for floats, x >= r is x > nextafter(r, -inf).
+            serves_above=np.where(s < rival, np.nextafter(rival_dbm, -np.inf), rival_dbm),
             interference_if_serving=if_serving,
             interference_before=before,
             interference_after=tuple(np.where(rival != c, cell_lin[c], 0.0)
                                      for c in others if c > s))
         return self._context
 
-    def _candidate_objective(self, ctx: _StepContext, row) -> float:
-        cell_max, cell_lin = _cell_with_row(ctx, row)
-        serves = (cell_max > ctx.rival_dbm) | ((cell_max == ctx.rival_dbm) & ctx.wins_tie)
-        serving_dbm = np.where(serves, cell_max, ctx.rival_dbm)
-        interference = ctx.interference_before + cell_lin
+    def _score_chunk(self, ctx: _StepContext, voxels: slice, row, buffers):
+        """Write the covered mask and capped margin at ``voxels`` for candidate ``row``.
+
+        ``row`` and ``buffers`` are chunk-sized scratch; ``row`` is overwritten.
+        The operands and their order are those of the full path.
+        """
+        lin, serves, rival_serves = buffers
+        _cell_with_row(ctx, voxels, row, row, lin)   # row becomes the cell max
+        np.greater(row, ctx.serves_above[voxels], out=serves)
+        np.less_equal(row, ctx.serves_above[voxels], out=rival_serves)
+        np.copyto(row, ctx.rival_dbm[voxels], where=rival_serves)   # now the serving RSRP
+        interference = np.add(ctx.interference_before[voxels], lin, out=lin)
         for term in ctx.interference_after:
-            interference += term
-        np.copyto(interference, ctx.interference_if_serving, where=serves)
-        sinr = sinr_db(serving_dbm, interference, self.noise_floor, self.activity_factor)
-        return score_fields(serving_dbm, sinr, self.weights, self.thresholds)
+            interference += term[voxels]
+        np.copyto(interference, ctx.interference_if_serving[voxels], where=serves)
+        sinr = sinr_db(row, interference, self.noise_floor, self.activity_factor,
+                       out=interference)
+        _score_terms(row, sinr, self.weights, self.thresholds,
+                     self._covered[voxels], self._margin[voxels])
+
+    def _candidate_row(self, beam, angle, new_azimuth, voxels: slice, out):
+        """The RSRP of ``beam`` steered to ``angle`` at ``voxels``, into ``out``.
+
+        A parametric pattern recomputes the wrapped, capped azimuth term into
+        ``_az_term`` only when ``new_azimuth``; the elevation term, the
+        combine and the RSRP follow the operands and order of
+        ``kernels.beam_rsrp_numpy``. A table pattern takes that function.
+        """
+        pattern, tx_power_dbm, az, el, loss = beam
+        if not isinstance(pattern, AntennaPattern):
+            out[:] = kernels.beam_rsrp_numpy(az[voxels], el[voxels], loss[voxels], pattern,
+                                             angle, tx_power_dbm, self.offset_db)
+            return
+        a_az = self._az_term[voxels]
+        if new_azimuth:
+            pattern.azimuth_attenuation_db(wrap_angle_deg(az[voxels] - angle.azimuth_deg),
+                                           out=a_az)
+        np.subtract(el[voxels], angle.tilt_deg, out=out)
+        pattern.elevation_attenuation_db(out, out=out)
+        pattern.gain_from_attenuation_dbi(a_az, out, out=out)
+        kernels.rsrp_from_gain(tx_power_dbm, out, loss[voxels], self.offset_db, out=out)
 
     def candidate_deltas(self, key, angles) -> list[float]:
         """Objective change for steering ``key`` to each angle; state unchanged."""
         ctx = self._step_context(key)
-        separable = isinstance(self.scene.sub_beam(*key)[2].pattern, AntennaPattern)
-        row, last_az, deltas = self._candidate_row, None, []
+        site, cell, sb = self.scene.sub_beam(*key)
+        beam = (sb.pattern, cell.tx_power_dbm, *self.geometry[site.id])
+        tasks = kernels.chunks(self.grid.count)
+        size = max((hi - lo for lo, hi in tasks), default=0)
+        scratch = queue.SimpleQueue()   # one set of chunk buffers per running task
+        for _ in range(min(self.threads or 1, len(tasks))):
+            scratch.put((np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+                         np.empty(size, dtype=bool)))
+        last_az, deltas = None, []
         for angle in angles:
-            if separable:
-                self._separable_row_into(key, angle, angle.azimuth_deg != last_az, row)
-                last_az = angle.azimuth_deg
-            else:
-                self._eval_row_into(key, angle, row)
-            deltas.append(self._candidate_objective(ctx, row) - self._objective)
+            new_azimuth = angle.azimuth_deg != last_az
+            last_az = angle.azimuth_deg
+
+            def work(bounds):
+                lo, hi = bounds
+                chunk_buffers = scratch.get()
+                try:
+                    row, *buffers = (b[:hi - lo] for b in chunk_buffers)
+                    self._candidate_row(beam, angle, new_azimuth, slice(lo, hi), row)
+                    self._score_chunk(ctx, slice(lo, hi), row, buffers)
+                finally:
+                    scratch.put(chunk_buffers)
+
+            kernels.run_tasks(work, tasks, self.threads)
+            deltas.append(_score_total(self._covered, self._margin, self.weights)
+                          - self._objective)
         return deltas
 
     def apply(self, key, angle):
         """Steer ``key`` to ``angle``: rewrite its cell's max and mW sum, rescore."""
         ctx = self._step_context(key)
-        row = self._candidate_row
+        row = self._row
         self._eval_row_into(key, angle, row)
-        self.field.cell_rsrp_dbm[ctx.cell], self.field.cell_lin_mw[ctx.cell] = (
-            _cell_with_row(ctx, row))
+        _cell_with_row(ctx, slice(None), row, self.field.cell_rsrp_dbm[ctx.cell],
+                       self.field.cell_lin_mw[ctx.cell])
         self.angles[key] = angle
         self._rescore()
 
@@ -412,12 +472,14 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
                     thresholds: CoverageThresholds | None = None,
                     order: list[tuple[str, int]] | None = None, *,
                     activity_factor: float = 1.0, offset_db: float = 0.0,
-                    threads: int = 1
+                    threads: int = 1, field: RadioField | None = None
                     ) -> tuple[BeamAssignment, OptimizationTrace, RadioField]:
     """One greedy sequential pass over all sub-beams; monotone by construction.
 
     Returns the optimized assignment, the trace and the optimized assignment's
-    field, which equals ``build_field`` of it.
+    field, which equals ``build_field`` of it. ``field`` may pass in
+    ``build_field(scene, grid, initial, offset_db)`` when the caller has
+    built it already; the pass then rewrites that field in place.
     """
     initial.validate_for(scene, require_lattice=True)
     if order is None:
@@ -427,7 +489,7 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
 
     ev = _FieldEvaluator(scene, grid, weights, thresholds, activity_factor,
                          offset_db, threads)
-    ev.set_assignment(initial)
+    ev.set_assignment(initial, field)
     initial_objective = ev.objective
     last_assigned: dict[str, Orientation] = {}
     steps = []

@@ -77,10 +77,16 @@ def cell_beam_slices(cell_ids, beam_keys) -> list[tuple[int, int]]:
     return slices
 
 
+def _any_at(points: np.ndarray, pos) -> bool:
+    """Whether any (n, 3) point equals ``pos``; column by column, without an (n, 3) mask."""
+    return bool(np.any((points[:, 0] == pos[0]) & (points[:, 1] == pos[1])
+                       & (points[:, 2] == pos[2])))
+
+
 def _check_no_coincidence(scene: SceneConfig, centers: np.ndarray) -> None:
     for site in scene.sites:
         pos = np.asarray(site.position_m)
-        if np.any(np.all(centers == pos, axis=1)):
+        if _any_at(centers, pos):
             raise SingularityError(
                 f"a voxel center coincides with site '{site.id}' at {tuple(pos)}"
             )
@@ -153,7 +159,7 @@ def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
         idx = np.asarray([i for i, c in enumerate(cell_ids) if c == cell_id])
         sub = np.ascontiguousarray(positions[idx])
         pos = np.asarray(site.position_m)
-        if np.any(np.all(sub == pos, axis=1)):
+        if _any_at(sub, pos):
             raise SingularityError(f"a prediction point coincides with site '{site.id}'")
         geometry = kernels.site_geometry(sub, site.position_m, scene.radio.frequency_hz)
         rows = np.stack([kernels.beam_rsrp_numpy(*geometry, sb.pattern,

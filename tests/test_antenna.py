@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from airtwin.antenna import (
     AntennaPattern,
@@ -51,6 +54,55 @@ class TestOffsets:
         assert wrap_angle_deg(-180.0) == 180.0
         assert wrap_angle_deg(540.0) == 180.0
         assert wrap_angle_deg(-345.0) == pytest.approx(15.0)
+
+
+def mod_wrap(angle):
+    """The reference wrap: ``np.mod``, then -360 above 180."""
+    wrapped = np.mod(np.asarray(angle, dtype=np.float64), 360.0)
+    return np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+_STEPS = np.array([s * v for v in (0.0, 180.0, 360.0, 540.0, 720.0) for s in (1.0, -1.0)])
+EDGES = np.concatenate([_STEPS, np.nextafter(_STEPS, np.inf), np.nextafter(_STEPS, -np.inf)])
+SPECIAL = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300])
+FAST = EDGES[np.abs(EDGES) < 720.0]   # values the fmod-free path takes
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder")
+class TestWrapAngle:
+    """``wrap_angle_deg`` equals ``np.mod`` and -360 above 180, bit for bit."""
+
+    def test_edges_one_at_a_time_and_together(self):
+        for value in np.concatenate([EDGES, SPECIAL]):
+            assert bits(wrap_angle_deg(np.array([value]))) == bits(mod_wrap([value])), value
+            assert bits(wrap_angle_deg(float(value))) == bits(mod_wrap(value)), value
+        for values in (FAST, EDGES, np.concatenate([EDGES, SPECIAL])):
+            np.testing.assert_array_equal(bits(wrap_angle_deg(values)), bits(mod_wrap(values)))
+
+    def test_input_untouched_and_range(self):
+        values = np.linspace(-719.0, 719.0, 4001)
+        kept = values.copy()
+        wrapped = wrap_angle_deg(values)
+        np.testing.assert_array_equal(values, kept)
+        assert np.all((wrapped > -180.0) & (wrapped <= 180.0))
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 48), elements=st.one_of(
+        st.sampled_from(FAST.tolist()),
+        st.floats(-720.0, 720.0, exclude_min=True, exclude_max=True))))
+    def test_fast_path_arrays(self, values):
+        np.testing.assert_array_equal(bits(wrap_angle_deg(values)), bits(mod_wrap(values)))
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 48), elements=st.one_of(
+        st.sampled_from(np.concatenate([EDGES, SPECIAL]).tolist()),
+        st.floats(allow_nan=True, allow_infinity=True))))
+    def test_any_float64_array(self, values):
+        np.testing.assert_array_equal(bits(wrap_angle_deg(values)), bits(mod_wrap(values)))
 
 
 class TestParametricGain:

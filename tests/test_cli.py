@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import airtwin.cli
+import airtwin.optimizer
 from airtwin.cli import main
 from airtwin.measurements import load_measurements
 from airtwin.scene import BeamAssignment, build_voxel_grid, load_scene, save_assignment, save_scene
@@ -242,6 +243,32 @@ class TestOptimizeAndEvaluate:
         trace = json.loads(read(out2 / "trace.json"))
         assert all(abs(s["chosen_delta"]) <= 1e-3 for s in trace)
 
+    def test_optimize_builds_the_initial_field_once(self, tmp_path, monkeypatch):
+        # The report's "before" side comes from the set-up build, taken before
+        # the pass rewrites that field.
+        scene, path = self.make_tiny_opt_scene(tmp_path, n_cells=3)
+        calls = []
+        original = airtwin.optimizer.build_field
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (airtwin.cli, airtwin.optimizer):
+            monkeypatch.setattr(module, "build_field", counted)
+        out = tmp_path / "opt"
+        assert main(["optimize", "--scene", path, "--out", str(out), "--offset-db", "1.5"]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        report = json.loads(read(out / "compare_report.json"))
+        for side, assignment in (("before", []), ("after", ["--assignment",
+                                                          str(out / "assignment.json")])):
+            ev = tmp_path / side
+            assert main(["evaluate", "--scene", path, "--out", str(ev), "--offset-db", "1.5",
+                         *assignment]) == 0
+            assert report[side] == json.loads(read(ev / "coverage_report.json")), side
+        assert report["before"] != report["after"]
+
     def test_evaluate_coverage_report(self, tmp_path):
         scene, path = self.make_tiny_opt_scene(tmp_path)
         opt_out = tmp_path / "opt"
@@ -319,7 +346,11 @@ FAILURE_CASES = {
     "out_under_a_file": (2, ["build"]),
     "mask_past_end": (2, ["evaluate", "--mask", "99999999"]),
     "mask_negative": (2, ["evaluate", "--mask", "-1"]),
+    "mask_not_integer": (2, ["evaluate", "--mask", "1.5"]),
+    "mask_empty": (2, ["evaluate", "--mask", ""]),
     "offset_db_nan": (2, ["build", "--offset-db", "nan"]),
+    # 10^(dBm/10) would overflow and SINR turn NaN.
+    "offset_db_huge": (2, ["evaluate", "--offset-db", "1e308"]),
     "threads_zero": (2, ["build", "--threads", "0"]),
     "threads_negative": (2, ["optimize", "--threads", "-3"]),
     "voxel_m_nan": (2, ["build", "--set", "airspace.voxel_m=NaN"]),
@@ -370,8 +401,9 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
-    if case.startswith(("synth_", "validate_", "threads_")) and case != "synth_noise_sigma_nan":
-        assert argv[1] in err   # a bad synth, validate or --threads flag is named in the error
+    if (case.startswith(("synth_", "validate_", "threads_", "offset_db_"))
+            or case in ("mask_not_integer", "mask_empty")) and case != "synth_noise_sigma_nan":
+        assert argv[1] in err   # the bad flag is named in the error
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -196,13 +198,44 @@ class TestCandidateDeltasExact:
         for key in (("cell0", 0), ("cell1", 1)):   # steering to the same angle keeps the tie
             assert ev.candidate_deltas(key, [current.angles[key]]) == [0.0]
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_threads_and_chunk_boundaries(self, monkeypatch, threads):
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         scene = simple_scene(n_cells=2, n_beams=3, radius_m=100.0, z_max_m=60.0, voxel_m=8.0)
         assert build_voxel_grid(scene.airspace).count > 3 * kernels._CHUNK
         assert_deltas_exact(scene, scene.beam_keys(), threads=threads)
         assert_deltas_exact(scene, scene.beam_keys(), threads=threads, order=interleaved)
+
+    def test_chunk_buffers_under_more_workers_than_cores(self, monkeypatch):
+        # Each running chunk task holds its own scratch buffers; two tasks
+        # writing one set would change some delta. A tiny switch interval
+        # makes the workers interleave inside the numpy calls' Python glue.
+        monkeypatch.setattr(kernels, "_CHUNK", 101)
+        scene = simple_scene(n_cells=3, n_beams=3, radius_m=100.0, z_max_m=60.0, voxel_m=10.0)
+        grid = build_voxel_grid(scene.airspace)
+        key = ("cell1", 1)
+        lattice = scene.sub_beam(*key)[2].lattice()
+        deltas = {}
+        for threads in (1, 6):
+            ev = _FieldEvaluator(scene, grid, W, None, 1.0, 0.0, threads)
+            ev.set_assignment(BeamAssignment.baseline(scene))
+            deltas[threads] = ev.candidate_deltas(key, lattice)
+        ev = _FieldEvaluator(scene, grid, W, None, 1.0, 0.0, 6)
+        ev.set_assignment(BeamAssignment.baseline(scene))
+        stressed = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: stressed.append(ev.candidate_deltas(key, lattice)))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert grid.count > 6 * kernels._CHUNK
+        assert deltas[6] == deltas[1]
+        assert stressed == [deltas[1]]
 
     def test_table_pattern_sub_beam(self):
         # The table-pattern sub-beam takes the general kernel path; the other
