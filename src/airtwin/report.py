@@ -99,7 +99,7 @@ def coverage_ratios(field: RadioField, sinr: SinrField,
     """Threshold satisfaction ratios, aggregate and per altitude layer.
 
     ``mask`` optionally restricts the computation to a subset of voxel indices
-    (e.g. voxels along measured flight routes).
+    (e.g. voxels along measured flight routes); each index may appear once.
     """
     if field.grid is not sinr.grid and field.grid.count != sinr.grid.count:
         raise DimensionError("RSRP and SINR fields do not share a grid")
@@ -110,6 +110,12 @@ def coverage_ratios(field: RadioField, sinr: SinrField,
         raise DimensionError(
             f"voxel mask indices must lie in [0, {field.grid.count}), "
             f"got {idx.min()}..{idx.max()}")
+    if mask is not None:
+        first = np.unique(idx, return_index=True)[1]
+        if first.size < idx.size:
+            repeat = np.ones(idx.size, dtype=bool)
+            repeat[first] = False
+            raise DimensionError(f"voxel mask repeats index {idx[repeat][0]}")
     serving = sinr.serving_rsrp_dbm[idx]
     sinr_db = sinr.sinr_db[idx]
     zs = field.grid.centers[idx, 2]

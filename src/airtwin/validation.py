@@ -9,7 +9,10 @@ is exact at training nodes.
 
 Folds follow the drive-test protocol: the test set is a contiguous segment of
 the trajectory (30% by default), shifted along the trajectory across folds;
-everything else trains.
+everything else trains. Neighbouring folds share most of their training rows,
+so ``KrigingPredictor`` keeps the (layer, cell) models it fits for the whole
+run: a group whose points and values equal one fitted in an earlier fold
+reuses that model instead of being fitted again.
 """
 
 from __future__ import annotations
@@ -119,12 +122,17 @@ def error_cdf(errors, grid=None) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class VariogramModel:
-    """Exponential variogram with practical range: nugget + (sill-nugget)(1-exp(-3h/range))."""
+    """Exponential variogram with practical range: nugget + (sill-nugget)(1-exp(-3h/range)).
+
+    ``fit_error`` names the error of a least-squares fit that fell back to the
+    default model; it is None for a model that was fitted or given.
+    """
 
     nugget: float
     sill: float
     range_m: float
     kind: str = "exponential"
+    fit_error: str | None = None
 
     def __post_init__(self):
         if self.nugget < 0:
@@ -176,16 +184,18 @@ def fit_variogram(points: np.ndarray, values: np.ndarray) -> VariogramModel:
 
     sill0 = max(var, float(gammas.mean()), 1e-6)
     x0 = np.array([min(gammas[0], sill0 / 2.0), sill0, max(h_max / 2.0, 1.0)])
+    fit_error = None
     try:
         fit = least_squares(residual, x0=x0,
                             bounds=([0.0, 1e-9, 1e-6], [np.inf, np.inf, np.inf]))
         nugget, partial, rng = fit.x
     except ImportError:
         raise   # a missing scipy is not a failed fit
-    except Exception:
+    except Exception as exc:
         nugget, partial, rng = 0.0, sill0, max(h_max / 3.0, 1.0)
+        fit_error = f"{type(exc).__name__}: {exc}"
     return VariogramModel(nugget=float(nugget), sill=float(nugget + max(partial, 1e-9)),
-                          range_m=float(rng))
+                          range_m=float(rng), fit_error=fit_error)
 
 
 @dataclass
@@ -212,12 +222,29 @@ def _layer_bin(z: float, layer_height_m: float) -> int:
     return int(np.floor(z / layer_height_m))
 
 
-def kriging_fit(train: MeasurementSet, layer_height_m: float = DEFAULT_LAYER_HEIGHT_M) -> KrigingModel:
-    """Partition training samples into altitude layers and fit per (layer, cell)."""
+def _fit_layer(points: np.ndarray, values: np.ndarray) -> _LayerModel:
+    """The (layer, cell) model of one group of 3+ samples."""
     from scipy.spatial import cKDTree
 
+    if np.ptp(values) == 0.0:
+        return _LayerModel(points=points, values=values, variogram=None,
+                           constant=float(values[0]))
+    return _LayerModel(points=points, values=values, variogram=fit_variogram(points, values),
+                       constant=None, tree=cKDTree(points))
+
+
+def kriging_fit(train: MeasurementSet, layer_height_m: float = DEFAULT_LAYER_HEIGHT_M,
+                fits: dict | None = None) -> KrigingModel:
+    """Partition training samples into altitude layers and fit per (layer, cell).
+
+    ``fits`` maps the bytes of a group's (points, values) to the model fitted
+    from them. A group found there is reused, and each new fit is added. The
+    key is the content, not (layer, cell), because which samples a (layer,
+    cell) group holds changes with the training set.
+    """
     if len(train) == 0:
         raise EmptySetError("kriging_fit needs a nonempty training set")
+    fits = {} if fits is None else fits
     bins = np.floor(train.positions[:, 2] / layer_height_m).astype(int)
     layers: dict = {}
     unfittable = []
@@ -225,24 +252,18 @@ def kriging_fit(train: MeasurementSet, layer_height_m: float = DEFAULT_LAYER_HEI
     for i in range(len(train)):
         groups.setdefault((int(bins[i]), str(train.cell_ids[i])), []).append(i)
 
-    fitted_any = False
     for key, rows in sorted(groups.items()):
-        idx = np.asarray(rows)
-        pts = train.positions[idx][:, :2]
-        vals = train.rsrp_dbm[idx]
         if len(rows) < 3:
             unfittable.append((key[0], key[1], len(rows)))
             continue
-        if np.ptp(vals) == 0.0:
-            layers[key] = _LayerModel(points=pts, values=vals, variogram=None,
-                                      constant=float(vals[0]))
-            fitted_any = True
-            continue
-        vario = fit_variogram(pts, vals)
-        layers[key] = _LayerModel(points=pts, values=vals, variogram=vario,
-                                  constant=None, tree=cKDTree(pts))
-        fitted_any = True
-    if not fitted_any:
+        idx = np.asarray(rows)
+        pts = train.positions[idx][:, :2]
+        vals = train.rsrp_dbm[idx]
+        content = (pts.tobytes(), vals.tobytes())
+        if content not in fits:
+            fits[content] = _fit_layer(pts, vals)
+        layers[key] = fits[content]
+    if not layers:
         raise SizeError("no (layer, cell) group has the 3+ samples needed to fit")
 
     cell_means = {}
@@ -351,16 +372,24 @@ class TwinPredictor:
 
 
 class KrigingPredictor:
+    """Per-(layer, cell) ordinary Kriging, reusing each group's fit across the folds of a run."""
+
     def __init__(self, layer_height_m: float = DEFAULT_LAYER_HEIGHT_M):
         self.layer_height_m = layer_height_m
+        self.fits: dict = {}   # see kriging_fit
 
     def fit(self, train: MeasurementSet):
-        model = kriging_fit(train, self.layer_height_m)
+        model = kriging_fit(train, self.layer_height_m, self.fits)
 
         def predict(points):
             return kriging_predict(model, points, return_flags=True)
 
         return predict
+
+    def fit_fallbacks(self) -> list[str]:
+        """The error of each variogram fit so far that fell back to the default model."""
+        return [layer.variogram.fit_error for layer in self.fits.values()
+                if layer.variogram is not None and layer.variogram.fit_error is not None]
 
 
 class NearestNeighborPredictor:

@@ -43,7 +43,7 @@ from airtwin.validation import (
     run_validation,
 )
 
-from conftest import random_instance, simple_scene
+from factories import random_instance, simple_scene
 
 
 class _Budget:

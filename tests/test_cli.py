@@ -8,11 +8,12 @@ import pytest
 
 import airtwin.cli
 import airtwin.optimizer
+import airtwin.validation
 from airtwin.cli import main
 from airtwin.measurements import load_measurements
 from airtwin.scene import BeamAssignment, build_voxel_grid, load_scene, save_assignment, save_scene
 from airtwin.spectrum import TwinModel
-from conftest import simple_scene
+from factories import simple_scene
 
 
 @pytest.fixture()
@@ -197,10 +198,33 @@ class TestValidate:
         report = json.loads(read(tmp_path / "val" / "validation_report.json"))
         assert all("kriging" in fold["failed"] for fold in report["folds"])
 
+    def test_variogram_fit_fallback_is_one_warning(self, tiny_scene_path, tmp_path, capsys,
+                                                   monkeypatch):
+        synth_out = tmp_path / "synth"
+        main(["synth", "--scene", tiny_scene_path, "--out", str(synth_out),
+              "--samples", "120", "--noise-sigma-db", "2"])
+        calls = []
+
+        def failing(fun, x0, **kwargs):
+            calls.append(fun)
+            raise RuntimeError(f"no convergence {len(calls)}")
+
+        monkeypatch.setattr(airtwin.validation, "least_squares", failing)
+        capsys.readouterr()
+        rc = main(["validate", "--scene", tiny_scene_path, "--out", str(tmp_path / "val"),
+                   "--measurements", str(synth_out / "measurements.csv")])
+        assert rc == 0
+        assert len(calls) >= 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {len(calls)} variogram fit(s) fell back to the default model: "
+            "RuntimeError: no convergence 1"]
+        report = json.loads(read(tmp_path / "val" / "validation_report.json"))
+        assert "kriging" in report["pooled_rmse_db"]
+
 
 class TestOptimizeAndEvaluate:
     def make_tiny_opt_scene(self, tmp_path, n_cells=2):
-        from conftest import random_instance
+        from factories import random_instance
 
         scene = random_instance(0, n_cells=n_cells, n_beams=1, n_tilts=3)
         path = tmp_path / "opt_scene.json"
@@ -348,6 +372,7 @@ FAILURE_CASES = {
     "mask_negative": (2, ["evaluate", "--mask", "-1"]),
     "mask_not_integer": (2, ["evaluate", "--mask", "1.5"]),
     "mask_empty": (2, ["evaluate", "--mask", ""]),
+    "mask_duplicate": (2, ["evaluate", "--mask", "5\n5\n5"]),
     "offset_db_nan": (2, ["build", "--offset-db", "nan"]),
     # 10^(dBm/10) would overflow and SINR turn NaN.
     "offset_db_huge": (2, ["evaluate", "--offset-db", "1e308"]),
@@ -404,6 +429,8 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
     if (case.startswith(("synth_", "validate_", "threads_", "offset_db_"))
             or case in ("mask_not_integer", "mask_empty")) and case != "synth_noise_sigma_nan":
         assert argv[1] in err   # the bad flag is named in the error
+    if case == "mask_duplicate":
+        assert "repeats index 5" in err
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}
 

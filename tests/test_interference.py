@@ -14,7 +14,7 @@ from airtwin.interference import (
 from airtwin.scene import BeamAssignment, build_voxel_grid
 from airtwin.spectrum import RadioField, build_field
 
-from conftest import simple_scene
+from factories import simple_scene
 
 
 class TestNoiseFloor:

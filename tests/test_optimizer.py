@@ -25,7 +25,7 @@ from airtwin.optimizer import (
 from airtwin.scene import BeamAssignment, CoverageThresholds, SceneConfig, Site, build_voxel_grid
 from airtwin.spectrum import build_field
 
-from conftest import random_instance, simple_scene, with_table_beam
+from factories import random_instance, simple_scene, with_table_beam
 
 W = ObjectiveWeights(alpha=1.0, beta=0.1, margin_cap_db=10.0, epsilon_gain=0.005)
 

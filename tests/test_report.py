@@ -15,7 +15,7 @@ from airtwin.scene import BeamAssignment, CoverageThresholds, build_voxel_grid
 from airtwin.spectrum import build_field
 from airtwin.antenna import Orientation
 
-from conftest import simple_scene
+from factories import simple_scene
 
 THR = CoverageThresholds()
 
@@ -98,6 +98,13 @@ class TestCoverageRatios:
         mask = np.array([0, grid.count if bad == "count" else bad])
         with pytest.raises(DimensionError, match="mask"):
             coverage_ratios(field, sinr, THR, mask=mask)
+
+    def test_mask_repeated_index_rejected(self, tiny):
+        # A repeat would weight that voxel once per occurrence in every ratio.
+        scene, _ = tiny
+        _, field, sinr = fields_for(scene)
+        with pytest.raises(DimensionError, match="repeats index 5$"):
+            coverage_ratios(field, sinr, THR, mask=np.array([3, 5, 7, 5, 3]))
 
     def test_invariant_under_voxel_reordering(self, tiny):
         scene, grid = tiny

@@ -27,7 +27,7 @@ from airtwin.scene import (
 from airtwin.antenna import Orientation
 from airtwin.synth import demo_scene
 
-from conftest import simple_scene
+from factories import simple_scene
 
 
 def brute_force_count(spec: CylinderSpec) -> int:

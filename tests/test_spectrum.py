@@ -23,7 +23,7 @@ from airtwin.spectrum import (
 )
 from airtwin.measurements import MeasurementSet
 from airtwin.synth import demo_scene
-from conftest import simple_scene, with_table_beam
+from factories import simple_scene, with_table_beam
 
 C = 299_792_458.0
 

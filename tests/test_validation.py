@@ -24,7 +24,7 @@ from airtwin.validation import (
     run_validation,
 )
 
-from conftest import simple_scene
+from factories import simple_scene
 
 
 class TestFolds:
@@ -151,6 +151,17 @@ class TestVariogram:
         assert len(calls) >= 1
         assert "scipy.optimize" in sys.modules
 
+    def test_failed_fit_falls_back_and_names_its_error(self, monkeypatch):
+        assert fit_variogram(*self._noisy_field()).fit_error is None
+
+        def failing(fun, x0, **kwargs):
+            raise RuntimeError("no convergence")
+
+        monkeypatch.setattr(validation, "least_squares", failing)
+        model = fit_variogram(*self._noisy_field())
+        assert model.fit_error == "RuntimeError: no convergence"
+        assert model.nugget == 0.0
+
     def test_missing_scipy_raises_instead_of_falling_back(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy.optimize", None)
         with pytest.raises(ImportError):
@@ -228,6 +239,28 @@ class TestKriging:
         got = kriging_predict(model, [((55.0, 45.0, 5.0), "a")])
         assert got[0] == pytest.approx(expected, abs=1e-9)
 
+    def test_groups_differing_in_one_value_are_each_fitted(self, monkeypatch):
+        mset = self._smooth_set(n=40)
+        changed = mset.rsrp_dbm.copy()
+        changed[7] += 0.5
+        other = flat_set(mset.positions, changed)
+        calls = []
+        fit = validation.fit_variogram
+
+        def counting(points, values):
+            calls.append(values)
+            return fit(points, values)
+
+        monkeypatch.setattr(validation, "fit_variogram", counting)
+        fits = {}
+        first = kriging_fit(mset, 10.0, fits)
+        second = kriging_fit(other, 10.0, fits)
+        assert len(calls) == 2
+        assert second.layers[(1, "a")].values[7] == changed[7]
+        assert first.layers[(1, "a")].values[7] == mset.rsrp_dbm[7]
+        kriging_fit(other, 10.0, fits)   # the same content again is reused
+        assert len(calls) == 2
+
     def test_unfittable_layer_falls_back_flagged(self):
         pts = np.array([[0.0, 0.0, 5.0], [10.0, 0.0, 5.0], [0.0, 10.0, 5.0],
                         [5.0, 5.0, 55.0]])   # one lonely sample at the top layer
@@ -257,6 +290,13 @@ class _OraclePredictor:
 class _FailingPredictor:
     def fit(self, train):
         raise RuntimeError("deliberate failure")
+
+
+class _FreshKriging:
+    """A new KrigingPredictor, and so no fit kept from an earlier fold, per fold."""
+
+    def fit(self, train):
+        return KrigingPredictor().fit(train)
 
 
 class TestRunValidation:
@@ -332,6 +372,32 @@ class TestRunValidation:
             "nn": NearestNeighborPredictor(),
         })
         assert report.pooled_rmse_db["kriging"] <= report.pooled_rmse_db["nn"]
+
+    @pytest.mark.parametrize("n_folds", [1, 3])
+    def test_fits_shared_across_folds_give_the_same_report(self, n_folds):
+        _, _, mset = self._dataset(noise=2.0, seed=4, n_points=300)
+        reports = [run_validation(mset, {"kriging": kriging, "nn": NearestNeighborPredictor()},
+                                  n_folds=n_folds)
+                   for kriging in (KrigingPredictor(), _FreshKriging())]
+        assert reports[0] == reports[1]
+
+    def test_each_distinct_group_is_fitted_once_per_run(self, monkeypatch):
+        _, _, mset = self._dataset(noise=2.0, seed=4, n_points=300)
+        fitted = []   # (points, values) of every variogram-fitted group, fold by fold
+        for fold in block_holdout_folds(mset):
+            model = kriging_fit(mset.subset(fold.train_indices))
+            fitted += [(layer.points.tobytes(), layer.values.tobytes())
+                       for layer in model.layers.values() if layer.variogram is not None]
+        calls = []
+        fit = validation.fit_variogram
+
+        def counting(points, values):
+            calls.append(values)
+            return fit(points, values)
+
+        monkeypatch.setattr(validation, "fit_variogram", counting)
+        run_validation(mset, {"kriging": KrigingPredictor(), "nn": NearestNeighborPredictor()})
+        assert len(calls) == len(set(fitted)) < len(fitted)
 
     def test_failed_predictor_marks_fold_others_proceed(self):
         scene, assignment, mset = self._dataset(noise=1.0, seed=8)
