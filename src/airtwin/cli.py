@@ -431,6 +431,8 @@ def main(argv=None) -> int:
                              f"got {args.offset_db}")
         if args.threads < 1:
             raise InputError(f"--threads must be >= 1, got {args.threads}")
+        if not 0.0 <= args.activity_factor <= 1.0:   # also false for NaN
+            raise InputError(f"--activity-factor must be in [0, 1], got {args.activity_factor}")
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

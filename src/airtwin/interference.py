@@ -1,9 +1,11 @@
 """Interference twin: per-voxel serving cell, interference power, and SINR.
 
-Serving cell is the argmax of cell-level RSRP (ties to the lexicographically
-smallest cell id). Interference is the activity-factor-scaled linear sum of
-ALL sub-beams of every non-serving cell (full-load worst case by default).
-SINR is computed as
+Serving cell is the strongest cell by cell-level RSRP, found by one running
+first max over the cell rows: a later cell takes a voxel only when strictly
+stronger, so a tie goes to the lexicographically smallest cell id. The same
+pass yields the serving RSRP. Interference is the activity-factor-scaled
+linear sum of ALL sub-beams of every non-serving cell (full-load worst case
+by default). SINR is computed as
 
     SINR_dB = serving_dBm - noise_floor_dBm - 10 log10(1 + I_mW / N_mW)
 
@@ -20,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _csv
 from .errors import EmptySetError
 from .scene import RadioConstants
 
@@ -84,6 +87,24 @@ def cell_linear_sums(beam_dbm: np.ndarray,
     return out
 
 
+def first_max(cell_rsrp_dbm: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+    """Per voxel, the first of ``cells`` with the highest RSRP, and that RSRP.
+
+    One running max over the cells' rows, in the order given: a later cell
+    takes a voxel only when it is strictly stronger, so a tie keeps the
+    earlier cell.
+    """
+    first, *rest = cells
+    best = np.full(cell_rsrp_dbm.shape[1], first)
+    best_dbm = cell_rsrp_dbm[first].copy()
+    better = np.empty(best.shape, dtype=bool)
+    for c in rest:
+        np.greater(cell_rsrp_dbm[c], best_dbm, out=better)
+        np.copyto(best_dbm, cell_rsrp_dbm[c], where=better)
+        np.copyto(best, c, where=better)
+    return best, best_dbm
+
+
 def assemble_sinr(cell_rsrp_dbm: np.ndarray, cell_lin_sums: np.ndarray,
                   noise_floor: float, activity_factor: float):
     """Serving index/value and SINR from cell-level arrays.
@@ -92,8 +113,7 @@ def assemble_sinr(cell_rsrp_dbm: np.ndarray, cell_lin_sums: np.ndarray,
     both produce bit-identical results.
     """
     n_cells, n = cell_rsrp_dbm.shape
-    serving = np.argmax(cell_rsrp_dbm, axis=0)   # first max = smallest cell id
-    serving_dbm = cell_rsrp_dbm[serving, np.arange(n)]
+    serving, serving_dbm = first_max(cell_rsrp_dbm, range(n_cells))   # ties: smaller id
     interference = np.zeros(n, dtype=np.float64)
     for c in range(n_cells):
         np.add(interference, cell_lin_sums[c], out=interference, where=serving != c)
@@ -127,20 +147,15 @@ def build_sinr_field(field: RadioField, model: NoiseModel,
                      activity_factor=float(activity_factor), noise_floor_dbm=floor)
 
 
-def serving_map(field: RadioField) -> np.ndarray:
-    """Per-voxel serving cell id (argmax of cell-level RSRP, ties to smallest id)."""
-    if len(field.cell_ids) < 1:
-        raise EmptySetError("field must contain at least one cell")
-    serving = np.argmax(field.cell_rsrp_dbm, axis=0)
-    return np.asarray(field.cell_ids, dtype=object)[serving]
-
-
 def export_sinr_csv(sinr_field: SinrField, fh) -> None:
     """Write `x_m,y_m,z_m,serving_cell,rsrp_dbm,sinr_db`, voxel order."""
-    fh.write("x_m,y_m,z_m,serving_cell,rsrp_dbm,sinr_db\n")
     centers = sinr_field.grid.centers
-    ids = sinr_field.cell_ids
-    for v in range(centers.shape[0]):
-        x, y, z = centers[v]
-        fh.write(f"{x:.3f},{y:.3f},{z:.3f},{ids[sinr_field.serving_index[v]]},"
-                 f"{sinr_field.serving_rsrp_dbm[v]:.4f},{sinr_field.sinr_db[v]:.4f}\n")
+    ids = np.asarray(_csv.formatted(sinr_field.cell_ids, ""), dtype=object)
+
+    def lines(lo, hi):
+        return [[*(_csv.distinct(centers[lo:hi, axis], ".3f") for axis in range(3)),
+                 ids[sinr_field.serving_index[lo:hi]].tolist(),
+                 _csv.formatted(sinr_field.serving_rsrp_dbm[lo:hi], ".4f"),
+                 _csv.formatted(sinr_field.sinr_db[lo:hi], ".4f")]]
+
+    _csv.write_csv(fh, "x_m,y_m,z_m,serving_cell,rsrp_dbm,sinr_db", centers.shape[0], lines)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csv
 from .errors import SceneSchemaError, SceneValidationError
 from .scene import CylinderSpec
 
@@ -157,8 +158,8 @@ def save_measurements(measurements: MeasurementSet, fh) -> None:
     stored coordinates agree with the stored RSRP to its own 4-decimal
     precision.
     """
-    fh.write("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n")
-    for i in range(len(measurements)):
-        x, y, z = measurements.positions[i]
-        fh.write(f"{measurements.seq[i]},{x:.6f},{y:.6f},{z:.6f},"
-                 f"{measurements.cell_ids[i]},{measurements.rsrp_dbm[i]:.4f}\n")
+    m = measurements
+    _csv.write_csv(fh, ",".join(NATIVE_COLUMNS), len(m), lambda lo, hi: [[
+        _csv.formatted(m.seq[lo:hi], ""),
+        *(_csv.distinct(m.positions[lo:hi, axis], ".6f") for axis in range(3)),
+        _csv.distinct(m.cell_ids[lo:hi], ""), _csv.formatted(m.rsrp_dbm[lo:hi], ".4f")]])

@@ -43,12 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BoundsError, CapExceededError, ConfigurationError
+from .errors import CapExceededError, ConfigurationError
 from .interference import (
     NoiseModel,
     assemble_sinr,
     build_sinr_field,
     check_activity_factor,
+    first_max,
     linear_mw,
     noise_floor_dbm,
     sinr_db,
@@ -310,13 +311,8 @@ class _FieldEvaluator:
         del rows, lin
         cell_max, cell_lin = self.field.cell_rsrp_dbm, self.field.cell_lin_mw
         others = [c for c in range(len(self.cell_ids)) if c != s]
-        if others:   # the first max over the other cells, like argmax: ties keep the smaller id
-            rival_dbm = cell_max[others[0]].copy()
-            rival = np.full(n, others[0])
-            for c in others[1:]:
-                better = cell_max[c] > rival_dbm
-                np.copyto(rival_dbm, cell_max[c], where=better)
-                np.copyto(rival, c, where=better)
+        if others:   # the serving rule of assemble_sinr: ties keep the smaller id
+            rival, rival_dbm = first_max(cell_max, others)
         else:
             rival_dbm = np.full(n, -np.inf)
             rival = np.full(n, s + 1)
@@ -423,25 +419,6 @@ class _FieldEvaluator:
                        self.field.cell_lin_mw[ctx.cell])
         self.angles[key] = angle
         self._rescore()
-
-
-def score_candidate(scene: SceneConfig, grid: VoxelGrid, current: BeamAssignment,
-                    target: tuple[str, int], angle: Orientation,
-                    weights: ObjectiveWeights,
-                    thresholds: CoverageThresholds | None = None, *,
-                    activity_factor: float = 1.0, offset_db: float = 0.0,
-                    threads: int = 1) -> float:
-    """Objective delta of steering one sub-beam to ``angle``."""
-    _, _, sb = scene.sub_beam(*target)
-    if not sb.bounds.contains(angle):
-        raise BoundsError(
-            f"candidate ({angle.azimuth_deg}, {angle.tilt_deg}) out of bounds for "
-            f"{target[0]}[{target[1]}]"
-        )
-    ev = _FieldEvaluator(scene, grid, weights, thresholds, activity_factor,
-                         offset_db, threads)
-    ev.set_assignment(current)
-    return ev.candidate_deltas(target, [angle])[0]
 
 
 def default_order(scene: SceneConfig) -> list[tuple[str, int]]:

@@ -4,6 +4,11 @@ RSRP ratios are computed on the per-voxel serving-cell (best) value, the
 analogue of a scanner's best-cell measurement. A voxel counts as jointly
 covered only if it satisfies the RSRP and SINR thresholds simultaneously.
 Threshold comparisons use >= throughout.
+
+Per-layer ratios read the grid's layer table: every altitude layer is one
+contiguous index range, so each voxel's layer is a ``searchsorted`` of its
+index among the layer starts and ``np.bincount`` counts every layer in one
+pass. A ``mask`` may pick any voxels; a layer it leaves empty is omitted.
 """
 
 from __future__ import annotations
@@ -13,12 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csv
 from .errors import DimensionError
 from .interference import SinrField
 from .scene import CoverageThresholds, VoxelGrid
 from .spectrum import RadioField
 
 DEFAULT_HEATMAP_ALTITUDES_M = (50.0, 150.0, 300.0, 450.0)
+_RATIOS = ("rsrp_basic", "rsrp_strict", "sinr_basic", "sinr_strict", "joint_basic")
 
 
 @dataclass(frozen=True)
@@ -116,38 +123,30 @@ def coverage_ratios(field: RadioField, sinr: SinrField,
             repeat = np.ones(idx.size, dtype=bool)
             repeat[first] = False
             raise DimensionError(f"voxel mask repeats index {idx[repeat][0]}")
+    grid = field.grid
     serving = sinr.serving_rsrp_dbm[idx]
     sinr_db = sinr.sinr_db[idx]
-    zs = field.grid.centers[idx, 2]
+    passed = (serving >= thresholds.rsrp_basic_dbm,
+              serving >= thresholds.rsrp_strict_dbm,
+              sinr_db >= thresholds.sinr_basic_db,
+              sinr_db >= thresholds.sinr_strict_db)
+    passed += (passed[0] & passed[2],)   # joint: basic RSRP and basic SINR
 
-    rsrp_basic = serving >= thresholds.rsrp_basic_dbm
-    rsrp_strict = serving >= thresholds.rsrp_strict_dbm
-    sinr_basic = sinr_db >= thresholds.sinr_basic_db
-    sinr_strict = sinr_db >= thresholds.sinr_strict_db
-    joint = rsrp_basic & sinr_basic
-
-    layers = []
-    for z in np.unique(zs):
-        sel = zs == z
-        n = int(np.count_nonzero(sel))
-        layers.append(LayerCoverage(
-            z_m=float(z), n_voxels=n,
-            ratio_rsrp_basic=int(np.count_nonzero(rsrp_basic[sel])) / n,
-            ratio_rsrp_strict=int(np.count_nonzero(rsrp_strict[sel])) / n,
-            ratio_sinr_basic=int(np.count_nonzero(sinr_basic[sel])) / n,
-            ratio_sinr_strict=int(np.count_nonzero(sinr_strict[sel])) / n,
-            ratio_joint_basic=int(np.count_nonzero(joint[sel])) / n,
-        ))
-
-    return CoverageReport(
-        n_voxels=int(idx.size),
-        count_rsrp_basic=int(np.count_nonzero(rsrp_basic)),
-        count_rsrp_strict=int(np.count_nonzero(rsrp_strict)),
-        count_sinr_basic=int(np.count_nonzero(sinr_basic)),
-        count_sinr_strict=int(np.count_nonzero(sinr_strict)),
-        count_joint_basic=int(np.count_nonzero(joint)),
-        layers=tuple(layers),
-    )
+    # Layers are contiguous index ranges: a voxel's layer is where its index
+    # falls among the layer starts.
+    layer = np.searchsorted(grid.layer_bounds, idx, side="right") - 1
+    n_layers = grid.layer_z.size
+    n = np.bincount(layer, minlength=n_layers)
+    counts = [np.bincount(layer, weights=flags, minlength=n_layers).astype(np.int64)
+              for flags in passed]
+    layers = tuple(
+        LayerCoverage(z_m=float(grid.layer_z[k]), n_voxels=int(n[k]),
+                      **{f"ratio_{name}": int(count[k]) / int(n[k])
+                         for name, count in zip(_RATIOS, counts)})
+        for k in np.flatnonzero(n))
+    return CoverageReport(n_voxels=int(idx.size), layers=layers,
+                          **{f"count_{name}": int(count.sum())
+                             for name, count in zip(_RATIOS, counts)})
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,10 @@ def difference_heatmap(before, after, grid: VoxelGrid, altitude_m: float) -> Hea
 
 
 def export_heatmap_csv(layer: HeatmapLayer, fh) -> None:
-    fh.write("x_m,y_m,delta_db\n")
-    for x, y, d in zip(layer.x_m, layer.y_m, layer.delta_db):
-        fh.write(f"{x:.3f},{y:.3f},{d:.4f}\n")
+    """Write `x_m,y_m,delta_db`, one line per voxel of the layer."""
+    _csv.write_csv(fh, "x_m,y_m,delta_db", len(layer.delta_db), lambda lo, hi: [[
+        _csv.distinct(layer.x_m[lo:hi], ".3f"), _csv.distinct(layer.y_m[lo:hi], ".3f"),
+        _csv.formatted(layer.delta_db[lo:hi], ".4f")]])
 
 
 @dataclass(frozen=True)

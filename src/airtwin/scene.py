@@ -75,26 +75,40 @@ class CylinderSpec:
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Dense-indexed voxel centers inside a cylinder, z-major/y/x iteration order."""
+    """Dense-indexed voxel centers inside a cylinder, z-major/y/x iteration order.
+
+    The order makes every altitude layer one contiguous index range, so the
+    grid keeps a layer table: layer ``k`` sits at altitude ``layer_z[k]``
+    (ascending) and holds the dense indices ``layer_bounds[k]`` up to
+    ``layer_bounds[k + 1]``.
+    """
 
     spec: CylinderSpec
     centers: np.ndarray          # (count, 3) float64
     lattice_shape: tuple[int, int, int]   # (nz, ny, nx)
     lattice_rank: np.ndarray     # (nz, ny, nx) int32; -1 where excluded
     origin: tuple[float, float, float]    # bounding-box minimum corner
+    layer_z: np.ndarray          # (n_layers,) distinct center altitudes, ascending
+    layer_bounds: np.ndarray     # (n_layers + 1,) int64 first index of each layer, then count
 
     @property
     def count(self) -> int:
         return self.centers.shape[0]
 
+    def axis_ticks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lattice's x, y and z center coordinates; each center takes one of each."""
+        nz, ny, nx = self.lattice_shape
+        return tuple(_lattice_ticks(origin, n, self.spec.voxel_m)
+                     for origin, n in zip(self.origin, (nx, ny, nz)))
+
     def layer_z_values(self) -> np.ndarray:
         """Sorted distinct voxel-center altitudes."""
-        return np.unique(self.centers[:, 2])
+        return self.layer_z
 
     def layer_indices(self, z_m: float) -> np.ndarray:
         """Dense indices of the voxel layer whose slab contains altitude z_m."""
         half = self.spec.voxel_m / 2.0
-        zs = self.layer_z_values()
+        zs = self.layer_z
         hits = np.nonzero(np.abs(zs - z_m) <= half)[0]
         if hits.size == 0:
             from .errors import LayerError
@@ -103,8 +117,13 @@ class VoxelGrid:
                 f"altitude {z_m} m is outside the grid layers "
                 f"[{zs[0] - half}, {zs[-1] + half}] m"
             )
-        layer_z = zs[hits[0]]
-        return np.nonzero(self.centers[:, 2] == layer_z)[0]
+        k = hits[0]
+        return np.arange(self.layer_bounds[k], self.layer_bounds[k + 1])
+
+
+def _lattice_ticks(origin: float, n: int, voxel_m: float) -> np.ndarray:
+    """Voxel-center coordinates along one lattice axis."""
+    return origin + (np.arange(n) + 0.5) * voxel_m
 
 
 def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
@@ -121,9 +140,7 @@ def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
     ny = nx
     nz = max(int(math.ceil((spec.z_max_m - spec.z_min_m) / v)), 1)
 
-    xs = x0 + (np.arange(nx) + 0.5) * v
-    ys = y0 + (np.arange(ny) + 0.5) * v
-    zs = z0 + (np.arange(nz) + 0.5) * v
+    xs, ys, zs = (_lattice_ticks(o, n, v) for o, n in ((x0, nx), (y0, ny), (z0, nz)))
 
     dx = xs - cx
     dy = ys - cy
@@ -143,32 +160,11 @@ def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
 
     rank = np.full((nz, ny, nx), -1, dtype=np.int32)
     rank[iz, iy, ix] = np.arange(count, dtype=np.int32)
+    # Every kept layer holds the same circle of voxels; the kept layers are zs' prefix.
+    layer_bounds = np.arange(np.count_nonzero(in_band) + 1) * np.count_nonzero(in_circle)
     return VoxelGrid(spec=spec, centers=centers, lattice_shape=(nz, ny, nx),
-                     lattice_rank=rank, origin=(x0, y0, z0))
-
-
-def voxel_center(grid: VoxelGrid, index: int) -> np.ndarray:
-    """Center coordinates of the voxel at a dense index."""
-    if not 0 <= index < grid.count:
-        raise IndexError(f"voxel index {index} out of range [0, {grid.count})")
-    return grid.centers[index].copy()
-
-
-def nearest_voxel_index(grid: VoxelGrid, point) -> int:
-    """Dense index of the lattice voxel containing (or nearest to) a point.
-
-    Raises IndexError if the point falls in a lattice cell outside the cylinder.
-    """
-    p = np.asarray(point, dtype=float)
-    nz, ny, nx = grid.lattice_shape
-    v = grid.spec.voxel_m
-    ix = int(np.clip(math.floor((p[0] - grid.origin[0]) / v), 0, nx - 1))
-    iy = int(np.clip(math.floor((p[1] - grid.origin[1]) / v), 0, ny - 1))
-    iz = int(np.clip(math.floor((p[2] - grid.origin[2]) / v), 0, nz - 1))
-    rank = int(grid.lattice_rank[iz, iy, ix])
-    if rank < 0:
-        raise IndexError(f"point {tuple(p)} falls outside the voxelized cylinder")
-    return rank
+                     lattice_rank=rank, origin=(x0, y0, z0), layer_z=zs[in_band],
+                     layer_bounds=layer_bounds)
 
 
 # ---------------------------------------------------------------------------

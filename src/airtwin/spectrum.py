@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import _csv, kernels
 from .antenna import Orientation, gain
 from .errors import EmptySetError, SingularityError
 from .interference import cell_linear_sums
@@ -83,10 +83,19 @@ def _any_at(points: np.ndarray, pos) -> bool:
                        & (points[:, 2] == pos[2])))
 
 
-def _check_no_coincidence(scene: SceneConfig, centers: np.ndarray) -> None:
+def _check_no_coincidence(scene: SceneConfig, grid: VoxelGrid) -> None:
+    """Reject a site that sits exactly on a voxel center.
+
+    Each site is looked up on the lattice's axis ticks: a site on a tick of
+    all three axes coincides with a center iff that lattice point is in the
+    grid (rank >= 0).
+    """
+    ticks = grid.axis_ticks()
     for site in scene.sites:
-        pos = np.asarray(site.position_m)
-        if _any_at(centers, pos):
+        pos = np.asarray(site.position_m, dtype=np.float64)
+        at = [int(np.searchsorted(axis, p)) for axis, p in zip(ticks, pos)]
+        if (all(i < axis.size and axis[i] == p for axis, i, p in zip(ticks, at, pos))
+                and grid.lattice_rank[at[2], at[1], at[0]] >= 0):
             raise SingularityError(
                 f"a voxel center coincides with site '{site.id}' at {tuple(pos)}"
             )
@@ -114,7 +123,7 @@ def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
     """
     assignment.validate_for(scene, require_lattice=False)
     centers = grid.centers
-    _check_no_coincidence(scene, centers)
+    _check_no_coincidence(scene, grid)
 
     cell_ids = scene.cell_ids
     beam_keys = scene.beam_keys()
@@ -220,40 +229,15 @@ class TwinModel:
         return self.predict(measurements.positions, measurements.cell_ids)
 
 
-@dataclass(frozen=True)
-class DriftReport:
-    """Model-vs-measurement discrepancy check against a threshold."""
-
-    rmse_db: float
-    drifted: bool
-    threshold_db: float
-    refit: CalibrationOffset
-    n_samples: int
-
-
-def drift_check(model: TwinModel, measurements, threshold_db: float) -> DriftReport:
-    """RMSE of the current model on fresh measurements; flag if above threshold.
-
-    Always returns the refit offset (an absolute replacement for the model's
-    current offset) so the caller can choose to adopt it.
-    """
-    if len(measurements.rsrp_dbm) == 0:
-        raise EmptySetError("drift check needs a nonempty measurement set")
-    predicted = model.predict_set(measurements)
-    errors = np.asarray(measurements.rsrp_dbm) - predicted
-    rmse = float(np.sqrt(np.mean(errors ** 2)))
-    uncalibrated = predicted - model.offset_db
-    refit = calibrate_offset(uncalibrated, measurements.rsrp_dbm)
-    return DriftReport(rmse_db=rmse, drifted=bool(rmse > threshold_db),
-                       threshold_db=float(threshold_db), refit=refit,
-                       n_samples=int(len(measurements.rsrp_dbm)))
-
-
 def export_field_csv(field: RadioField, fh) -> None:
     """Write `x_m,y_m,z_m,cell_id,rsrp_dbm`, voxel-major then cell lexicographic."""
-    fh.write("x_m,y_m,z_m,cell_id,rsrp_dbm\n")
     centers = field.grid.centers
-    for v in range(field.grid.count):
-        x, y, z = centers[v]
-        for c, cell_id in enumerate(field.cell_ids):
-            fh.write(f"{x:.3f},{y:.3f},{z:.3f},{cell_id},{field.cell_rsrp_dbm[c, v]:.4f}\n")
+    ids = _csv.formatted(field.cell_ids, "")
+
+    def lines(lo, hi):   # one record per voxel: its coordinates, then a line per cell
+        xyz = list(map(",".join, zip(*(_csv.distinct(centers[lo:hi, axis], ".3f")
+                                       for axis in range(3)))))
+        return [[xyz, cell_id, _csv.formatted(field.cell_rsrp_dbm[c, lo:hi], ".4f")]
+                for c, cell_id in enumerate(ids)]
+
+    _csv.write_csv(fh, "x_m,y_m,z_m,cell_id,rsrp_dbm", field.grid.count, lines)

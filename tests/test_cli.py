@@ -363,7 +363,11 @@ FAILURE_CASES = {
     "beta_nan": (2, ["optimize", "--beta", "nan"]),
     "margin_cap_nan": (2, ["optimize", "--margin-cap", "nan"]),
     "epsilon_gain_inf": (2, ["optimize", "--epsilon-gain", "inf"]),
-    "activity_factor_5": (3, ["optimize", "--activity-factor", "5"]),
+    "activity_factor_5": (2, ["optimize", "--activity-factor", "5"]),
+    # Checked before any file is read or any field is built.
+    "activity_factor_nan": (2, ["evaluate", "--activity-factor", "nan"]),
+    "activity_factor_above_one": (2, ["build", "--activity-factor", "1.5"]),
+    "activity_factor_negative": (2, ["optimize", "--activity-factor", "-0.1"]),
     "frequency_nan": (2, ["build", "--set", "radio.frequency_hz=NaN"]),
     "bandwidth_inf": (2, ["build", "--set", "radio.bandwidth_hz=Infinity"]),
     "noise_figure_nan": (2, ["build", "--set", "radio.noise_figure_db=NaN"]),
@@ -426,9 +430,12 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
-    if (case.startswith(("synth_", "validate_", "threads_", "offset_db_"))
+    flag_cases = ("synth_", "validate_", "threads_", "offset_db_", "activity_factor_")
+    if (case.startswith(flag_cases)
             or case in ("mask_not_integer", "mask_empty")) and case != "synth_noise_sigma_nan":
         assert argv[1] in err   # the bad flag is named in the error
+    if case.startswith("activity_factor_"):
+        assert not out.exists()   # rejected before the manifest is written
     if case == "mask_duplicate":
         assert "repeats index 5" in err
     if out.is_dir():

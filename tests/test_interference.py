@@ -9,7 +9,6 @@ from airtwin.interference import (
     export_sinr_csv,
     linear_mw,
     noise_floor_dbm,
-    serving_map,
 )
 from airtwin.scene import BeamAssignment, build_voxel_grid
 from airtwin.spectrum import RadioField, build_field
@@ -132,21 +131,28 @@ class TestSinr:
             build_sinr_field(field, NoiseModel.from_radio(scene.radio), 1.5)
 
 
+def serving_ids(field: RadioField) -> list[str]:
+    sinr = build_sinr_field(field, NoiseModel(1e8, 7.0), 1.0)
+    return [field.cell_ids[c] for c in sinr.serving_index]
+
+
 class TestServingMap:
+    """``build_sinr_field``'s serving cell: the first strongest cell per voxel."""
+
     def test_single_cell(self):
         scene = simple_scene(n_cells=1)
         grid = build_voxel_grid(scene.airspace)
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        assert set(serving_map(field)) == {"cell0"}
+        assert set(serving_ids(field)) == {"cell0"}
 
     def test_tie_breaks_lexicographic(self):
         field = synthetic_field([[-70.0, -70.0], [-70.0, -70.0]], [0, 1], ("a", "b"))
-        assert list(serving_map(field)) == ["a", "a"]
+        assert serving_ids(field) == ["a", "a"]
 
     def test_matches_scalar_argmax(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        ids = serving_map(field)
+        ids = serving_ids(field)
         for v in range(0, grid.count, 3):
             best = max(range(len(field.cell_ids)),
                        key=lambda c: (field.cell_rsrp_dbm[c, v], -c))
@@ -158,7 +164,22 @@ class TestServingMap:
         transformed = RadioField(grid=grid, cell_ids=field.cell_ids,
                                  cell_rsrp_dbm=2.0 * field.cell_rsrp_dbm + 5.0,
                                  cell_lin_mw=field.cell_lin_mw)
-        assert list(serving_map(field)) == list(serving_map(transformed))
+        assert serving_ids(field) == serving_ids(transformed)
+
+    def test_later_cell_tying_an_earlier_winner_loses(self):
+        # Four cells over eight voxels. On the even voxels cell "d" ties the
+        # running max set by "b" (after "c" lost to "b"), on the odd voxels it
+        # is strictly stronger; "a" is weakest everywhere.
+        n = 8
+        rsrp = np.stack([np.full(n, -90.0), np.full(n, -70.0), np.full(n, -80.0),
+                         np.where(np.arange(n) % 2 == 0, -70.0, np.nextafter(-70.0, 0.0))])
+        field = RadioField(grid=None, cell_ids=("a", "b", "c", "d"), cell_rsrp_dbm=rsrp,
+                           cell_lin_mw=linear_mw(rsrp))
+        sinr = build_sinr_field(field, NoiseModel(1e8, 7.0), 1.0)
+        np.testing.assert_array_equal(sinr.serving_index, np.tile([1, 3], n // 2))
+        np.testing.assert_array_equal(sinr.serving_rsrp_dbm,
+                                      rsrp[sinr.serving_index, np.arange(n)])
+        np.testing.assert_array_equal(sinr.serving_index, np.argmax(rsrp, axis=0))
 
 
 def test_export_sinr_csv(tiny):

@@ -7,7 +7,7 @@ import pytest
 
 from airtwin import antenna, kernels, optimizer
 from airtwin.antenna import Orientation, TablePattern
-from airtwin.errors import BoundsError, CapExceededError, ConfigurationError
+from airtwin.errors import CapExceededError, ConfigurationError
 from airtwin.interference import NoiseModel, build_sinr_field
 from airtwin.optimizer import (
     ObjectiveWeights,
@@ -19,7 +19,6 @@ from airtwin.optimizer import (
     greedy_optimize,
     objective,
     save_trace,
-    score_candidate,
     score_fields,
 )
 from airtwin.scene import BeamAssignment, CoverageThresholds, SceneConfig, Site, build_voxel_grid
@@ -89,24 +88,29 @@ class TestObjective:
 
 
 class TestScoreCandidate:
+    """One candidate's score on the greedy pass's evaluator."""
+
+    @staticmethod
+    def evaluator(scene, assignment):
+        ev = _FieldEvaluator(scene, build_voxel_grid(scene.airspace), W, None, 1.0, 0.0)
+        ev.set_assignment(assignment)
+        return ev
+
     def test_noop_delta_zero(self, tiny):
-        scene, grid = tiny
+        scene, _ = tiny
         assignment = BeamAssignment.baseline(scene)
         key = ("cell0", 0)
-        delta = score_candidate(scene, grid, assignment, key,
-                                assignment.angles[key], W)
-        assert delta == 0.0
+        ev = self.evaluator(scene, assignment)
+        assert ev.candidate_deltas(key, [assignment.angles[key]]) == [0.0]
 
     def test_applying_best_then_rescoring_gives_zero(self, tiny):
-        scene, grid = tiny
-        assignment = BeamAssignment.baseline(scene)
+        scene, _ = tiny
         key = ("cell0", 0)
-        sb = scene.sub_beam(*key)[2]
-        cands = sb.lattice()
-        deltas = [score_candidate(scene, grid, assignment, key, c, W) for c in cands]
-        best = cands[int(np.argmax(deltas))]
-        moved = assignment.replaced(key, best)
-        assert score_candidate(scene, grid, moved, key, best, W) == 0.0
+        cands = scene.sub_beam(*key)[2].lattice()
+        ev = self.evaluator(scene, BeamAssignment.baseline(scene))
+        best = cands[int(np.argmax(ev.candidate_deltas(key, cands)))]
+        ev.apply(key, best)
+        assert ev.candidate_deltas(key, [best]) == [0.0]
 
     def test_incremental_equals_full_recompute(self):
         for seed in (0, 1, 2):
@@ -115,17 +119,10 @@ class TestScoreCandidate:
             assignment = BeamAssignment.baseline(scene)
             key = ("cell1", 0)
             angle = Orientation(assignment.angles[key].azimuth_deg, 7.0)
-            delta = score_candidate(scene, grid, assignment, key, angle, W)
+            [delta] = self.evaluator(scene, assignment).candidate_deltas(key, [angle])
             full = (objective(scene, grid, assignment.replaced(key, angle), W)
                     - objective(scene, grid, assignment, W))
             assert delta == pytest.approx(full, abs=1e-6)
-
-    def test_out_of_bounds_rejected(self, tiny):
-        scene, grid = tiny
-        assignment = BeamAssignment.baseline(scene)
-        with pytest.raises(BoundsError):
-            score_candidate(scene, grid, assignment, ("cell0", 0),
-                            Orientation(0.0, 89.0), W)
 
 
 def co_sited_tie_scene() -> SceneConfig:

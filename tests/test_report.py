@@ -6,6 +6,8 @@ import pytest
 from airtwin.errors import DimensionError, LayerError
 from airtwin.interference import NoiseModel, build_sinr_field
 from airtwin.report import (
+    CoverageReport,
+    LayerCoverage,
     compare_report,
     coverage_ratios,
     difference_heatmap,
@@ -26,6 +28,26 @@ def fields_for(scene, assignment=None, activity=1.0):
     field = build_field(scene, grid, assignment)
     sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), activity)
     return grid, field, sinr
+
+
+def per_layer_recount(field, sinr, thresholds, idx) -> CoverageReport:
+    """The coverage report by one scan of the voxel altitudes per layer."""
+    serving = sinr.serving_rsrp_dbm[idx]
+    sinr_db = sinr.sinr_db[idx]
+    zs = field.grid.centers[idx, 2]
+    flags = {"rsrp_basic": serving >= thresholds.rsrp_basic_dbm,
+             "rsrp_strict": serving >= thresholds.rsrp_strict_dbm,
+             "sinr_basic": sinr_db >= thresholds.sinr_basic_db,
+             "sinr_strict": sinr_db >= thresholds.sinr_strict_db}
+    flags["joint_basic"] = flags["rsrp_basic"] & flags["sinr_basic"]
+    layers = []
+    for z in np.unique(zs):
+        sel = zs == z
+        n = int(np.count_nonzero(sel))
+        layers.append(LayerCoverage(z_m=float(z), n_voxels=n, **{
+            f"ratio_{name}": int(np.count_nonzero(f[sel])) / n for name, f in flags.items()}))
+    return CoverageReport(n_voxels=len(idx), layers=tuple(layers), **{
+        f"count_{name}": int(np.count_nonzero(f)) for name, f in flags.items()})
 
 
 class TestCoverageRatios:
@@ -105,6 +127,24 @@ class TestCoverageRatios:
         _, field, sinr = fields_for(scene)
         with pytest.raises(DimensionError, match="repeats index 5$"):
             coverage_ratios(field, sinr, THR, mask=np.array([3, 5, 7, 5, 3]))
+
+    def test_shuffled_mask_skipping_layers_equals_recount(self):
+        thresholds = CoverageThresholds(rsrp_basic_dbm=-45.0, rsrp_strict_dbm=-40.0,
+                                        sinr_basic_db=-1.0, sinr_strict_db=2.0)
+        scene = simple_scene(n_cells=3, n_beams=2, radius_m=80.0, z_max_m=100.0, voxel_m=20.0,
+                             thresholds=thresholds)
+        grid, field, sinr = fields_for(scene)
+        assert grid.layer_z.size == 5
+        rng = np.random.default_rng(4)
+        layer = np.repeat(np.arange(5), np.diff(grid.layer_bounds))
+        kept = np.flatnonzero(np.isin(layer, [0, 3, 4]) & (rng.random(grid.count) < 0.6))
+        mask = rng.permutation(kept)
+        report = coverage_ratios(field, sinr, scene.thresholds, mask=mask)
+        assert [l.z_m for l in report.layers] == [10.0, 70.0, 90.0]
+        assert report == per_layer_recount(field, sinr, scene.thresholds, mask)
+        assert 0.0 < report.ratio_rsrp_basic < 1.0   # the thresholds split the voxels
+        full = coverage_ratios(field, sinr, scene.thresholds)
+        assert full == per_layer_recount(field, sinr, scene.thresholds, np.arange(grid.count))
 
     def test_invariant_under_voxel_reordering(self, tiny):
         scene, grid = tiny

@@ -17,12 +17,10 @@ from airtwin.scene import (
     build_voxel_grid,
     load_assignment,
     load_scene,
-    nearest_voxel_index,
     save_assignment,
     save_scene,
     scene_from_dict,
     scene_to_dict,
-    voxel_center,
 )
 from airtwin.antenna import Orientation
 from airtwin.synth import demo_scene
@@ -58,11 +56,19 @@ def test_radio_constants_must_be_finite(field, value):
         RadioConstants(**values)
 
 
+LATTICE_SPECS = [
+    CylinderSpec((3.0, -2.0), 5.0, 0.0, 10.0, 10.0),      # one voxel, off the origin
+    CylinderSpec((0.0, 0.0), 25.0, 0.0, 8.0, 10.0),       # one layer
+    CylinderSpec((-4.0, 9.0), 35.0, 12.5, 55.0, 7.0),     # z_min > 0, last tick cut
+    CylinderSpec((5.0, 5.0), 40.0, 10.0, 50.0, 7.0),
+]
+
+
 class TestVoxelGrid:
     def test_single_voxel_degenerate(self):
         grid = build_voxel_grid(CylinderSpec((3.0, -2.0), 5.0, 0.0, 10.0, 10.0))
         assert grid.count == 1
-        assert np.allclose(voxel_center(grid, 0), [3.0, -2.0, 5.0])
+        assert np.allclose(grid.centers[0], [3.0, -2.0, 5.0])
 
     def test_small_radius_matches_bruteforce(self):
         spec = CylinderSpec((0.0, 0.0), 15.0, 0.0, 10.0, 10.0)
@@ -118,22 +124,29 @@ class TestVoxelGrid:
         with pytest.raises(EmptyGridError):
             build_voxel_grid(CylinderSpec((0.0, 0.0), 1.0, 0.0, 10.0, 10.0))
 
-    def test_voxel_center_out_of_range(self):
-        grid = build_voxel_grid(CylinderSpec((0.0, 0.0), 5.0, 0.0, 10.0, 10.0))
-        with pytest.raises(IndexError):
-            voxel_center(grid, 1)
-        with pytest.raises(IndexError):
-            voxel_center(grid, -1)
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_layer_table_matches_a_scan_of_the_centers(self, spec):
+        grid = build_voxel_grid(spec)
+        zs = grid.centers[:, 2]
+        np.testing.assert_array_equal(grid.layer_z_values(), np.unique(zs))
+        assert grid.layer_bounds[0] == 0 and grid.layer_bounds[-1] == grid.count
+        for k, z in enumerate(np.unique(zs)):
+            expected = np.nonzero(zs == z)[0]
+            np.testing.assert_array_equal(
+                np.arange(grid.layer_bounds[k], grid.layer_bounds[k + 1]), expected)
+            np.testing.assert_array_equal(grid.layer_indices(z), expected)
+            # Any altitude inside the layer's slab selects it.
+            np.testing.assert_array_equal(grid.layer_indices(z + 0.49 * spec.voxel_m),
+                                          expected)
 
-    def test_nearest_voxel_roundtrip_exhaustive(self):
-        grid = build_voxel_grid(CylinderSpec((-4.0, 9.0), 35.0, 0.0, 30.0, 10.0))
-        for idx in range(grid.count):
-            assert nearest_voxel_index(grid, voxel_center(grid, idx)) == idx
-
-    def test_nearest_voxel_outside_raises(self):
-        grid = build_voxel_grid(CylinderSpec((0.0, 0.0), 25.0, 0.0, 10.0, 10.0))
-        with pytest.raises(IndexError):
-            nearest_voxel_index(grid, (24.0, 24.0, 5.0))  # corner cell outside circle
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_axis_ticks_and_rank_locate_every_center(self, spec):
+        grid = build_voxel_grid(spec)
+        xs, ys, zs = grid.axis_ticks()
+        assert (zs.size, ys.size, xs.size) == grid.lattice_shape
+        iz, iy, ix = np.nonzero(grid.lattice_rank >= 0)
+        np.testing.assert_array_equal(grid.centers[grid.lattice_rank[iz, iy, ix]],
+                                      np.stack([xs[ix], ys[iy], zs[iz]], axis=1))
 
     def test_spec_invariants(self):
         with pytest.raises(SceneValidationError):

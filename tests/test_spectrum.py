@@ -12,16 +12,13 @@ from airtwin.interference import linear_mw
 from airtwin.optimizer import ObjectiveWeights, _FieldEvaluator
 from airtwin.scene import BeamAssignment, CylinderSpec, build_voxel_grid
 from airtwin.spectrum import (
-    TwinModel,
     beam_rsrp,
     build_field,
     calibrate_offset,
-    drift_check,
     export_field_csv,
     fspl_db,
     predict_at,
 )
-from airtwin.measurements import MeasurementSet
 from airtwin.synth import demo_scene
 from factories import simple_scene, with_table_beam
 
@@ -146,6 +143,43 @@ class TestBeamRsrp:
         with pytest.raises(SingularityError):
             beam_rsrp(site, cell, cell.sub_beams[0], Orientation(0.0, 0.0),
                       (0.0, 0.0, 0.0), scene.radio)
+
+
+def site_at(scene, position):
+    """``scene`` with its first site moved to ``position``."""
+    site = dataclasses.replace(scene.sites[0], position_m=tuple(float(p) for p in position))
+    return dataclasses.replace(scene, sites=(site, *scene.sites[1:]))
+
+
+class TestSiteOnVoxelCenter:
+    """build_field rejects a site exactly on a voxel center, found on the lattice."""
+
+    def setup_method(self):
+        self.scene = simple_scene(n_cells=2, radius_m=60.0, z_max_m=60.0, voxel_m=20.0)
+        self.grid = build_voxel_grid(self.scene.airspace)
+        assert self.grid.layer_z.size == 3
+
+    def test_center_in_a_later_layer_rejected(self):
+        center = self.grid.centers[self.grid.layer_indices(self.grid.layer_z[2])[3]]
+        with pytest.raises(SingularityError, match="site0"):
+            build_field(site_at(self.scene, center), self.grid,
+                        BeamAssignment.baseline(self.scene))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_one_ulp_off_a_center_accepted(self, axis):
+        center = self.grid.centers[self.grid.layer_indices(self.grid.layer_z[1])[5]].copy()
+        center[axis] = np.nextafter(center[axis], np.inf)
+        field = build_field(site_at(self.scene, center), self.grid,
+                            BeamAssignment.baseline(self.scene))
+        assert field.cell_rsrp_dbm.shape == (2, self.grid.count)
+
+    def test_lattice_point_outside_the_cylinder_accepted(self):
+        v = self.grid.spec.voxel_m
+        corner = [o + 0.5 * v for o in self.grid.origin]   # lattice (0, 0, 0)
+        assert self.grid.lattice_rank[0, 0, 0] == -1
+        field = build_field(site_at(self.scene, corner), self.grid,
+                            BeamAssignment.baseline(self.scene))
+        assert np.all(np.isfinite(field.cell_rsrp_dbm))
 
 
 class TestBuildField:
@@ -377,51 +411,3 @@ class TestCalibration:
     def test_empty_rejected(self):
         with pytest.raises(EmptySetError):
             calibrate_offset(np.array([]), np.array([]))
-
-
-def _measurements_from(scene, assignment, offset=0.0, n=60, noise=0.0, seed=0):
-    rng = np.random.default_rng(seed)
-    positions = np.stack([rng.uniform(-40, 40, n), rng.uniform(-40, 40, n),
-                          rng.uniform(5, 35, n)], axis=1)
-    cells = rng.choice(scene.cell_ids, n)
-    model = TwinModel(scene, assignment, offset)
-    values = model.predict(positions, cells) + rng.normal(0.0, noise, n)
-    return MeasurementSet(seq=np.arange(n), positions=positions,
-                          cell_ids=cells, rsrp_dbm=values)
-
-
-class TestDriftCheck:
-    def test_self_consistent(self, tiny):
-        scene, _ = tiny
-        model = TwinModel(scene, BeamAssignment.baseline(scene), offset_db=1.0)
-        mset = _measurements_from(scene, model.assignment, offset=1.0)
-        report = drift_check(model, mset, threshold_db=5.0)
-        assert report.rmse_db == pytest.approx(0.0, abs=1e-12)
-        assert not report.drifted
-        assert report.refit.offset_db == pytest.approx(1.0, abs=1e-12)
-
-    def test_shift_detected_and_refit(self, tiny):
-        scene, _ = tiny
-        model = TwinModel(scene, BeamAssignment.baseline(scene), offset_db=2.0)
-        mset = _measurements_from(scene, model.assignment, offset=12.0)  # +10 shift
-        report = drift_check(model, mset, threshold_db=5.0)
-        assert report.drifted
-        assert report.rmse_db == pytest.approx(10.0, abs=1e-9)
-        assert report.refit.offset_db == pytest.approx(12.0, abs=1e-9)
-
-    def test_zero_threshold_flags_noise(self, tiny):
-        scene, _ = tiny
-        model = TwinModel(scene, BeamAssignment.baseline(scene))
-        mset = _measurements_from(scene, model.assignment, noise=0.5, seed=3)
-        report = drift_check(model, mset, threshold_db=0.0)
-        assert report.drifted
-
-    def test_empty_set_rejected(self, tiny):
-        scene, _ = tiny
-        model = TwinModel(scene, BeamAssignment.baseline(scene))
-        empty = MeasurementSet(seq=np.array([], dtype=np.int64),
-                               positions=np.zeros((0, 3)),
-                               cell_ids=np.array([], dtype=object),
-                               rsrp_dbm=np.array([]))
-        with pytest.raises(EmptySetError):
-            drift_check(model, empty, 1.0)
