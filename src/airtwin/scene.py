@@ -7,13 +7,11 @@ happens at ingestion, never here.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import os
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .antenna import AntennaPattern, Orientation, TablePattern, load_pattern_table
@@ -296,7 +294,7 @@ class Cell:
 
     def __post_init__(self):
         object.__setattr__(self, "sub_beams", tuple(self.sub_beams))
-        if not np.isfinite(self.tx_power_dbm):
+        if not math.isfinite(self.tx_power_dbm):
             raise SceneValidationError(f"cell {self.id}: tx_power_dbm must be finite")
         if not self.sub_beams:
             raise SceneValidationError(f"cell {self.id}: sub_beams must be nonempty")
@@ -466,33 +464,147 @@ def load_assignment(path) -> BeamAssignment:
 # ---------------------------------------------------------------------------
 # Scene file I/O
 # ---------------------------------------------------------------------------
-def _schema() -> dict:
-    text = importlib.resources.files("airtwin").joinpath("schemas/scene.schema.json").read_text()
-    return json.loads(text)
+# The scene format, one reader per value. A reader checks the value's JSON type
+# (a number is an int or a float, never a bool), an array's length and an
+# object's keys, and raises SceneSchemaError naming the value's path. Ranges and
+# finiteness are left to the dataclasses' own checks.
+_ID_FORBIDDEN = (",", '"', "\r", "\n")   # ids are written unquoted into CSV rows
+
+
+def _violation(path, reason: str) -> SceneSchemaError:
+    where = "/".join(str(p) for p in path) or "<root>"
+    return SceneSchemaError(f"scene schema violation at '{where}': {reason}")
+
+
+def _json_type(value) -> str:
+    for kind, name in ((bool, "a boolean"), ((int, float), "a number"), (str, "a string"),
+                       (list, "an array"), (dict, "an object")):
+        if isinstance(value, kind):
+            return name
+    return "null" if value is None else type(value).__name__
+
+
+def _number(value, path) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _violation(path, f"expected a number, got {_json_type(value)}")
+    try:
+        float(value)
+    except OverflowError:
+        raise _violation(path, "number out of range") from None
+
+
+def _index(value, path) -> None:
+    _number(value, path)
+    if not (isinstance(value, int) or value.is_integer()) or value < 0:
+        raise _violation(path, f"expected an integer >= 0, got {value}")
+
+
+def _string(value, path) -> None:
+    if not isinstance(value, str):
+        raise _violation(path, f"expected a string, got {_json_type(value)}")
+
+
+def _id(value, path) -> None:
+    _string(value, path)
+    if not value or any(c in value for c in _ID_FORBIDDEN):
+        raise _violation(path, "an id must be a non-empty string without a comma, "
+                               "a double quote, CR or LF")
+
+
+def _array(value, path) -> list:
+    if not isinstance(value, list):
+        raise _violation(path, f"expected an array, got {_json_type(value)}")
+    return value
+
+
+def _numbers(length: int):
+    def read(value, path) -> None:
+        if len(_array(value, path)) != length:
+            raise _violation(path, f"expected {length} numbers, got {len(value)}")
+        for i, item in enumerate(value):
+            _number(item, (*path, i))
+    return read
+
+
+def _nonempty(read_item):
+    def read(value, path) -> None:
+        if not _array(value, path):
+            raise _violation(path, "expected at least 1 item, got 0")
+        for i, item in enumerate(value):
+            read_item(item, (*path, i))
+    return read
+
+
+def _object(required: dict, optional: dict | None = None):
+    fields = {**required, **(optional or {})}
+
+    def read(value, path) -> None:
+        if not isinstance(value, dict):
+            raise _violation(path, f"expected an object, got {_json_type(value)}")
+        for key, item in value.items():
+            if key not in fields:
+                raise _violation((*path, key), "unknown key")
+            fields[key](item, (*path, key))
+        for key in required:
+            if key not in value:
+                raise _violation((*path, key), "missing required key")
+    return read
+
+
+def _numbers_named(*names: str) -> dict:
+    return dict.fromkeys(names, _number)
+
+
+_PATTERN_KINDS = {
+    "parametric": _object({}, {"type": _string, **_numbers_named(
+        "g_max_dbi", "hpbw_az_deg", "hpbw_el_deg", "sla_db", "fbr_db")}),
+    "table": _object({"type": _string, "path": _string}),
+}
+
+
+def _pattern(value, path) -> None:
+    kind = value.get("type", "parametric") if isinstance(value, dict) else "parametric"
+    if not (isinstance(kind, str) and kind in _PATTERN_KINDS):
+        raise _violation((*path, "type"), "expected 'parametric' or 'table'")
+    _PATTERN_KINDS[kind](value, path)
+
+
+_read_scene = _object({
+    "airspace": _object({"center_m": _numbers(2),
+                         **_numbers_named("radius_m", "z_min_m", "z_max_m", "voxel_m")}),
+    "radio": _object(_numbers_named("frequency_hz", "bandwidth_hz", "noise_figure_db")),
+    "sites": _nonempty(_object({
+        "id": _id,
+        "position_m": _numbers(3),
+        "cells": _nonempty(_object({
+            "id": _id,
+            "tx_power_dbm": _number,
+            "sub_beams": _nonempty(_object(
+                {"index": _index,
+                 "bounds": _object(_numbers_named("az_min_deg", "az_max_deg",
+                                                  "tilt_min_deg", "tilt_max_deg")),
+                 "baseline": _numbers(2)},
+                {"pattern": _pattern, "candidate_step": _numbers(2)})),
+        }, {"pattern": _pattern})),
+    })),
+}, {"thresholds": _object({}, _numbers_named("rsrp_basic_dbm", "rsrp_strict_dbm",
+                                              "sinr_basic_db", "sinr_strict_db"))})
 
 
 def _pattern_from_dict(data: dict | None, base_dir: str):
     if data is None:
         return AntennaPattern()
-    kind = data.get("type", "parametric")
-    if kind == "parametric":
-        kwargs = {k: float(v) for k, v in data.items() if k != "type"}
-        return AntennaPattern(**kwargs)
-    if kind == "table":
+    if data.get("type") == "table":
         path = data["path"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return load_pattern_table(path)
-    raise SceneSchemaError(f"unknown pattern type '{kind}'")
+    return AntennaPattern(**{k: float(v) for k, v in data.items() if k != "type"})
 
 
 def scene_from_dict(data: dict, base_dir: str = ".") -> SceneConfig:
-    """Build a validated SceneConfig from a parsed scene document."""
-    try:
-        jsonschema.validate(data, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SceneSchemaError(f"scene schema violation at '{path}': {exc.message}") from exc
+    """Build a validated SceneConfig from a parsed scene document (README, "Scene JSON")."""
+    _read_scene(data, ())
 
     air = data["airspace"]
     airspace = CylinderSpec(center_m=tuple(air["center_m"]), radius_m=air["radius_m"],

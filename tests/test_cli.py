@@ -411,6 +411,37 @@ FAILURE_CASES = {
                                       "--measurements", "none.csv"]),
 }
 
+# Scene format violations reached through --set: each error names the path of
+# the bad value (or of the object holding it).
+SCENE_FORMAT_CASES = {
+    "frequency_bool": ("radio.frequency_hz=true", "radio/frequency_hz"),
+    "tx_power_string": ("sites.0.cells.0.tx_power_dbm=x", "sites/0/cells/0/tx_power_dbm"),
+    "center_one_item": ("airspace.center_m=[0]", "airspace/center_m"),
+    "center_three_items": ("airspace.center_m=[0,0,0]", "airspace/center_m"),
+    "position_two_items": ("sites.0.position_m=[0,0]", "sites/0/position_m"),
+    "baseline_one_item": ("sites.0.cells.0.sub_beams.0.baseline=[0]",
+                          "sites/0/cells/0/sub_beams/0/baseline"),
+    "candidate_step_three_items": ("sites.0.cells.0.sub_beams.0.candidate_step=[5,5,5]",
+                                   "sites/0/cells/0/sub_beams/0/candidate_step"),
+    "index_negative": ("sites.0.cells.0.sub_beams.0.index=-1",
+                       "sites/0/cells/0/sub_beams/0/index"),
+    "index_fraction": ("sites.0.cells.0.sub_beams.0.index=1.5",
+                       "sites/0/cells/0/sub_beams/0/index"),
+    "index_bool": ("sites.0.cells.0.sub_beams.0.index=true",
+                   "sites/0/cells/0/sub_beams/0/index"),
+    "site_id_empty": ('sites.0.id=""', "sites/0/id"),
+    "cell_id_comma": ('sites.0.cells.0.id="A,1"', "sites/0/cells/0/id"),
+    "sites_empty": ("sites=[]", "sites"),
+    "cells_empty": ("sites.1.cells=[]", "sites/1/cells"),
+    "thresholds_null": ("thresholds=null", "thresholds"),
+    "unknown_radio_key": ("radio.bogus=1", "radio"),
+    "unknown_root_key": ("bogus=1", ""),
+    "pattern_unknown_type": ('sites.0.cells.0.sub_beams.0.pattern={"type":"dipole"}',
+                             "sites/0/cells/0/sub_beams/0/pattern"),
+}
+FAILURE_CASES.update({f"scene_{name}": (2, ["build", "--set", override])
+                      for name, (override, _) in SCENE_FORMAT_CASES.items()})
+
 
 @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
 def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
@@ -438,6 +469,9 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         assert not out.exists()   # rejected before the manifest is written
     if case == "mask_duplicate":
         assert "repeats index 5" in err
+    if case.startswith("scene_"):
+        path = SCENE_FORMAT_CASES[case[len("scene_"):]][1]
+        assert f"error: scene schema violation at '{path}" in err
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}
 
@@ -457,12 +491,25 @@ def test_out_of_memory_is_one_error_line(message, line, tiny_scene_path, tmp_pat
     assert capsys.readouterr().err.splitlines() == [line]
 
 
+SRC_DIR = os.path.dirname(os.path.dirname(airtwin.__file__))
+
+
+def loaded_packages(code: str, packages: tuple[str, ...]) -> list[str]:
+    """The modules of ``packages`` a fresh interpreter holds after running ``code``."""
+    code += ("; import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] in {packages!r})))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC_DIR),
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
 def test_cli_import_loads_no_scipy():
     """scipy is imported by the first variogram fit or tree build, not by ``import``."""
-    src = os.path.dirname(os.path.dirname(airtwin.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, airtwin.cli, airtwin; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert loaded_packages("import airtwin.cli, airtwin", ("scipy",)) == []
+
+
+def test_scene_load_imports_no_schema_library():
+    """Every command's start-up, ``import airtwin.cli`` then loading a scene, stays light."""
+    scene = os.path.join(os.path.dirname(SRC_DIR), "scenes", "demo_6cell.json")
+    code = f"import airtwin.cli; from airtwin.scene import load_scene; load_scene({scene!r})"
+    assert loaded_packages(code, ("jsonschema", "referencing")) == []

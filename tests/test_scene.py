@@ -1,19 +1,26 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airtwin.errors import (
     BoundsError,
     EmptyGridError,
     IncompleteAssignmentError,
+    InputError,
     SceneSchemaError,
     SceneValidationError,
 )
 from airtwin.scene import (
+    DEFAULT_CANDIDATE_STEP,
     BeamAssignment,
+    CoverageThresholds,
     CylinderSpec,
     RadioConstants,
+    SceneConfig,
     build_voxel_grid,
     load_assignment,
     load_scene,
@@ -22,7 +29,7 @@ from airtwin.scene import (
     scene_from_dict,
     scene_to_dict,
 )
-from airtwin.antenna import Orientation
+from airtwin.antenna import AntennaPattern, Orientation, TablePattern
 from airtwin.synth import demo_scene
 
 from factories import simple_scene
@@ -281,3 +288,260 @@ def test_lattice_enumeration_order():
     tilts = [o.tilt_deg for o in lattice]
     assert tilts[:3] == [0.0, 5.0, 10.0]       # tilt minor
     assert azs[0] == azs[1] == azs[2]          # az major
+
+
+# ---------------------------------------------------------------------------
+# The scene format: what scene_from_dict accepts and rejects
+# ---------------------------------------------------------------------------
+def _demo_doc():
+    doc = scene_to_dict(demo_scene())
+    # A cell-level table pattern that no sub-beam uses (each has its own), so
+    # the table pattern's keys are checked without a table file.
+    doc["sites"][1]["cells"][0]["pattern"] = {"type": "table", "path": "pattern.csv"}
+    return doc
+
+
+# Each closed object of the format, as (where it sits in the document, its path
+# in error messages, its required keys).
+SCENE_OBJECTS = {
+    "root": ((), "", ("airspace", "radio", "sites")),
+    "airspace": (("airspace",), "airspace",
+                 ("center_m", "radius_m", "z_min_m", "z_max_m", "voxel_m")),
+    "radio": (("radio",), "radio", ("frequency_hz", "bandwidth_hz", "noise_figure_db")),
+    "thresholds": (("thresholds",), "thresholds", ()),
+    "site": (("sites", 0), "sites/0", ("id", "position_m", "cells")),
+    "cell": (("sites", 0, "cells", 1), "sites/0/cells/1", ("id", "tx_power_dbm", "sub_beams")),
+    "sub_beam": (("sites", 0, "cells", 0, "sub_beams", 2), "sites/0/cells/0/sub_beams/2",
+                 ("index", "bounds", "baseline")),
+    "bounds": (("sites", 0, "cells", 0, "sub_beams", 2, "bounds"),
+               "sites/0/cells/0/sub_beams/2/bounds",
+               ("az_min_deg", "az_max_deg", "tilt_min_deg", "tilt_max_deg")),
+    "parametric_pattern": (("sites", 0, "cells", 0, "sub_beams", 2, "pattern"),
+                           "sites/0/cells/0/sub_beams/2/pattern", ()),
+    "table_pattern": (("sites", 1, "cells", 0, "pattern"), "sites/1/cells/0/pattern",
+                      ("type", "path")),
+}
+
+
+def _node(doc, where):
+    for part in where:
+        doc = doc[part]
+    return doc
+
+
+def _schema_error(doc, path):
+    """The SceneSchemaError ``doc`` raises; its message names ``path``."""
+    with pytest.raises(SceneSchemaError) as exc:
+        scene_from_dict(doc)
+    message = str(exc.value)
+    assert message.startswith("scene schema violation at '")
+    assert f"at '{path}" in message
+    return message
+
+
+@pytest.mark.parametrize("name", sorted(SCENE_OBJECTS))
+def test_unknown_key_rejected(name):
+    where, path, _ = SCENE_OBJECTS[name]
+    doc = _demo_doc()
+    _node(doc, where)["bogus"] = 1.0
+    message = _schema_error(doc, path)
+    if not name.endswith("_pattern"):   # a pattern of neither kind may be named as a whole
+        assert "bogus" in message
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name in sorted(SCENE_OBJECTS)
+                                       for key in SCENE_OBJECTS[name][2]])
+def test_missing_required_key_rejected(name, key):
+    where, path, _ = SCENE_OBJECTS[name]
+    doc = _demo_doc()
+    del _node(doc, where)[key]
+    _schema_error(doc, path)
+
+
+@pytest.mark.parametrize("where, path", [
+    (("sites",), "sites"),
+    (("sites", 0, "cells"), "sites/0/cells"),
+    (("sites", 0, "cells", 1, "sub_beams"), "sites/0/cells/1/sub_beams"),
+])
+def test_empty_array_rejected(where, path):
+    doc = _demo_doc()
+    _node(doc, where[:-1])[where[-1]] = []
+    _schema_error(doc, path)
+
+
+@pytest.mark.parametrize("pattern", [
+    {"type": "dipole"},                       # unknown type
+    {"type": "table"},                        # a table without its path
+    {"type": "table", "path": 3},             # a path that is not a string
+    {"path": "pattern.csv"},                  # a parametric pattern carrying a path
+    {"type": "parametric", "path": "pattern.csv"},
+    {"type": "parametric", "sla_db": "30"},
+    [],
+])
+def test_bad_pattern_rejected(pattern):
+    doc = _demo_doc()
+    doc["sites"][0]["cells"][0]["sub_beams"][2]["pattern"] = pattern
+    _schema_error(doc, "sites/0/cells/0/sub_beams/2/pattern")
+
+
+@pytest.mark.parametrize("where, value", [
+    (("radio", "bandwidth_hz"), True),
+    (("radio", "bandwidth_hz"), None),
+    (("airspace", "radius_m"), "500"),
+    (("airspace", "center_m"), [0.0, False]),
+    (("airspace", "center_m"), {"x": 0.0}),
+    (("thresholds", "sinr_basic_db"), [1.0]),
+    (("sites", 0, "cells", 0, "tx_power_dbm"), False),
+    (("sites", 0, "cells", 0, "sub_beams", 0, "index"), 1.5),
+    (("sites", 0, "cells", 0, "sub_beams", 0, "index"), "0"),
+    (("sites", 0, "cells", 0, "sub_beams", 0, "bounds"), None),
+    (("sites", 0, "cells", 0, "sub_beams", 0, "candidate_step"), [5.0, 3.0, 1.0]),
+    (("sites", 0, "cells", 0, "sub_beams", 0, "baseline"), [115.0]),
+    (("sites", 0, "cells", 0, "id"), 5),
+    (("sites", 0, "id"), ""),
+    (("sites", 0, "cells"), {}),
+    (("thresholds",), []),
+])
+def test_wrong_type_rejected(where, value):
+    doc = _demo_doc()
+    _node(doc, where[:-1])[where[-1]] = value
+    _schema_error(doc, "/".join(str(p) for p in where))
+
+
+def test_root_must_be_an_object():
+    with pytest.raises(SceneSchemaError, match="scene schema violation at '<root>'"):
+        scene_from_dict([])
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+@pytest.mark.parametrize("where", [("sites", 1, "id"), ("sites", 1, "cells", 0, "id")])
+def test_id_with_a_csv_delimiter_rejected(char, where):
+    doc = _demo_doc()
+    _node(doc, where[:-1])[where[-1]] = f"A{char}1"
+    _schema_error(doc, "/".join(str(p) for p in where))
+
+
+def test_number_beyond_float_range_rejected():
+    doc = _demo_doc()
+    doc["airspace"]["radius_m"] = 10 ** 400
+    assert "out of range" in _schema_error(doc, "airspace/radius_m")
+
+
+def test_integer_beyond_int64_loads():
+    doc = _demo_doc()
+    doc["sites"][0]["cells"][0]["tx_power_dbm"] = 2 ** 70
+    assert scene_from_dict(doc).sites[0].cells[0].tx_power_dbm == 2 ** 70
+
+
+def test_integral_index_and_integers_accepted():
+    doc = scene_to_dict(demo_scene())
+    beams = doc["sites"][0]["cells"][0]["sub_beams"]
+    beams[0]["index"] = -0.0
+    beams[1]["index"] = 1.0
+    doc["airspace"].update(center_m=[0, 0], radius_m=500, z_min_m=0, z_max_m=300, voxel_m=25)
+    doc["radio"]["noise_figure_db"] = 7
+    doc["thresholds"]["rsrp_basic_dbm"] = -95
+    doc["sites"][0]["cells"][0]["tx_power_dbm"] = 15
+    beams[2].update(baseline=[int(v) for v in beams[2]["baseline"]], candidate_step=[5, 3])
+    scene = scene_from_dict(doc)
+    assert [sb.index for sb in scene.sites[0].cells[0].sub_beams][:2] == [0, 1]
+    assert scene_to_dict(scene) == scene_to_dict(demo_scene())
+
+
+def test_optional_parts_take_their_defaults():
+    doc = scene_to_dict(demo_scene())
+    del doc["thresholds"]
+    beam = doc["sites"][0]["cells"][0]["sub_beams"][0]
+    del beam["pattern"], beam["candidate_step"]
+    doc["sites"][0]["cells"][0]["sub_beams"][1]["pattern"] = {}
+    doc["sites"][0]["cells"][0]["sub_beams"][2]["pattern"] = {"type": "parametric"}
+    doc["sites"][0]["cells"][0]["sub_beams"][3]["pattern"] = {"g_max_dbi": 12}
+    scene = scene_from_dict(doc)
+    beams = scene.sites[0].cells[0].sub_beams
+    assert scene.thresholds == CoverageThresholds()
+    assert beams[0].pattern == beams[1].pattern == beams[2].pattern == AntennaPattern()
+    assert beams[3].pattern == AntennaPattern(g_max_dbi=12.0)
+    assert beams[0].candidate_step == DEFAULT_CANDIDATE_STEP
+
+
+def test_cell_pattern_is_the_default_of_its_sub_beams(tmp_path):
+    (tmp_path / "pattern.csv").write_text(
+        "az_deg,el_deg,gain_dbi\n-90,-45,0\n-90,45,1\n90,-45,2\n90,45,17\n")
+    doc = scene_to_dict(demo_scene())
+    cell = doc["sites"][0]["cells"][0]
+    cell["pattern"] = {"type": "table", "path": "pattern.csv"}
+    del cell["sub_beams"][0]["pattern"]
+    scene = scene_from_dict(doc, base_dir=str(tmp_path))
+    beams = scene.sites[0].cells[0].sub_beams
+    assert isinstance(beams[0].pattern, TablePattern)
+    assert beams[0].pattern.g_max_dbi == 17.0
+    assert isinstance(beams[1].pattern, AntennaPattern)
+
+
+# Values a mutation puts in place of a scene value. 10**400 is a JSON integer
+# no float can hold, and 2**70 one no int64 can.
+ODD_VALUES = [True, False, None, "", "x", "A,1", [], [1.0], [1.0, 2.0, 3.0], {}, {"a": 1},
+              float("nan"), float("inf"), -float("inf"), 0, -1, 0.5, 2 ** 70, 10 ** 400]
+
+
+def _paths(node, prefix=()):
+    """Every path into ``node``, containers included, root first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+DEMO_TEXT = json.dumps(scene_to_dict(demo_scene()))
+# Every place in the demo document, by its keys without the list indices. A
+# mutation picks a key first, then a place, so that the 42 sub-beams' values
+# do not crowd out the few airspace, radio and cell ones.
+DEMO_PLACES = {}
+for _path in _paths(json.loads(DEMO_TEXT)):
+    DEMO_PLACES.setdefault(tuple(p for p in _path if isinstance(p, str)), []).append(_path)
+
+
+def _holds(node, part):
+    return (isinstance(node, dict) and part in node
+            or isinstance(node, list) and isinstance(part, int) and part < len(node))
+
+
+def _mutate(draw, doc, where):
+    parent, node = None, doc
+    for part in where:
+        if not _holds(node, part):
+            return   # an earlier mutation removed this place
+        parent, node = node, node[part]
+    op = draw(st.sampled_from(["drop", "add_key", "swap", "shorten", "lengthen"]))
+    if op == "add_key" and isinstance(node, dict):
+        key = draw(st.sampled_from(["bogus", "type", "path", "id"]))
+        node[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    elif op == "shorten" and isinstance(node, list) and node:
+        node.pop()
+    elif op == "lengthen" and isinstance(node, list):
+        node.append(copy.deepcopy(node[-1]) if node else 0.0)
+    elif op == "drop" and where:
+        del parent[where[-1]]
+    elif where:
+        parent[where[-1]] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+
+
+@st.composite
+def mutated_scene_docs(draw):
+    doc = json.loads(DEMO_TEXT)
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, doc, draw(st.sampled_from(DEMO_PLACES[draw(st.sampled_from(
+            sorted(DEMO_PLACES)))])))
+    return doc
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(mutated_scene_docs())
+def test_mutated_scene_is_loaded_or_rejected_as_input(doc):
+    # The scene is never voxelized: a mutated voxel_m can ask for any grid.
+    try:
+        scene = scene_from_dict(doc)
+    except InputError:
+        return
+    assert isinstance(scene, SceneConfig)
