@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import SceneSchemaError, SceneValidationError
 
+# A scene's transmit power (dBm) and peak gain (dBi) each lie within +-500.
+# With --offset-db at +-1000 dB a voxel's RSRP then stays within about
+# +-2000 dBm, so its mW and the SINR's I/N stay far inside a double's range.
+MAX_LEVEL_DB = 500.0
+
 
 def wrap_angle_deg(angle):
     """Wrap an angle (scalar or array) into (-180, 180] degrees.
@@ -36,9 +41,16 @@ def wrap_angle_deg(angle):
     if a.ndim == 0:
         wrapped = float(np.mod(angle, 360.0))
         return wrapped - 360.0 if wrapped > 180.0 else wrapped
-    if a.dtype == np.float64 and np.abs(a).max(initial=0.0) < 720.0:
-        m = a - 360.0 * (a >= 360.0)
-        m += 360.0 * (m <= -360.0)
+    lo = hi = np.nan
+    if a.dtype == np.float64:
+        lo, hi = a.min(initial=0.0), a.max(initial=0.0)
+    if -720.0 < lo and hi < 720.0:
+        # A step that no value needs is skipped: -360 * 0 leaves every bit
+        # as it is, and +360 * 0 only turns -0.0 into +0.0, which the third
+        # step, always run, does as well.
+        m = a - 360.0 * (a >= 360.0) if hi >= 360.0 else a.copy()
+        if lo <= -360.0:
+            m += 360.0 * (m <= -360.0)
         m += 360.0 * (m < 0.0)
     else:
         m = np.mod(a, 360.0)
@@ -98,8 +110,9 @@ class AntennaPattern:
     fbr_db: float = 30.0
 
     def __post_init__(self):
-        if not np.isfinite(self.g_max_dbi):
-            raise SceneValidationError("g_max_dbi must be finite")
+        if not abs(self.g_max_dbi) <= MAX_LEVEL_DB:
+            raise SceneValidationError(f"g_max_dbi must be finite and within "
+                                       f"+-{MAX_LEVEL_DB:g} dBi, got {self.g_max_dbi}")
         for name in ("hpbw_az_deg", "hpbw_el_deg"):
             value = getattr(self, name)
             if not 0.0 < value <= 180.0:

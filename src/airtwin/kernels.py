@@ -6,16 +6,21 @@ free-space path loss, so ``site_geometry`` works those out once per site and
 
     RSRP = tx_power_dbm + G(wrap(az - az0), el - tilt0) - FSPL + offset_db
 
-``G`` is the pattern's own ``offset_gain_dbi``, so parametric and table
-patterns share one code path and the gain formula exists only in
-``antenna``. ``rsrp_from_gain`` is the last step on its own: the optimizer's
-candidate loop builds a parametric gain from an azimuth term it computes
-once per distinct azimuth (``AntennaPattern`` is separable) and an
+``G`` comes from the pattern's own terms, so the gain formula exists only
+in ``antenna``. ``AntennaPattern`` is separable, and its capped elevation
+term depends only on ``(hpbw_el_deg, sla_db, tilt_deg)``, so a caller that
+passes ``beam_rsrp_numpy`` a dict for one geometry has each such term
+computed once and reused by every sub-beam that shares it (``build_field``
+keeps one per task: a site's 14 sub-beams use 6 to 8 tilts in a random
+lattice assignment and 1 in the baseline). A table pattern, or a call
+without the dict, takes ``offset_gain_dbi``. ``rsrp_from_gain`` is the last
+step on its own: the optimizer's candidate loop builds a parametric gain
+from an azimuth term it computes once per distinct azimuth and an
 elevation term per angle, then assembles the RSRP with the same helper.
-That loop scores a candidate chunk by chunk in reused buffers, so the
-helpers it calls (here ``rsrp_from_gain``; the pattern terms, ``linear_mw``
-and ``sinr_db``) take an ``out=`` array and run the same operations, in the
-same order, with or without it.
+The field build and that loop work chunk by chunk in reused buffers, so
+``beam_rsrp_numpy`` and the helpers they call (``rsrp_from_gain``, the
+pattern terms, ``linear_mw`` and ``sinr_db``) take an ``out=`` array and
+run the same operations, in the same order, with or without it.
 
 Threading: voxels are split into fixed-size chunks whose boundaries do not
 depend on the thread count, and ``run_tasks`` spreads independent tasks over
@@ -29,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .antenna import wrap_angle_deg
+from .antenna import AntennaPattern, wrap_angle_deg
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 _FOUR_PI_OVER_C = 4.0 * math.pi / SPEED_OF_LIGHT_M_S
@@ -63,11 +68,26 @@ def rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db, out=None):
     return np.add(rsrp, offset_db, out=out)
 
 
-def beam_rsrp_numpy(az_deg, el_deg, fspl_db, pattern, angle, tx_power_dbm, offset_db):
-    """Per-voxel RSRP of one sub-beam steered to ``angle``, from its site's geometry."""
-    gain_dbi = pattern.offset_gain_dbi(wrap_angle_deg(az_deg - angle.azimuth_deg),
-                                       el_deg - angle.tilt_deg)
-    return rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db)
+def beam_rsrp_numpy(az_deg, el_deg, fspl_db, pattern, angle, tx_power_dbm, offset_db,
+                    out=None, el_terms=None):
+    """Per-voxel RSRP of one sub-beam steered to ``angle``, from its site's geometry.
+
+    ``el_terms`` is an optional dict that the caller keeps for this geometry
+    only; a parametric pattern's capped elevation term is computed once per
+    ``(hpbw_el_deg, sla_db, tilt_deg)`` into it. The bits are the same with
+    or without it, and with or without ``out``.
+    """
+    delta_az = wrap_angle_deg(az_deg - angle.azimuth_deg)
+    if el_terms is not None and isinstance(pattern, AntennaPattern):
+        key = (pattern.hpbw_el_deg, pattern.sla_db, angle.tilt_deg)
+        a_el = el_terms.get(key)
+        if a_el is None:
+            a_el = el_terms[key] = pattern.elevation_attenuation_db(el_deg - angle.tilt_deg)
+        a_az = pattern.azimuth_attenuation_db(delta_az, out=delta_az)
+        gain_dbi = pattern.gain_from_attenuation_dbi(a_az, a_el, out=a_az)
+    else:
+        gain_dbi = pattern.offset_gain_dbi(delta_az, el_deg - angle.tilt_deg)
+    return rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db, out=out)
 
 
 def active_backend() -> str:

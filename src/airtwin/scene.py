@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antenna import AntennaPattern, Orientation, TablePattern, load_pattern_table
+from .antenna import (
+    MAX_LEVEL_DB,
+    AntennaPattern,
+    Orientation,
+    TablePattern,
+    load_pattern_table,
+)
 from .errors import (
     BoundsError,
     EmptyGridError,
@@ -294,8 +300,9 @@ class Cell:
 
     def __post_init__(self):
         object.__setattr__(self, "sub_beams", tuple(self.sub_beams))
-        if not math.isfinite(self.tx_power_dbm):
-            raise SceneValidationError(f"cell {self.id}: tx_power_dbm must be finite")
+        if not abs(self.tx_power_dbm) <= MAX_LEVEL_DB:
+            raise SceneValidationError(f"cell {self.id}: tx_power_dbm must be finite and within "
+                                       f"+-{MAX_LEVEL_DB:g} dBm, got {self.tx_power_dbm}")
         if not self.sub_beams:
             raise SceneValidationError(f"cell {self.id}: sub_beams must be nonempty")
         indices = sorted(sb.index for sb in self.sub_beams)
@@ -466,8 +473,9 @@ def load_assignment(path) -> BeamAssignment:
 # ---------------------------------------------------------------------------
 # The scene format, one reader per value. A reader checks the value's JSON type
 # (a number is an int or a float, never a bool), an array's length and an
-# object's keys, and raises SceneSchemaError naming the value's path. Ranges and
-# finiteness are left to the dataclasses' own checks.
+# object's keys, and raises SceneSchemaError naming the value's path. A number
+# must also be finite: NaN compares false with every bound, so a range check
+# alone would let it through. Ranges are left to the dataclasses' own checks.
 _ID_FORBIDDEN = (",", '"', "\r", "\n")   # ids are written unquoted into CSV rows
 
 
@@ -488,9 +496,11 @@ def _number(value, path) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _violation(path, f"expected a number, got {_json_type(value)}")
     try:
-        float(value)
+        finite = math.isfinite(value)
     except OverflowError:
         raise _violation(path, "number out of range") from None
+    if not finite:
+        raise _violation(path, f"expected a finite number, got {value}")
 
 
 def _index(value, path) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from . import _csv, kernels
 from .antenna import Orientation, gain
 from .errors import EmptySetError, SingularityError
-from .interference import cell_linear_sums
+from .interference import linear_mw
 from .scene import BeamAssignment, Cell, SceneConfig, Site, SubBeam, VoxelGrid
 
 
@@ -61,22 +61,6 @@ class RadioField:
     cell_lin_mw: np.ndarray     # (n_cells, count), sub-beams added in index order
 
 
-def cell_beam_slices(cell_ids, beam_keys) -> list[tuple[int, int]]:
-    """Row range [start, stop) of each cell's rows in beam-keyed arrays.
-
-    ``beam_keys`` must be grouped by cell in ``cell_ids`` order.
-    """
-    slices = []
-    start = 0
-    for cell_id in cell_ids:
-        stop = start
-        while stop < len(beam_keys) and beam_keys[stop][0] == cell_id:
-            stop += 1
-        slices.append((start, stop))
-        start = stop
-    return slices
-
-
 def _any_at(points: np.ndarray, pos) -> bool:
     """Whether any (n, 3) point equals ``pos``; column by column, without an (n, 3) mask."""
     return bool(np.any((points[:, 0] == pos[0]) & (points[:, 1] == pos[1])
@@ -115,39 +99,51 @@ def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
                 offset_db: float = 0.0, *, threads: int = 1) -> RadioField:
     """Evaluate every (voxel, sub-beam) RSRP and reduce it to cell level.
 
-    One task per (site, voxel chunk) evaluates the chunk's sub-beam rows of
-    the site's cells and reduces them to the cells' max and mW sum, so no
-    (sub-beam, voxel) array outlives a chunk. Deterministic regardless of
-    ``threads``: chunk boundaries are fixed, the max is exact, and each cell's
-    mW sum adds its rows in sub-beam index order for every voxel.
+    One task per (site, voxel chunk) computes the site's geometry to the
+    chunk once, then each of its sub-beams' rows into one chunk-sized buffer,
+    and folds that row straight into its cell's slice of the outputs: a
+    cell's first row is copied in, and each later row is added by an in-place
+    max and an in-place add of its mW. So no (sub-beam, voxel) array is ever
+    made. The task's dict of elevation terms serves only its own chunk's
+    voxels, so it lives and dies with the task.
+
+    Deterministic regardless of ``threads``: chunk boundaries are fixed, the
+    max is exact, and each cell's mW sum adds its rows in sub-beam index
+    order for every voxel, the order of ``np.add.reduce(axis=0)``.
     """
     assignment.validate_for(scene, require_lattice=False)
     centers = grid.centers
     _check_no_coincidence(scene, grid)
 
     cell_ids = scene.cell_ids
-    beam_keys = scene.beam_keys()
     cell_rsrp = np.empty((len(cell_ids), grid.count), dtype=np.float64)
     cell_lin = np.empty_like(cell_rsrp)
     frequency_hz = scene.radio.frequency_hz
 
     def work(task):
-        site, (rows_of_cells, slices, beams), lo, hi = task
-        az, el, loss = kernels.site_geometry(centers[lo:hi], site.position_m, frequency_hz)
-        rows = np.empty((len(beams), hi - lo), dtype=np.float64)
-        for row, ((cell, sb), angle) in zip(rows, beams):
-            row[:] = kernels.beam_rsrp_numpy(az, el, loss, sb.pattern, angle,
-                                             cell.tx_power_dbm, offset_db)
-        cell_rsrp[rows_of_cells, lo:hi] = cell_max_from_beams(rows, slices)
-        cell_lin[rows_of_cells, lo:hi] = cell_linear_sums(rows, slices)
+        site, cells, lo, hi = task
+        geometry = kernels.site_geometry(centers[lo:hi], site.position_m, frequency_hz)
+        row = np.empty(hi - lo, dtype=np.float64)
+        el_terms = {}
+        for c, beams in cells:
+            rsrp, lin = cell_rsrp[c, lo:hi], cell_lin[c, lo:hi]
+            for i, (pattern, angle, tx_power_dbm) in enumerate(beams):
+                kernels.beam_rsrp_numpy(*geometry, pattern, angle, tx_power_dbm, offset_db,
+                                        out=row, el_terms=el_terms)
+                if i == 0:
+                    rsrp[:] = row
+                    linear_mw(row, out=lin)
+                else:
+                    np.maximum(rsrp, row, out=rsrp)
+                    lin += linear_mw(row, out=row)
 
     tasks = []
     for site in scene.sites:
-        own = sorted(cell.id for cell in site.cells)   # the order of cell_ids
-        keys = [key for key in beam_keys if key[0] in own]
-        plan = ([cell_ids.index(cell_id) for cell_id in own], cell_beam_slices(own, keys),
-                [(scene.sub_beam(*key)[1:], assignment.angle(*key)) for key in keys])
-        tasks.extend((site, plan, lo, hi) for lo, hi in kernels.chunks(grid.count))
+        cells = [(cell_ids.index(cell.id),
+                  [(sb.pattern, assignment.angle(cell.id, sb.index), cell.tx_power_dbm)
+                   for sb in sorted(cell.sub_beams, key=lambda b: b.index)])
+                 for cell in site.cells]
+        tasks.extend((site, cells, lo, hi) for lo, hi in kernels.chunks(grid.count))
     kernels.run_tasks(work, tasks, threads)
     return RadioField(grid=grid, cell_ids=cell_ids, cell_rsrp_dbm=cell_rsrp,
                       cell_lin_mw=cell_lin)

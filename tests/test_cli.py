@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -438,9 +439,29 @@ SCENE_FORMAT_CASES = {
     "unknown_root_key": ("bogus=1", ""),
     "pattern_unknown_type": ('sites.0.cells.0.sub_beams.0.pattern={"type":"dipole"}',
                              "sites/0/cells/0/sub_beams/0/pattern"),
+    # A non-finite number is a format violation: NaN passes every range check.
+    "position_nan": ("sites.0.position_m=[NaN,0,10]", "sites/0/position_m/0"),
+    "bounds_inf": ("sites.0.cells.0.sub_beams.0.bounds.az_max_deg=Infinity",
+                   "sites/0/cells/0/sub_beams/0/bounds/az_max_deg"),
+    "baseline_nan": ("sites.0.cells.0.sub_beams.0.baseline=[NaN,0]",
+                     "sites/0/cells/0/sub_beams/0/baseline/0"),
+    "candidate_step_minus_inf": ("sites.0.cells.0.sub_beams.0.candidate_step=[5,-Infinity]",
+                                 "sites/0/cells/0/sub_beams/0/candidate_step/1"),
+    "sla_nan": ("sites.0.cells.0.sub_beams.0.pattern.sla_db=NaN",
+                "sites/0/cells/0/sub_beams/0/pattern/sla_db"),
 }
 FAILURE_CASES.update({f"scene_{name}": (2, ["build", "--set", override])
                       for name, (override, _) in SCENE_FORMAT_CASES.items()})
+
+# Values past +-500 dBm (dBi) would overflow the dBm-to-mW conversion, like
+# --offset-db past its bound; each error names the field.
+LEVEL_CASES = {
+    "tx_power_huge": ("sites.0.cells.0.tx_power_dbm=1e300", "tx_power_dbm"),
+    "g_max_huge": ("sites.0.cells.0.sub_beams.0.pattern.g_max_dbi=1e300", "g_max_dbi"),
+    "tx_power_past_bound": ("sites.0.cells.0.tx_power_dbm=-500.5", "tx_power_dbm"),
+}
+FAILURE_CASES.update({f"level_{name}": (2, ["evaluate", "--set", override])
+                      for name, (override, _) in LEVEL_CASES.items()})
 
 
 @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
@@ -472,8 +493,31 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
     if case.startswith("scene_"):
         path = SCENE_FORMAT_CASES[case[len("scene_"):]][1]
         assert f"error: scene schema violation at '{path}" in err
+    if case.startswith("level_"):
+        assert LEVEL_CASES[case[len("level_"):]][1] in err
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}
+
+
+@pytest.mark.parametrize("level, offset", [(500.0, 1000.0), (-500.0, -1000.0)])
+def test_levels_at_their_bounds_give_finite_sinr(level, offset, tiny_scene_path, tmp_path,
+                                                 capsys):
+    out = tmp_path / "out"
+    overrides = []
+    for site in (0, 1):   # every cell at the bound, so each interferes at the bound too
+        cell = f"sites.{site}.cells.0"
+        overrides += ["--set", f"{cell}.tx_power_dbm={level}"]
+        for beam in (0, 1):
+            overrides += ["--set", f"{cell}.sub_beams.{beam}.pattern.g_max_dbi={level}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["build", "--scene", tiny_scene_path, "--out", str(out),
+                   "--offset-db", str(offset), *overrides])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    sinr = np.loadtxt(out / "sinr.csv", delimiter=",", skiprows=1, usecols=(4, 5))
+    assert sinr.size and np.all(np.isfinite(sinr))
 
 
 @pytest.mark.parametrize("message, line", [

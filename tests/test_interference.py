@@ -1,8 +1,13 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from airtwin import kernels
 from airtwin.interference import (
     NoiseModel,
     build_sinr_field,
@@ -14,6 +19,43 @@ from airtwin.scene import BeamAssignment, build_voxel_grid
 from airtwin.spectrum import RadioField, build_field
 
 from factories import simple_scene
+
+
+# dBm values whose mW overflows (above about 3,082.5), is subnormal (below about
+# -3,076.5) or underflows to 0 (below about -3,240), plus the special values.
+DBM = st.one_of(st.floats(-3300.0, 3300.0),
+                st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 3082.5, 3083.0,
+                                 -3077.0, -3200.0, -3240.0]),
+                st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestLinearMw:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=40),
+                      elements=DBM),
+           st.booleans(), st.booleans())
+    def test_equals_power_of_ten_bit_for_bit(self, dbm, transposed, in_place):
+        x = dbm.T if transposed else dbm   # a transposed 2-D view is not contiguous
+        with np.errstate(over="ignore"):
+            expected = np.power(10.0, x * 0.1)
+            got = linear_mw(x, out=x if in_place else None)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        if in_place:
+            assert got is x
+
+    def test_in_place_allocates_less_than_a_chunk(self):
+        rows = np.random.default_rng(0).uniform(-140.0, 0.0, (7, 3 * kernels._CHUNK))
+        expected = np.power(10.0, rows * 0.1)
+        tracemalloc.start()
+        try:
+            got = linear_mw(rows, out=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is rows
+        assert peak < kernels._CHUNK * rows.itemsize
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
 
 
 class TestNoiseFloor:

@@ -429,8 +429,55 @@ def test_number_beyond_float_range_rejected():
 
 def test_integer_beyond_int64_loads():
     doc = _demo_doc()
-    doc["sites"][0]["cells"][0]["tx_power_dbm"] = 2 ** 70
-    assert scene_from_dict(doc).sites[0].cells[0].tx_power_dbm == 2 ** 70
+    doc["radio"]["frequency_hz"] = 2 ** 70
+    assert scene_from_dict(doc).radio.frequency_hz == 2 ** 70
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", [
+    ("sites", 0, "position_m", 0),
+    ("sites", 0, "cells", 0, "tx_power_dbm"),
+    ("sites", 0, "cells", 0, "sub_beams", 0, "bounds", "tilt_min_deg"),
+    ("sites", 0, "cells", 0, "sub_beams", 0, "baseline", 1),
+    ("sites", 0, "cells", 0, "sub_beams", 0, "candidate_step", 0),
+    ("sites", 0, "cells", 0, "sub_beams", 0, "pattern", "fbr_db"),
+    ("thresholds", "sinr_strict_db"),
+])
+def test_non_finite_number_rejected(where, value):
+    doc = _demo_doc()
+    _node(doc, where[:-1])[where[-1]] = value
+    assert "expected a finite number" in _schema_error(doc, "/".join(map(str, where)))
+
+
+def test_scene_file_with_a_nan_literal_rejected(tmp_path):
+    doc = scene_to_dict(demo_scene())
+    doc["sites"][0]["position_m"][0] = float("nan")
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))   # Python's json writes and reads the literal NaN
+    assert "NaN" in path.read_text()
+    with pytest.raises(SceneSchemaError, match="at 'sites/0/position_m/0': expected a finite"):
+        load_scene(path)
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 500.5, -500.5])
+def test_tx_power_and_peak_gain_bounded(value):
+    doc = _demo_doc()
+    doc["sites"][0]["cells"][0]["tx_power_dbm"] = value
+    with pytest.raises(SceneValidationError, match="tx_power_dbm must be finite and within"):
+        scene_from_dict(doc)
+    with pytest.raises(SceneValidationError, match="g_max_dbi must be finite and within"):
+        AntennaPattern(g_max_dbi=value)
+
+
+def test_tx_power_and_peak_gain_at_their_bounds_load():
+    doc = _demo_doc()
+    doc["sites"][0]["cells"][0]["tx_power_dbm"] = 500
+    doc["sites"][0]["cells"][1]["tx_power_dbm"] = -500.0
+    doc["sites"][0]["cells"][0]["sub_beams"][0]["pattern"]["g_max_dbi"] = -500
+    cells = scene_from_dict(doc).sites[0].cells
+    assert [c.tx_power_dbm for c in cells[:2]] == [500, -500.0]
+    assert cells[0].sub_beams[0].pattern.g_max_dbi == -500.0
+    assert AntennaPattern(g_max_dbi=500.0).g_max_dbi == 500.0
 
 
 def test_integral_index_and_integers_accepted():

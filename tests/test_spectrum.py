@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from airtwin import kernels
-from airtwin.antenna import AntennaPattern, Orientation, TablePattern, gain
+from airtwin.antenna import AntennaPattern, Orientation, TablePattern, gain, wrap_angle_deg
 from airtwin.errors import EmptySetError, SingularityError
 from airtwin.interference import linear_mw
 from airtwin.optimizer import ObjectiveWeights, _FieldEvaluator
@@ -339,6 +339,104 @@ class TestBuildField:
         # first voxel appears twice (both cells) before the second voxel
         assert lines[1].split(",")[3] == "cell0"
         assert lines[2].split(",")[3] == "cell1"
+
+
+def rows_block_field(scene, grid, assignment, offset_db=0.0):
+    """Reference for ``build_field``: the earlier rows-block build, kept here.
+
+    Per (site, chunk) it fills each cell's (sub-beam, voxel) block of rows
+    through the pattern's own ``offset_gain_dbi``, then reduces the block with
+    ``np.maximum.reduce`` and ``np.add.reduce`` of ``np.power(10.0, 0.1 x)``
+    along axis 0. Returns the cell max and the cell mW sum.
+    """
+    cell_ids = scene.cell_ids
+    cell_rsrp = np.empty((len(cell_ids), grid.count))
+    cell_lin = np.empty_like(cell_rsrp)
+    for site in scene.sites:
+        for lo, hi in kernels.chunks(grid.count):
+            az, el, loss = kernels.site_geometry(grid.centers[lo:hi], site.position_m,
+                                                 scene.radio.frequency_hz)
+            for cell in site.cells:
+                beams = sorted(cell.sub_beams, key=lambda b: b.index)
+                rows = np.empty((len(beams), hi - lo))
+                for row, sb in zip(rows, beams):
+                    angle = assignment.angle(cell.id, sb.index)
+                    gain_dbi = sb.pattern.offset_gain_dbi(
+                        wrap_angle_deg(az - angle.azimuth_deg), el - angle.tilt_deg)
+                    row[:] = cell.tx_power_dbm + gain_dbi - loss + offset_db
+                c = cell_ids.index(cell.id)
+                cell_rsrp[c, lo:hi] = np.maximum.reduce(rows, axis=0)
+                cell_lin[c, lo:hi] = np.add.reduce(np.power(10.0, rows * 0.1), axis=0)
+    return cell_rsrp, cell_lin
+
+
+def seeded_assignment(scene, seed):
+    """One lattice angle per sub-beam, drawn at random: several tilts per site."""
+    rng = np.random.default_rng(seed)
+    angles = {}
+    for key in scene.beam_keys():
+        lattice = scene.sub_beam(*key)[2].lattice()
+        angles[key] = lattice[int(rng.integers(len(lattice)))]
+    return BeamAssignment(angles)
+
+
+def with_cell_pattern(scene, cell_id, **changes):
+    """``scene`` with every sub-beam of ``cell_id`` on its pattern changed by ``changes``."""
+    sites = []
+    for site in scene.sites:
+        cells = tuple(dataclasses.replace(cell, sub_beams=tuple(
+            dataclasses.replace(sb, pattern=dataclasses.replace(sb.pattern, **changes))
+            for sb in cell.sub_beams)) if cell.id == cell_id else cell for cell in site.cells)
+        sites.append(dataclasses.replace(site, cells=cells))
+    return dataclasses.replace(scene, sites=tuple(sites))
+
+
+def assert_bits_equal_rows_block(scene, grid, assignment, offset_db=0.0, threads=1):
+    field = build_field(scene, grid, assignment, offset_db, threads=threads)
+    cell_rsrp, cell_lin = rows_block_field(scene, grid, assignment, offset_db)
+    assert np.array_equal(field.cell_rsrp_dbm.view(np.int64), cell_rsrp.view(np.int64))
+    assert np.array_equal(field.cell_lin_mw.view(np.int64), cell_lin.view(np.int64))
+
+
+class TestRowByRowBuildBitIdentity:
+    """``build_field`` folds one row at a time; it must equal the rows-block build."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_demo_scene(self, demo, seed):
+        scene, grid = demo
+        assignment = (BeamAssignment.baseline(scene) if seed is None
+                      else seeded_assignment(scene, seed))
+        assert_bits_equal_rows_block(scene, grid, assignment)
+
+    @pytest.mark.parametrize("changes", [{"hpbw_el_deg": 14.0}, {"sla_db": 18.0}])
+    def test_cells_sharing_tilts_on_other_elevation_terms(self, changes):
+        # the baseline tilt is 0 for every sub-beam, so both cells of site s1
+        # meet the same tilts; only the pattern tells their elevation terms apart
+        scene = with_cell_pattern(demo_scene(radius_m=200.0, height_m=150.0, voxel_m=15.0),
+                                  "s1c2", **changes)
+        grid = build_voxel_grid(scene.airspace)
+        assignment = BeamAssignment.baseline(scene)
+        assert {a.tilt_deg for a in assignment.angles.values()} == {0.0}
+        assert_bits_equal_rows_block(scene, grid, assignment)
+        assert_bits_equal_rows_block(scene, grid, seeded_assignment(scene, 2))
+
+    def test_table_pattern_sub_beam_mixed_in(self, demo):
+        scene = with_table_beam(demo[0])
+        assert isinstance(scene.sub_beam("s1c1", 0)[2].pattern, TablePattern)
+        assert_bits_equal_rows_block(scene, demo[1], seeded_assignment(scene, 3))
+
+    @pytest.mark.parametrize("offset_db", [-7.25, 3.1])
+    def test_offset(self, demo, offset_db):
+        scene, grid = demo
+        assert_bits_equal_rows_block(scene, grid, seeded_assignment(scene, 4), offset_db)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_small_chunks_any_threads(self, monkeypatch, threads):
+        scene = with_table_beam(demo_scene(radius_m=200.0, height_m=150.0, voxel_m=15.0))
+        grid = build_voxel_grid(scene.airspace)
+        monkeypatch.setattr(kernels, "_CHUNK", 997)
+        assert grid.count > 3 * kernels._CHUNK
+        assert_bits_equal_rows_block(scene, grid, seeded_assignment(scene, 5), 1.5, threads)
 
 
 class TestPredictAt:
