@@ -168,6 +168,7 @@ class TablePattern:
         az = np.asarray(self.az_deg, dtype=float)
         el = np.asarray(self.el_deg, dtype=float)
         g = np.asarray(self.gain_dbi, dtype=float)
+        _check_table_values("pattern table", az, el, g)
         if g.shape != (az.size, el.size):
             raise SceneValidationError(
                 f"gain table shape {g.shape} does not match grid ({az.size}, {el.size})"
@@ -193,6 +194,17 @@ class TablePattern:
         if np.ndim(delta_az_deg) == 0 and np.ndim(delta_el_deg) == 0:
             return float(values[()] if values.shape == () else values[0])
         return values
+
+
+def _check_table_values(source, az_deg, el_deg, gain_dbi) -> None:
+    """Every node finite, and every gain within +-MAX_LEVEL_DB like ``g_max_dbi``."""
+    for name, values, limit in (("az_deg", az_deg, np.inf), ("el_deg", el_deg, np.inf),
+                                ("gain_dbi", gain_dbi, MAX_LEVEL_DB)):
+        bad = ~(np.isfinite(values) & (np.abs(values) <= limit))
+        if bad.any():
+            bound = "" if limit == np.inf else f" and within +-{limit:g} dBi"
+            raise SceneValidationError(f"{source}: column {name} must be finite{bound}, "
+                                       f"got {values[bad][0]}")
 
 
 def _bilinear(xs, ys, table, x, y):
@@ -243,6 +255,7 @@ def load_pattern_table(path) -> TablePattern:
         raise SceneSchemaError(f"{path}: non-numeric value in pattern table: {exc}") from exc
     if not rows:
         raise SceneSchemaError(f"{path}: pattern table is empty")
+    _check_table_values(path, *np.asarray(rows).T)
     az = np.unique([r[0] for r in rows])
     el = np.unique([r[1] for r in rows])
     if az.size * el.size != len(rows):

@@ -67,4 +67,4 @@ class DimensionError(InputError):
 
 
 class SingularityError(ComputationError):
-    """Evaluation point coincides with a transmitter position."""
+    """An evaluation point coincides with a site, or is too close to it for a finite path loss."""

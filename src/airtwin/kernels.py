@@ -1,28 +1,33 @@
-"""Per-voxel RSRP in two steps: site geometry, then one gain formula per sub-beam.
+"""Per-point RSRP in two steps: site geometry, then one gain formula per sub-beam.
 
-Every sub-beam of a site sees a voxel at the same azimuth, elevation and
+Every sub-beam of a site sees a point at the same azimuth, elevation and
 free-space path loss, so ``site_geometry`` works those out once per site and
 ``beam_rsrp_numpy`` adds a sub-beam's steered antenna gain on top:
 
     RSRP = tx_power_dbm + G(wrap(az - az0), el - tilt0) - FSPL + offset_db
 
+``site_geometry`` is the one check of a site against the points it is
+evaluated at (voxel centers, measurement points, the optimizer's grid): a
+point too close for a finite path loss, distance 0 included, raises
+``SingularityError`` before anything divides by that distance.
+
 ``G`` comes from the pattern's own terms, so the gain formula exists only
 in ``antenna``. ``AntennaPattern`` is separable, and its capped elevation
-term depends only on ``(hpbw_el_deg, sla_db, tilt_deg)``, so a caller that
-passes ``beam_rsrp_numpy`` a dict for one geometry has each such term
-computed once and reused by every sub-beam that shares it (``build_field``
-keeps one per task: a site's 14 sub-beams use 6 to 8 tilts in a random
-lattice assignment and 1 in the baseline). A table pattern, or a call
-without the dict, takes ``offset_gain_dbi``. ``rsrp_from_gain`` is the last
-step on its own: the optimizer's candidate loop builds a parametric gain
-from an azimuth term it computes once per distinct azimuth and an
-elevation term per angle, then assembles the RSRP with the same helper.
-The field build and that loop work chunk by chunk in reused buffers, so
-``beam_rsrp_numpy`` and the helpers they call (``rsrp_from_gain``, the
-pattern terms, ``linear_mw`` and ``sinr_db``) take an ``out=`` array and
-run the same operations, in the same order, with or without it.
+term depends only on ``(hpbw_el_deg, sla_db, tilt_deg)``, so
+``beam_rsrp_numpy`` computes each such term once into a dict that holds for
+one geometry: the caller's (``spectrum``'s fold keeps one per task, and a
+site's 14 sub-beams use 6 to 8 tilts in a random lattice assignment and 1 in
+the baseline) or a fresh one. A table pattern takes ``offset_gain_dbi``.
+``rsrp_from_gain`` is the last step on its own: the optimizer's candidate
+loop builds a parametric gain from an azimuth term it computes once per
+distinct azimuth and an elevation term per angle, then assembles the RSRP
+with the same helper. The field build and that loop work chunk by chunk in
+reused buffers, so ``beam_rsrp_numpy`` and the helpers they call
+(``rsrp_from_gain``, the pattern terms, ``linear_mw`` and ``sinr_db``) take
+an ``out=`` array and run the same operations, in the same order, with or
+without it.
 
-Threading: voxels are split into fixed-size chunks whose boundaries do not
+Threading: points are split into fixed-size chunks whose boundaries do not
 depend on the thread count, and ``run_tasks`` spreads independent tasks over
 one thread pool, so results are bit-identical for any ``threads`` value.
 """
@@ -34,12 +39,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .antenna import AntennaPattern, wrap_angle_deg
+from .antenna import MAX_LEVEL_DB, AntennaPattern, wrap_angle_deg
+from .errors import SingularityError
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 _FOUR_PI_OVER_C = 4.0 * math.pi / SPEED_OF_LIGHT_M_S
 
-_CHUNK = 65536  # voxels per work unit; fixed so output never depends on threads
+_CHUNK = 65536  # points per work unit; fixed so output never depends on threads
 
 
 def fspl(distance_m, frequency_hz):
@@ -47,15 +53,27 @@ def fspl(distance_m, frequency_hz):
     return 20.0 * np.log10(_FOUR_PI_OVER_C * distance_m * frequency_hz)
 
 
-def site_geometry(centers, site_xyz, frequency_hz):
-    """Azimuth and elevation (degrees) and FSPL (dB) from one site to each point.
+def site_geometry(points, site, frequency_hz):
+    """Azimuth and elevation (degrees) and FSPL (dB) from ``site`` to each (n, 3) point.
 
     Azimuth is clockwise from north in (-180, 180]; elevation is upward.
+    Raises ``SingularityError``, naming the site and the nearest point, when
+    a point is no farther from the site than the distance at which the FSPL
+    reaches -``MAX_LEVEL_DB``: at distance 0 (the same position, or an
+    offset whose square underflows) a point has no direction, and closer
+    than that its level could overflow the dBm-to-mW conversion.
     """
-    dx = centers[:, 0] - site_xyz[0]
-    dy = centers[:, 1] - site_xyz[1]
-    dz = centers[:, 2] - site_xyz[2]
+    x, y, z = site.position_m
+    dx = points[:, 0] - x
+    dy = points[:, 1] - y
+    dz = points[:, 2] - z
     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    near_m = 10.0 ** (-MAX_LEVEL_DB / 20.0) / (_FOUR_PI_OVER_C * frequency_hz)
+    if dist.size and not dist.min() > near_m:
+        i = int(np.argmin(dist))
+        raise SingularityError(
+            f"evaluation point {tuple(map(float, points[i]))} is {float(dist[i])!r} m from "
+            f"site '{site.id}' at {site.position_m}; it must be farther than {near_m:.3g} m")
     az = np.degrees(np.arctan2(dx, dy))
     el = np.degrees(np.arcsin(np.clip(dz / dist, -1.0, 1.0)))
     return az, el, fspl(dist, frequency_hz)
@@ -70,15 +88,16 @@ def rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db, out=None):
 
 def beam_rsrp_numpy(az_deg, el_deg, fspl_db, pattern, angle, tx_power_dbm, offset_db,
                     out=None, el_terms=None):
-    """Per-voxel RSRP of one sub-beam steered to ``angle``, from its site's geometry.
+    """Per-point RSRP of one sub-beam steered to ``angle``, from its site's geometry.
 
-    ``el_terms`` is an optional dict that the caller keeps for this geometry
-    only; a parametric pattern's capped elevation term is computed once per
-    ``(hpbw_el_deg, sla_db, tilt_deg)`` into it. The bits are the same with
-    or without it, and with or without ``out``.
+    A parametric pattern's capped elevation term is computed once per
+    ``(hpbw_el_deg, sla_db, tilt_deg)`` into ``el_terms``, a dict for this
+    geometry only, or into a fresh dict. The bits are the same with or
+    without ``el_terms`` and ``out``.
     """
     delta_az = wrap_angle_deg(az_deg - angle.azimuth_deg)
-    if el_terms is not None and isinstance(pattern, AntennaPattern):
+    if isinstance(pattern, AntennaPattern):
+        el_terms = {} if el_terms is None else el_terms
         key = (pattern.hpbw_el_deg, pattern.sla_db, angle.tilt_deg)
         a_el = el_terms.get(key)
         if a_el is None:

@@ -249,7 +249,7 @@ class _FieldEvaluator:
         self.threads = threads
         self.beam_keys = list(scene.beam_keys())
         self.cell_ids = scene.cell_ids
-        self.geometry = {site.id: kernels.site_geometry(grid.centers, site.position_m,
+        self.geometry = {site.id: kernels.site_geometry(grid.centers, site,
                                                         scene.radio.frequency_hz)
                          for site in scene.sites}
         self.noise_floor = noise_floor_dbm(NoiseModel.from_radio(scene.radio))

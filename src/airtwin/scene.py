@@ -32,6 +32,10 @@ from .errors import (
 
 DEFAULT_CANDIDATE_STEP = (5.0, 3.0)  # az, tilt degrees
 
+MIN_FREQUENCY_HZ = 1e3
+MIN_BANDWIDTH_HZ, MAX_BANDWIDTH_HZ = 1.0, 1e12
+MAX_COORDINATE_M = 1e7   # farther out, a site's squared distance to a point could overflow
+
 _ANGLE_TOL = 1e-6
 
 
@@ -89,25 +93,12 @@ class VoxelGrid:
 
     spec: CylinderSpec
     centers: np.ndarray          # (count, 3) float64
-    lattice_shape: tuple[int, int, int]   # (nz, ny, nx)
-    lattice_rank: np.ndarray     # (nz, ny, nx) int32; -1 where excluded
-    origin: tuple[float, float, float]    # bounding-box minimum corner
     layer_z: np.ndarray          # (n_layers,) distinct center altitudes, ascending
     layer_bounds: np.ndarray     # (n_layers + 1,) int64 first index of each layer, then count
 
     @property
     def count(self) -> int:
         return self.centers.shape[0]
-
-    def axis_ticks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The lattice's x, y and z center coordinates; each center takes one of each."""
-        nz, ny, nx = self.lattice_shape
-        return tuple(_lattice_ticks(origin, n, self.spec.voxel_m)
-                     for origin, n in zip(self.origin, (nx, ny, nz)))
-
-    def layer_z_values(self) -> np.ndarray:
-        """Sorted distinct voxel-center altitudes."""
-        return self.layer_z
 
     def layer_indices(self, z_m: float) -> np.ndarray:
         """Dense indices of the voxel layer whose slab contains altitude z_m."""
@@ -125,11 +116,6 @@ class VoxelGrid:
         return np.arange(self.layer_bounds[k], self.layer_bounds[k + 1])
 
 
-def _lattice_ticks(origin: float, n: int, voxel_m: float) -> np.ndarray:
-    """Voxel-center coordinates along one lattice axis."""
-    return origin + (np.arange(n) + 0.5) * voxel_m
-
-
 def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
     """Discretize the cylinder into voxel centers on a regular lattice.
 
@@ -144,7 +130,7 @@ def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
     ny = nx
     nz = max(int(math.ceil((spec.z_max_m - spec.z_min_m) / v)), 1)
 
-    xs, ys, zs = (_lattice_ticks(o, n, v) for o, n in ((x0, nx), (y0, ny), (z0, nz)))
+    xs, ys, zs = (o + (np.arange(n) + 0.5) * v for o, n in ((x0, nx), (y0, ny), (z0, nz)))
 
     dx = xs - cx
     dy = ys - cy
@@ -162,13 +148,9 @@ def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
     centers[:, 1] = ys[iy]
     centers[:, 2] = zs[iz]
 
-    rank = np.full((nz, ny, nx), -1, dtype=np.int32)
-    rank[iz, iy, ix] = np.arange(count, dtype=np.int32)
     # Every kept layer holds the same circle of voxels; the kept layers are zs' prefix.
     layer_bounds = np.arange(np.count_nonzero(in_band) + 1) * np.count_nonzero(in_circle)
-    return VoxelGrid(spec=spec, centers=centers, lattice_shape=(nz, ny, nx),
-                     lattice_rank=rank, origin=(x0, y0, z0), layer_z=zs[in_band],
-                     layer_bounds=layer_bounds)
+    return VoxelGrid(spec=spec, centers=centers, layer_z=zs[in_band], layer_bounds=layer_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +164,17 @@ class RadioConstants:
 
     def __post_init__(self):
         _require_finite("radio", self, ("frequency_hz", "bandwidth_hz", "noise_figure_db"))
-        if self.frequency_hz <= 0:
-            raise SceneValidationError(f"radio.frequency_hz must be > 0, got {self.frequency_hz}")
-        if self.bandwidth_hz <= 0:
-            raise SceneValidationError(f"radio.bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if self.noise_figure_db < 0:
-            raise SceneValidationError(
-                f"radio.noise_figure_db must be >= 0, got {self.noise_figure_db}"
-            )
+        # Bounds that keep the FSPL, the noise floor and I/N finite at levels
+        # within +-MAX_LEVEL_DB and --offset-db within +-1000 dB.
+        if not self.frequency_hz >= MIN_FREQUENCY_HZ:
+            raise SceneValidationError(f"radio.frequency_hz must be >= {MIN_FREQUENCY_HZ:g}, "
+                                       f"got {self.frequency_hz}")
+        if not MIN_BANDWIDTH_HZ <= self.bandwidth_hz <= MAX_BANDWIDTH_HZ:
+            raise SceneValidationError(f"radio.bandwidth_hz must be in [{MIN_BANDWIDTH_HZ:g}, "
+                                       f"{MAX_BANDWIDTH_HZ:g}], got {self.bandwidth_hz}")
+        if not 0 <= self.noise_figure_db <= MAX_LEVEL_DB:
+            raise SceneValidationError(f"radio.noise_figure_db must be in [0, {MAX_LEVEL_DB:g}], "
+                                       f"got {self.noise_figure_db}")
 
 
 @dataclass(frozen=True)
@@ -321,6 +306,9 @@ class Site:
     def __post_init__(self):
         object.__setattr__(self, "position_m", tuple(float(c) for c in self.position_m))
         object.__setattr__(self, "cells", tuple(self.cells))
+        if not all(abs(c) <= MAX_COORDINATE_M for c in self.position_m):
+            raise SceneValidationError(f"site {self.id}: position_m must lie within "
+                                       f"+-{MAX_COORDINATE_M:g} m, got {self.position_m}")
         if self.position_m[2] < 0:
             raise SceneValidationError(f"site {self.id}: position z must be >= 0")
         if not self.cells:

@@ -61,68 +61,31 @@ class RadioField:
     cell_lin_mw: np.ndarray     # (n_cells, count), sub-beams added in index order
 
 
-def _any_at(points: np.ndarray, pos) -> bool:
-    """Whether any (n, 3) point equals ``pos``; column by column, without an (n, 3) mask."""
-    return bool(np.any((points[:, 0] == pos[0]) & (points[:, 1] == pos[1])
-                       & (points[:, 2] == pos[2])))
+def _fold_cells(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
+                points: np.ndarray, cell_ids, threads: int = 1):
+    """Per-point cell max RSRP (dBm) and summed mW of each cell in ``cell_ids``.
 
-
-def _check_no_coincidence(scene: SceneConfig, grid: VoxelGrid) -> None:
-    """Reject a site that sits exactly on a voxel center.
-
-    Each site is looked up on the lattice's axis ticks: a site on a tick of
-    all three axes coincides with a center iff that lattice point is in the
-    grid (rank >= 0).
-    """
-    ticks = grid.axis_ticks()
-    for site in scene.sites:
-        pos = np.asarray(site.position_m, dtype=np.float64)
-        at = [int(np.searchsorted(axis, p)) for axis, p in zip(ticks, pos)]
-        if (all(i < axis.size and axis[i] == p for axis, i, p in zip(ticks, at, pos))
-                and grid.lattice_rank[at[2], at[1], at[0]] >= 0):
-            raise SingularityError(
-                f"a voxel center coincides with site '{site.id}' at {tuple(pos)}"
-            )
-
-
-def cell_max_from_beams(beam_dbm: np.ndarray,
-                        slices: list[tuple[int, int]]) -> np.ndarray:
-    """Cell-level field: per-voxel max over each cell's sub-beam rows."""
-    n = beam_dbm.shape[1]
-    out = np.empty((len(slices), n), dtype=np.float64)
-    for c, (a, b) in enumerate(slices):
-        out[c] = np.maximum.reduce(beam_dbm[a:b], axis=0)
-    return out
-
-
-def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
-                offset_db: float = 0.0, *, threads: int = 1) -> RadioField:
-    """Evaluate every (voxel, sub-beam) RSRP and reduce it to cell level.
-
-    One task per (site, voxel chunk) computes the site's geometry to the
-    chunk once, then each of its sub-beams' rows into one chunk-sized buffer,
-    and folds that row straight into its cell's slice of the outputs: a
-    cell's first row is copied in, and each later row is added by an in-place
-    max and an in-place add of its mW. So no (sub-beam, voxel) array is ever
-    made. The task's dict of elevation terms serves only its own chunk's
-    voxels, so it lives and dies with the task.
+    Returns two (len(cell_ids), n) arrays whose rows follow ``cell_ids``, for
+    the (n, 3) ``points``. One task per (site with a listed cell, chunk of
+    points) computes the site's geometry to the chunk once, then each of its
+    listed cells' sub-beam rows into one chunk-sized buffer, and folds that
+    row straight into its cell's slice of the outputs: a cell's first row is
+    copied in, and each later row is added by an in-place max and an
+    in-place add of its mW. So no (sub-beam, point) array is ever made. The
+    task's dict of elevation terms serves only its own chunk's points, so it
+    lives and dies with the task.
 
     Deterministic regardless of ``threads``: chunk boundaries are fixed, the
     max is exact, and each cell's mW sum adds its rows in sub-beam index
-    order for every voxel, the order of ``np.add.reduce(axis=0)``.
+    order for every point, the order of ``np.add.reduce(axis=0)``.
     """
-    assignment.validate_for(scene, require_lattice=False)
-    centers = grid.centers
-    _check_no_coincidence(scene, grid)
-
-    cell_ids = scene.cell_ids
-    cell_rsrp = np.empty((len(cell_ids), grid.count), dtype=np.float64)
+    cell_rsrp = np.empty((len(cell_ids), len(points)), dtype=np.float64)
     cell_lin = np.empty_like(cell_rsrp)
     frequency_hz = scene.radio.frequency_hz
 
     def work(task):
         site, cells, lo, hi = task
-        geometry = kernels.site_geometry(centers[lo:hi], site.position_m, frequency_hz)
+        geometry = kernels.site_geometry(points[lo:hi], site, frequency_hz)
         row = np.empty(hi - lo, dtype=np.float64)
         el_terms = {}
         for c, beams in cells:
@@ -142,16 +105,30 @@ def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
         cells = [(cell_ids.index(cell.id),
                   [(sb.pattern, assignment.angle(cell.id, sb.index), cell.tx_power_dbm)
                    for sb in sorted(cell.sub_beams, key=lambda b: b.index)])
-                 for cell in site.cells]
-        tasks.extend((site, cells, lo, hi) for lo, hi in kernels.chunks(grid.count))
+                 for cell in site.cells if cell.id in cell_ids]
+        if cells:
+            tasks.extend((site, cells, lo, hi) for lo, hi in kernels.chunks(len(points)))
     kernels.run_tasks(work, tasks, threads)
-    return RadioField(grid=grid, cell_ids=cell_ids, cell_rsrp_dbm=cell_rsrp,
+    return cell_rsrp, cell_lin
+
+
+def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
+                offset_db: float = 0.0, *, threads: int = 1) -> RadioField:
+    """Every voxel's cell-level RSRP and mW sum: ``_fold_cells`` over every cell."""
+    assignment.validate_for(scene, require_lattice=False)
+    cell_rsrp, cell_lin = _fold_cells(scene, assignment, offset_db, grid.centers,
+                                      scene.cell_ids, threads)
+    return RadioField(grid=grid, cell_ids=scene.cell_ids, cell_rsrp_dbm=cell_rsrp,
                       cell_lin_mw=cell_lin)
 
 
 def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
                points) -> np.ndarray:
-    """Cell-level RSRP at arbitrary (position, cell id) points, in input order."""
+    """Cell-level RSRP at arbitrary (position, cell id) points, in input order.
+
+    Each cell's points go through ``build_field``'s fold, ``_fold_cells``,
+    for that cell alone. An unknown cell id raises ``UnknownCellError``.
+    """
     assignment.validate_for(scene, require_lattice=False)
     pts = list(points)
     out = np.empty(len(pts), dtype=np.float64)
@@ -160,18 +137,9 @@ def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
     positions = np.asarray([np.asarray(p[0], dtype=float) for p in pts])
     cell_ids = [p[1] for p in pts]
     for cell_id in sorted(set(cell_ids)):
-        site, cell = scene.cell(cell_id)
+        scene.cell(cell_id)   # an unknown id raises here
         idx = np.asarray([i for i, c in enumerate(cell_ids) if c == cell_id])
-        sub = np.ascontiguousarray(positions[idx])
-        pos = np.asarray(site.position_m)
-        if _any_at(sub, pos):
-            raise SingularityError(f"a prediction point coincides with site '{site.id}'")
-        geometry = kernels.site_geometry(sub, site.position_m, scene.radio.frequency_hz)
-        rows = np.stack([kernels.beam_rsrp_numpy(*geometry, sb.pattern,
-                                                 assignment.angle(cell_id, sb.index),
-                                                 cell.tx_power_dbm, offset_db)
-                         for sb in cell.sub_beams])
-        out[idx] = cell_max_from_beams(rows, [(0, len(rows))])[0]
+        out[idx] = _fold_cells(scene, assignment, offset_db, positions[idx], (cell_id,))[0][0]
     return out
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,3 +229,45 @@ class TestTablePattern:
         path.write_text("az,el,g\n0,0,1\n")
         with pytest.raises(SceneSchemaError, match="header"):
             load_pattern_table(path)
+
+    # Each (column, row, value): one node's value, written into a 2x2 table whose
+    # other values are all fine. Infinite or huge gains would overflow the
+    # dBm-to-mW conversion; a NaN axis value used to pass, and a NaN gain was
+    # reported as a missing grid node.
+    BAD_NODES = [
+        ("gain_dbi", None, "inf"),
+        ("gain_dbi", None, "1e300"),
+        ("gain_dbi", 3, "-500.5"),
+        ("gain_dbi", None, "nan"),
+        ("az_deg", 0, "nan"),
+        ("el_deg", 1, "-inf"),
+    ]
+
+    @pytest.mark.parametrize("column, row, value", BAD_NODES)
+    def test_non_finite_or_huge_value_rejected(self, tmp_path, column, row, value):
+        rows = [{"az_deg": a, "el_deg": e, "gain_dbi": "3"}
+                for a in ("-180", "180") for e in ("-90", "90")]
+        for i, node in enumerate(rows):
+            if row is None or i == row:
+                node[column] = value
+        path = tmp_path / "pattern.csv"
+        path.write_text("az_deg,el_deg,gain_dbi\n"
+                        + "".join(f"{r['az_deg']},{r['el_deg']},{r['gain_dbi']}\n" for r in rows))
+        message = re.escape(f"{path}: column {column} must be finite")
+        with pytest.raises(SceneValidationError, match=message):
+            load_pattern_table(path)
+
+    @pytest.mark.parametrize("column, value", [("gain_dbi", np.inf), ("gain_dbi", 500.5),
+                                               ("az_deg", np.nan), ("el_deg", -np.inf)])
+    def test_constructor_rejects_non_finite_or_huge_value(self, column, value):
+        nodes = {"az_deg": np.array([-180.0, 180.0]), "el_deg": np.array([-90.0, 90.0]),
+                 "gain_dbi": np.full((2, 2), 3.0)}
+        nodes[column][0] = value
+        with pytest.raises(SceneValidationError, match=f"column {column} must be finite"):
+            TablePattern(**nodes)
+
+    def test_gains_at_the_level_bound_load(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text("az_deg,el_deg,gain_dbi\n-180,-90,500\n-180,90,-500\n"
+                        "180,-90,500\n180,90,-500\n")
+        assert load_pattern_table(path).g_max_dbi == 500.0

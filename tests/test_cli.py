@@ -1,11 +1,18 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import airtwin.cli
 import airtwin.optimizer
@@ -459,9 +466,47 @@ LEVEL_CASES = {
     "tx_power_huge": ("sites.0.cells.0.tx_power_dbm=1e300", "tx_power_dbm"),
     "g_max_huge": ("sites.0.cells.0.sub_beams.0.pattern.g_max_dbi=1e300", "g_max_dbi"),
     "tx_power_past_bound": ("sites.0.cells.0.tx_power_dbm=-500.5", "tx_power_dbm"),
+    # The FSPL, the noise floor and I/N stay finite only for radio values in range.
+    "frequency_tiny": ("radio.frequency_hz=1e-300", "radio.frequency_hz"),
+    "bandwidth_tiny": ("radio.bandwidth_hz=1e-300", "radio.bandwidth_hz"),
+    "noise_figure_huge": ("radio.noise_figure_db=1e300", "radio.noise_figure_db"),
 }
 FAILURE_CASES.update({f"level_{name}": (2, ["evaluate", "--set", override])
                       for name, (override, _) in LEVEL_CASES.items()})
+
+# A site on a voxel center has no direction and no path loss to it. Moving the
+# airspace's center to x = 10 puts a lattice tick at x = 0, so a site 5e-324 m
+# from the center (0, 10, 10) is a distinct position whose distance squares to 0.
+FAILURE_CASES.update({
+    "site_on_a_voxel_center": (3, ["evaluate", "--set", "sites.0.position_m=[10,10,10]"]),
+    "site_subnormal_offset_from_a_voxel_center": (3, [
+        "evaluate", "--set", "airspace.center_m=[10,0]",
+        "--set", "sites.0.position_m=[5e-324,10,10]"]),
+})
+
+# A pattern table node that is not finite, or a gain past +-500 dBi; each
+# error names the table file and the column. The test writes the table.
+TABLE_CASES = {
+    "gain_inf": ("gain_dbi", "inf"),
+    "gain_huge": ("gain_dbi", "1e300"),
+    "gain_nan": ("gain_dbi", "nan"),
+    "az_nan": ("az_deg", "nan"),
+}
+FAILURE_CASES.update({f"table_{name}": (2, ["evaluate"]) for name in TABLE_CASES})
+
+
+def write_table(path, column, values):
+    """A 2x2 pattern table with ``values`` in ``column``, one per node; the rest finite.
+
+    Returns the ``--set`` that gives the first sub-beam of the first cell this table.
+    """
+    rows = [{"az_deg": a, "el_deg": e, "gain_dbi": "3"} for a in ("-180", "180")
+            for e in ("-90", "90")]
+    for row, value in zip(rows, values):
+        row[column] = value
+    path.write_text("az_deg,el_deg,gain_dbi\n"
+                    + "".join(f"{r['az_deg']},{r['el_deg']},{r['gain_dbi']}\n" for r in rows))
+    return ["--set", f'sites.0.cells.0.sub_beams.0.pattern={{"type":"table","path":"{path}"}}']
 
 
 @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
@@ -472,16 +517,24 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         mask_path = tmp_path / "mask.txt"
         mask_path.write_text(argv[-1] + "\n")
         argv[-1] = str(mask_path)
+    if case.startswith("table_"):
+        table = tmp_path / "pattern.csv"
+        column, value = TABLE_CASES[case[len("table_"):]]
+        argv += write_table(table, column, [value] * 4)
     out = tmp_path / "out"
     if case == "out_under_a_file":
         (tmp_path / "blocker").write_text("")
         out = tmp_path / "blocker" / "out"
-    rc = main([argv[0], "--scene", tiny_scene_path, "--out", str(out), *argv[1:]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([argv[0], "--scene", tiny_scene_path, "--out", str(out), *argv[1:]])
     err = capsys.readouterr().err
     assert rc == code
+    assert [str(w.message) for w in caught] == []
     assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert "np.float64(" not in err
     flag_cases = ("synth_", "validate_", "threads_", "offset_db_", "activity_factor_")
     if (case.startswith(flag_cases)
             or case in ("mask_not_integer", "mask_empty")) and case != "synth_noise_sigma_nan":
@@ -495,8 +548,16 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         assert f"error: scene schema violation at '{path}" in err
     if case.startswith("level_"):
         assert LEVEL_CASES[case[len("level_"):]][1] in err
+    if case.startswith("site_"):
+        assert "from site 'site0' at (" in err
+    if case.startswith("table_"):
+        assert f"{table}: column {TABLE_CASES[case[len('table_'):]][0]} must be finite" in err
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}
+
+
+# The largest levels over the smallest noise floor, and the smallest over the largest.
+RADIO_AT_BOUNDS = {500.0: ("1e3", "1", "0"), -500.0: ("1.7976931348623157e308", "1e12", "500")}
 
 
 @pytest.mark.parametrize("level, offset", [(500.0, 1000.0), (-500.0, -1000.0)])
@@ -504,6 +565,9 @@ def test_levels_at_their_bounds_give_finite_sinr(level, offset, tiny_scene_path,
                                                  capsys):
     out = tmp_path / "out"
     overrides = []
+    for name, value in zip(("frequency_hz", "bandwidth_hz", "noise_figure_db"),
+                           RADIO_AT_BOUNDS[level]):
+        overrides += ["--set", f"radio.{name}={value}"]
     for site in (0, 1):   # every cell at the bound, so each interferes at the bound too
         cell = f"sites.{site}.cells.0"
         overrides += ["--set", f"{cell}.tx_power_dbm={level}"]
@@ -518,6 +582,72 @@ def test_levels_at_their_bounds_give_finite_sinr(level, offset, tiny_scene_path,
     assert capsys.readouterr().err == ""
     sinr = np.loadtxt(out / "sinr.csv", delimiter=",", skiprows=1, usecols=(4, 5))
     assert sinr.size and np.all(np.isfinite(sinr))
+
+
+def shifted_tiny_scene():
+    """The tiny test scene with its airspace centered at x = 10: a lattice tick at x = 0."""
+    scene = simple_scene(n_cells=2, n_beams=2, radius_m=60.0, z_max_m=40.0, voxel_m=20.0)
+    airspace = dataclasses.replace(scene.airspace, center_m=(10.0, 0.0))
+    return dataclasses.replace(scene, airspace=airspace)
+
+
+SHIFTED_CENTERS = [tuple(c) for c in build_voxel_grid(shifted_tiny_scene().airspace).centers]
+EXTREMES = [0.0, 5e-324, 1e-300, 0.5, 1.0, 999.9, 1e3, 3.5e9, 2.0 ** 70, 1e12, 1.1e12,
+            500.0, 500.5, 1e300, 1.7976931348623157e308]
+
+
+def mostly(valid, *others):
+    """Mostly ``valid``, else one of ``others``."""
+    return st.integers(0, 4).flatmap(lambda k: st.one_of(*others) if k == 4 else valid)
+
+
+def radio_value(low, high):
+    """Mostly in [low, high], else any finite float or a value at some edge."""
+    return mostly(st.floats(low, high), st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from(EXTREMES + [-v for v in EXTREMES]))
+
+
+radio_values = st.tuples(radio_value(1e3, 1.7976931348623157e308), radio_value(1.0, 1e12),
+                         radio_value(0.0, 500.0))
+table_gains = st.none() | st.lists(mostly(st.floats(-500.0, 500.0), st.floats(),
+                                          st.sampled_from([500.0, -500.0, 500.5])),
+                                   min_size=4, max_size=4)
+offsets = st.sampled_from([0.0, 5e-324, -5e-324, 1e-200, 1e-160, 1e-100, 1e-30, 1e-3, 7.0])
+site_positions = st.one_of(
+    st.builds(lambda c, d: [c[0] + d[0], c[1] + d[1], c[2] + d[2]],
+              st.sampled_from(SHIFTED_CENTERS), st.tuples(offsets, offsets, offsets)),
+    st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0), st.floats(0.0, 100.0)),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(radio=radio_values, gains=table_gains,
+       position=site_positions, tx_power=st.sampled_from([30.0, 500.0, -500.0]),
+       offset=st.sampled_from([0.0, 1000.0, -1000.0]))
+def test_evaluate_on_any_radio_table_and_site_position(radio, gains, position, tx_power,
+                                                       offset):
+    """Exit 0, 2 or 3, at most one ``error:`` line, and never a warning or a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_path = os.path.join(tmp, "scene.json")
+        save_scene(shifted_tiny_scene(), scene_path)
+        argv = ["evaluate", "--scene", scene_path, "--out", os.path.join(tmp, "out"),
+                "--offset-db", str(offset),
+                "--set", f"sites.0.position_m={json.dumps(list(position))}",
+                "--set", f"sites.0.cells.0.tx_power_dbm={tx_power}"]
+        for name, value in zip(("frequency_hz", "bandwidth_hz", "noise_figure_db"), radio):
+            argv += ["--set", f"radio.{name}={json.dumps(value)}"]
+        if gains is not None:
+            argv += write_table(pathlib.Path(tmp, "pattern.csv"), "gain_dbi", map(repr, gains))
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            rc = main(argv)
+    event(f"exit {rc}")
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3)
+    assert len(lines) == (rc != 0) and all(line.startswith("error:") for line in lines)
 
 
 @pytest.mark.parametrize("message, line", [

@@ -272,7 +272,7 @@ class TestCandidateDeltasExact:
             azimuths = [a.azimuth_deg for a in scene.sub_beam(*key)[2].lattice()]
             assert min(azimuths) < 90.0 and max(azimuths) > 270.0, key
         az = kernels.site_geometry(build_voxel_grid(scene.airspace).centers,
-                                   scene.cell("cell2")[0].position_m,
+                                   scene.cell("cell2")[0],
                                    scene.radio.frequency_hz)[0]
         assert az.min() < 0.0 < az.max()   # the site sees voxels on both sides of north
         assert_deltas_exact(scene, keys)

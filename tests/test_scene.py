@@ -63,6 +63,34 @@ def test_radio_constants_must_be_finite(field, value):
         RadioConstants(**values)
 
 
+# Past these the FSPL, the noise floor or I/N could leave float range at
+# levels within +-500 dB and --offset-db within +-1000 dB.
+@pytest.mark.parametrize("field, value", [
+    ("frequency_hz", 1e-300), ("frequency_hz", 999.0), ("frequency_hz", 0.0),
+    ("bandwidth_hz", 1e-300), ("bandwidth_hz", 0.5), ("bandwidth_hz", 1.5e12),
+    ("noise_figure_db", 1e300), ("noise_figure_db", 500.5), ("noise_figure_db", -1.0),
+])
+def test_radio_constants_bounded(field, value):
+    values = {"frequency_hz": 3.5e9, "bandwidth_hz": 1e8, "noise_figure_db": 7.0, field: value}
+    with pytest.raises(SceneValidationError, match=f"radio.{field} must be"):
+        RadioConstants(**values)
+
+
+@pytest.mark.parametrize("values", [(1e3, 1.0, 0.0), (1.7976931348623157e308, 1e12, 500.0)])
+def test_radio_constants_at_their_bounds_load(values):
+    assert RadioConstants(*values) == RadioConstants(*map(float, values))
+
+
+@pytest.mark.parametrize("position", [(1e300, 0.0, 10.0), (0.0, -1.0000001e7, 10.0),
+                                      (0.0, 0.0, 2e7)])
+def test_site_position_bounded(position):
+    # farther out, a site's squared distance to a point or its FSPL could overflow
+    doc = _demo_doc()
+    doc["sites"][1]["position_m"] = list(position)
+    with pytest.raises(SceneValidationError, match="site s2: position_m must lie within"):
+        scene_from_dict(doc)
+
+
 LATTICE_SPECS = [
     CylinderSpec((3.0, -2.0), 5.0, 0.0, 10.0, 10.0),      # one voxel, off the origin
     CylinderSpec((0.0, 0.0), 25.0, 0.0, 8.0, 10.0),       # one layer
@@ -135,7 +163,7 @@ class TestVoxelGrid:
     def test_layer_table_matches_a_scan_of_the_centers(self, spec):
         grid = build_voxel_grid(spec)
         zs = grid.centers[:, 2]
-        np.testing.assert_array_equal(grid.layer_z_values(), np.unique(zs))
+        np.testing.assert_array_equal(grid.layer_z, np.unique(zs))
         assert grid.layer_bounds[0] == 0 and grid.layer_bounds[-1] == grid.count
         for k, z in enumerate(np.unique(zs)):
             expected = np.nonzero(zs == z)[0]
@@ -145,15 +173,6 @@ class TestVoxelGrid:
             # Any altitude inside the layer's slab selects it.
             np.testing.assert_array_equal(grid.layer_indices(z + 0.49 * spec.voxel_m),
                                           expected)
-
-    @pytest.mark.parametrize("spec", LATTICE_SPECS)
-    def test_axis_ticks_and_rank_locate_every_center(self, spec):
-        grid = build_voxel_grid(spec)
-        xs, ys, zs = grid.axis_ticks()
-        assert (zs.size, ys.size, xs.size) == grid.lattice_shape
-        iz, iy, ix = np.nonzero(grid.lattice_rank >= 0)
-        np.testing.assert_array_equal(grid.centers[grid.lattice_rank[iz, iy, ix]],
-                                      np.stack([xs[ix], ys[iy], zs[iz]], axis=1))
 
     def test_spec_invariants(self):
         with pytest.raises(SceneValidationError):

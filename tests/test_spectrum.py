@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -152,7 +154,7 @@ def site_at(scene, position):
 
 
 class TestSiteOnVoxelCenter:
-    """build_field rejects a site exactly on a voxel center, found on the lattice."""
+    """A site on a voxel center is rejected by ``kernels.site_geometry``."""
 
     def setup_method(self):
         self.scene = simple_scene(n_cells=2, radius_m=60.0, z_max_m=60.0, voxel_m=20.0)
@@ -173,10 +175,30 @@ class TestSiteOnVoxelCenter:
                             BeamAssignment.baseline(self.scene))
         assert field.cell_rsrp_dbm.shape == (2, self.grid.count)
 
+    @pytest.mark.parametrize("offset, distance", [(5e-324, 0.0), (1e-200, 0.0),
+                                                  (1e-100, 1e-100), (1e-30, 1e-30)])
+    def test_too_close_to_a_center_rejected_before_any_division(self, offset, distance):
+        # With the airspace centered at x = 10 a lattice tick sits at x = 0, so
+        # these are distinct positions: 5e-324 and 1e-200 square to 0, and the
+        # others would give a path loss far below -500 dB.
+        spec = dataclasses.replace(self.grid.spec, center_m=(10.0, 0.0))
+        scene = dataclasses.replace(self.scene, airspace=spec)
+        grid = build_voxel_grid(spec)
+        assert np.any(np.all(grid.centers == (0.0, 10.0, 10.0), axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError, match=re.escape(
+                    f"is {distance!r} m from site 'site0' at ({offset!r}, 10.0, 10.0)")):
+                build_field(site_at(scene, (offset, 10.0, 10.0)), grid,
+                            BeamAssignment.baseline(scene))
+
     def test_lattice_point_outside_the_cylinder_accepted(self):
-        v = self.grid.spec.voxel_m
-        corner = [o + 0.5 * v for o in self.grid.origin]   # lattice (0, 0, 0)
-        assert self.grid.lattice_rank[0, 0, 0] == -1
+        spec = self.grid.spec
+        v = spec.voxel_m
+        corner = [spec.center_m[0] - spec.radius_m + 0.5 * v,   # lattice (0, 0, 0)
+                  spec.center_m[1] - spec.radius_m + 0.5 * v, spec.z_min_m + 0.5 * v]
+        assert not spec.contains(corner)
+        assert not np.any(np.all(self.grid.centers == corner, axis=1))
         field = build_field(site_at(self.scene, corner), self.grid,
                             BeamAssignment.baseline(self.scene))
         assert np.all(np.isfinite(field.cell_rsrp_dbm))
@@ -354,7 +376,7 @@ def rows_block_field(scene, grid, assignment, offset_db=0.0):
     cell_lin = np.empty_like(cell_rsrp)
     for site in scene.sites:
         for lo, hi in kernels.chunks(grid.count):
-            az, el, loss = kernels.site_geometry(grid.centers[lo:hi], site.position_m,
+            az, el, loss = kernels.site_geometry(grid.centers[lo:hi], site,
                                                  scene.radio.frequency_hz)
             for cell in site.cells:
                 beams = sorted(cell.sub_beams, key=lambda b: b.index)
@@ -475,6 +497,13 @@ class TestPredictAt:
                 for sb in cell.sub_beams)
             assert values[k] == pytest.approx(expected, abs=1e-9)
 
+    def test_point_on_a_site_rejected(self, tiny):
+        scene, _ = tiny
+        site, _ = scene.cell("cell1")
+        points = [((0.0, 0.0, 10.0), "cell0"), (site.position_m, "cell1")]
+        with pytest.raises(SingularityError, match=f"from site '{site.id}'"):
+            predict_at(scene, BeamAssignment.baseline(scene), 0.0, points)
+
     def test_unknown_cell(self, tiny):
         scene, _ = tiny
         from airtwin.errors import UnknownCellError
@@ -482,6 +511,81 @@ class TestPredictAt:
         with pytest.raises(UnknownCellError):
             predict_at(scene, BeamAssignment.baseline(scene), 0.0,
                        [((0.0, 0.0, 10.0), "nope")])
+
+
+def stacked_rows_predict_at(scene, assignment, offset_db, points):
+    """Reference for ``predict_at``: the earlier path, kept here.
+
+    Per cell it stacks the cell's sub-beam rows, each through the pattern's
+    own ``offset_gain_dbi``, and reduces them with ``np.maximum.reduce``.
+    """
+    pts = list(points)
+    out = np.empty(len(pts))
+    positions = np.asarray([np.asarray(p[0], dtype=float) for p in pts])
+    cell_ids = [p[1] for p in pts]
+    for cell_id in sorted(set(cell_ids)):
+        site, cell = scene.cell(cell_id)
+        idx = np.asarray([i for i, c in enumerate(cell_ids) if c == cell_id])
+        az, el, loss = kernels.site_geometry(positions[idx], site, scene.radio.frequency_hz)
+        rows = []
+        for sb in cell.sub_beams:
+            angle = assignment.angle(cell_id, sb.index)
+            gain_dbi = sb.pattern.offset_gain_dbi(wrap_angle_deg(az - angle.azimuth_deg),
+                                                  el - angle.tilt_deg)
+            rows.append(kernels.rsrp_from_gain(cell.tx_power_dbm, gain_dbi, loss, offset_db))
+        out[idx] = np.maximum.reduce(np.stack(rows), axis=0)
+    return out
+
+
+def random_points(scene, n, seed):
+    """``n`` (position, cell id) points inside the airspace, cells drawn at random."""
+    rng = np.random.default_rng(seed)
+    spec = scene.airspace
+    r = spec.radius_m * np.sqrt(rng.uniform(0.0, 1.0, n))
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    xyz = np.stack([spec.center_m[0] + r * np.sin(phi), spec.center_m[1] + r * np.cos(phi),
+                    rng.uniform(spec.z_min_m, spec.z_max_m, n)], axis=1)
+    return [(p, scene.cell_ids[int(c)])
+            for p, c in zip(xyz, rng.integers(len(scene.cell_ids), size=n))]
+
+
+def assert_bits_equal_stacked_rows(scene, assignment, offset_db, points):
+    values = predict_at(scene, assignment, offset_db, points)
+    reference = stacked_rows_predict_at(scene, assignment, offset_db, points)
+    assert np.array_equal(values.view(np.int64), reference.view(np.int64))
+
+
+class TestPredictAtBitIdentity:
+    """``predict_at`` runs ``build_field``'s fold; it must equal the stacked-rows path."""
+
+    @pytest.mark.parametrize("seed", [None, 6])
+    def test_points_of_every_cell(self, demo, seed):
+        scene = demo[0]
+        assignment = (BeamAssignment.baseline(scene) if seed is None
+                      else seeded_assignment(scene, seed))
+        points = random_points(scene, 500, 7)
+        assert {cell_id for _, cell_id in points} == set(scene.cell_ids)
+        assert_bits_equal_stacked_rows(scene, assignment, 0.0, points)
+
+    def test_table_pattern_sub_beam_mixed_in(self, demo):
+        scene = with_table_beam(demo[0])
+        assert isinstance(scene.sub_beam("s1c1", 0)[2].pattern, TablePattern)
+        assert_bits_equal_stacked_rows(scene, seeded_assignment(scene, 8), 0.0,
+                                       random_points(scene, 500, 9))
+
+    @pytest.mark.parametrize("offset_db", [-7.25, 3.1])
+    def test_offset(self, demo, offset_db):
+        scene = demo[0]
+        assert_bits_equal_stacked_rows(scene, seeded_assignment(scene, 10), offset_db,
+                                       random_points(scene, 300, 11))
+
+    def test_more_points_than_a_chunk(self, monkeypatch):
+        scene = with_table_beam(demo_scene(radius_m=200.0, height_m=150.0, voxel_m=15.0))
+        monkeypatch.setattr(kernels, "_CHUNK", 997)
+        points = random_points(scene, 3 * 6 * kernels._CHUNK, 12)
+        counts = [sum(1 for _, c in points if c == cell_id) for cell_id in scene.cell_ids]
+        assert min(counts) > 2 * kernels._CHUNK
+        assert_bits_equal_stacked_rows(scene, seeded_assignment(scene, 13), 1.5, points)
 
 
 class TestCalibration:
