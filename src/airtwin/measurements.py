@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csv
+from .antenna import MAX_LEVEL_DB
 from .errors import SceneSchemaError, SceneValidationError
-from .scene import CylinderSpec
+from .scene import MAX_COORDINATE_M, CylinderSpec
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -141,11 +142,24 @@ def load_measurements(path, mapping=None, region: CylinderSpec | None = None,
     except OSError as exc:
         raise SceneSchemaError(f"cannot read measurement file {path}: {exc}") from exc
 
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    rsrp = np.asarray(rsrp, dtype=np.float64)
+    # Within these bounds every squared distance and semivariance stays finite.
+    bad_position = ~np.all(np.abs(positions) <= MAX_COORDINATE_M, axis=1)
+    bad_rsrp = ~(np.abs(rsrp) <= MAX_LEVEL_DB)
+    if np.any(bad_position | bad_rsrp):
+        i = int(np.argmax(bad_position | bad_rsrp))
+        if bad_position[i]:
+            raise SceneValidationError(
+                f"{path}: data row {i + 1}: sample positions must all be finite and within "
+                f"+-{MAX_COORDINATE_M:g} m, got {tuple(positions[i].tolist())}")
+        raise SceneValidationError(f"{path}: data row {i + 1}: rsrp_dbm must be finite and "
+                                   f"within +-{MAX_LEVEL_DB:g} dBm, got {float(rsrp[i])}")
     return MeasurementSet(
         seq=np.asarray(seq, dtype=np.int64),
-        positions=np.asarray(positions, dtype=np.float64).reshape(-1, 3),
+        positions=positions,
         cell_ids=np.asarray(cell_ids, dtype=object),
-        rsrp_dbm=np.asarray(rsrp, dtype=np.float64),
+        rsrp_dbm=rsrp,
         source=source if source is not None else str(path),
         region=region,
     )

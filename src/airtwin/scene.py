@@ -64,6 +64,14 @@ class CylinderSpec:
         _require_finite("airspace", self, ("radius_m", "z_min_m", "z_max_m", "voxel_m"))
         if self.radius_m <= 0:
             raise SceneValidationError(f"airspace.radius_m must be > 0, got {self.radius_m}")
+        # Like a site, so a voxel's squared distance to a site cannot overflow.
+        extent = (*(abs(c) + self.radius_m for c in self.center_m),
+                  abs(self.z_min_m), abs(self.z_max_m))
+        if not all(e <= MAX_COORDINATE_M for e in extent):
+            raise SceneValidationError(
+                f"airspace.center_m +- radius_m and z_min_m..z_max_m must lie within "
+                f"+-{MAX_COORDINATE_M:g} m, got center_m {self.center_m}, radius_m "
+                f"{self.radius_m}, z {self.z_min_m}..{self.z_max_m}")
         if self.z_max_m <= self.z_min_m:
             raise SceneValidationError(
                 f"airspace.z_max_m ({self.z_max_m}) must exceed z_min_m ({self.z_min_m})"

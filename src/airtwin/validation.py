@@ -2,7 +2,8 @@
 
 The Kriging baseline treats each altitude layer as an independent 2D
 interpolation problem, fitted per (layer, cell id): an exponential variogram
-is least-squares fitted to the empirical variogram, then ordinary-Kriging
+is least-squares fitted to the empirical variogram (in closed form for each
+range of a search, ``fit_exponential``), then ordinary-Kriging
 weights (summing to 1) are solved per prediction point over the nearest
 training samples. The nugget applies off-diagonal only, so the interpolator
 is exact at training nodes.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,23 +27,20 @@ from .errors import EmptySetError, SizeError
 from .measurements import MeasurementSet
 from .spectrum import TwinModel, calibrate_offset
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
 DEFAULT_LAYER_HEIGHT_M = 10.0
 KRIGING_NEIGHBORS = 32
 VARIOGRAM_LAG_BINS = 20
 
-
-# scipy is imported on first use, so only the commands that fit or query a
-# baseline pay its import time. fit_variogram calls this module attribute, so
-# a wrapper put in its place (the benchmark's trace counts residual
-# evaluations that way) sees every fit.
-def least_squares(fun, x0, **kwargs):
-    """``scipy.optimize.least_squares``, imported at the first call."""
-    from scipy.optimize import least_squares as scipy_least_squares
-
-    return scipy_least_squares(fun, x0, **kwargs)
+# The variogram fit's bounds: nugget >= 0, partial sill >= MIN_PARTIAL, range >= MIN_RANGE_M.
+MIN_PARTIAL = 1e-9
+MIN_RANGE_M = 1e-6
+# Its range search: RANGE_GRID_NODES log-spaced over [min lag / 100, 1e8 * max lag],
+# then RANGE_ZOOMS rounds of RANGE_ZOOM_NODES over the bracket around the best node
+# of the last round. The upper end is far out because data whose variogram is a
+# line fit best as range -> inf.
+RANGE_GRID_NODES = 97
+RANGE_ZOOM_NODES = 33
+RANGE_ZOOMS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +119,12 @@ def error_cdf(errors, grid=None) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class VariogramModel:
-    """Exponential variogram with practical range: nugget + (sill-nugget)(1-exp(-3h/range)).
-
-    ``fit_error`` names the error of a least-squares fit that fell back to the
-    default model; it is None for a model that was fitted or given.
-    """
+    """Exponential variogram with practical range: nugget + (sill-nugget)(1-exp(-3h/range))."""
 
     nugget: float
     sill: float
     range_m: float
     kind: str = "exponential"
-    fit_error: str | None = None
 
     def __post_init__(self):
         if self.nugget < 0:
@@ -169,33 +161,68 @@ def empirical_variogram(points: np.ndarray, values: np.ndarray,
     return np.asarray(lags), np.asarray(gammas)
 
 
+def _best_sills(lags: np.ndarray, gammas: np.ndarray, ranges: np.ndarray):
+    """Per range, the (nugget, partial) within their bounds that minimise the squared residual.
+
+    With the range fixed the model is linear in (nugget, partial), so each
+    problem is a 2-parameter box-bounded least squares: the normal equations'
+    solution when it is feasible, else the better of the two bounded edges
+    (nugget = 0, partial = MIN_PARTIAL), each solved in one variable and clamped.
+    Returns (nugget, partial, cost), one entry per range.
+    """
+    f = -np.expm1(-3.0 * lags / ranges[:, None])          # (ranges, lags), in [0, 1]
+    f_mean, g_mean = f.mean(axis=1), gammas.mean()
+    fc = f - f_mean[:, None]
+    f_var = (fc * fc).mean(axis=1)
+    fg_cov = (fc @ (gammas - g_mean)) / lags.size
+    partial = fg_cov / np.where(f_var > 0.0, f_var, 1.0)
+    nugget = g_mean - partial * f_mean
+    free = (partial >= MIN_PARTIAL) & (nugget >= 0.0)
+
+    f_sq = f_var + f_mean * f_mean
+    edge_partial = np.maximum((fg_cov + f_mean * g_mean) / np.where(f_sq > 0.0, f_sq, 1.0),
+                              MIN_PARTIAL)
+    edge_nugget = np.maximum(g_mean - MIN_PARTIAL * f_mean, 0.0)
+    on_nugget_edge = (((edge_partial[:, None] * f - gammas) ** 2).sum(axis=1)
+                      <= ((edge_nugget[:, None] + MIN_PARTIAL * f - gammas) ** 2).sum(axis=1))
+    nugget = np.where(free, nugget, np.where(on_nugget_edge, 0.0, edge_nugget))
+    partial = np.where(free, partial, np.where(on_nugget_edge, edge_partial, MIN_PARTIAL))
+    cost = ((nugget[:, None] + partial[:, None] * f - gammas) ** 2).sum(axis=1)
+    return nugget, partial, cost
+
+
+def fit_exponential(lags: np.ndarray, gammas: np.ndarray) -> tuple[float, float, float]:
+    """The (nugget, partial sill, range) least-squares fit of an exponential variogram.
+
+    Minimises sum((nugget + partial * (1 - exp(-3 lags / range)) - gammas)^2)
+    subject to nugget >= 0, partial >= MIN_PARTIAL and range >= MIN_RANGE_M, by
+    variable projection (Golub & Pereyra 1973): ``_best_sills`` solves the
+    linear parameters in closed form for every range of a log-spaced grid, and
+    the search zooms in on the bracket around the best range. No iterative
+    solver is involved, so finite input always gives a finite fit.
+    """
+    lo = max(float(lags.min()) / 100.0, MIN_RANGE_M)
+    ranges = np.geomspace(lo, max(1e8 * float(lags.max()), lo), RANGE_GRID_NODES)
+    best = (np.inf, 0.0, MIN_PARTIAL, lo)
+    for _ in range(RANGE_ZOOMS + 1):
+        nugget, partial, cost = _best_sills(lags, gammas, ranges)
+        i = int(np.argmin(cost))
+        if cost[i] < best[0]:
+            best = (cost[i], nugget[i], partial[i], ranges[i])
+        ranges = np.geomspace(ranges[max(i - 1, 0)], ranges[min(i + 1, len(ranges) - 1)],
+                              RANGE_ZOOM_NODES)
+    return float(best[1]), float(best[2]), float(best[3])
+
+
 def fit_variogram(points: np.ndarray, values: np.ndarray) -> VariogramModel:
     """Least-squares exponential variogram fit over empirical bin means."""
     lags, gammas = empirical_variogram(points, values)
-    var = float(np.var(values))
-    h_max = float(lags.max()) if lags.size else 1.0
     if lags.size < 3:
-        return VariogramModel(nugget=0.0, sill=max(var, 1e-6), range_m=max(h_max, 1.0))
-
-    def residual(params):
-        nugget, partial, rng = params
-        model = nugget + partial * (1.0 - np.exp(-3.0 * lags / rng))
-        return model - gammas
-
-    sill0 = max(var, float(gammas.mean()), 1e-6)
-    x0 = np.array([min(gammas[0], sill0 / 2.0), sill0, max(h_max / 2.0, 1.0)])
-    fit_error = None
-    try:
-        fit = least_squares(residual, x0=x0,
-                            bounds=([0.0, 1e-9, 1e-6], [np.inf, np.inf, np.inf]))
-        nugget, partial, rng = fit.x
-    except ImportError:
-        raise   # a missing scipy is not a failed fit
-    except Exception as exc:
-        nugget, partial, rng = 0.0, sill0, max(h_max / 3.0, 1.0)
-        fit_error = f"{type(exc).__name__}: {exc}"
-    return VariogramModel(nugget=float(nugget), sill=float(nugget + max(partial, 1e-9)),
-                          range_m=float(rng), fit_error=fit_error)
+        h_max = float(lags.max()) if lags.size else 1.0
+        return VariogramModel(nugget=0.0, sill=max(float(np.var(values)), 1e-6),
+                              range_m=max(h_max, 1.0))
+    nugget, partial, range_m = fit_exponential(lags, gammas)
+    return VariogramModel(nugget=nugget, sill=nugget + partial, range_m=range_m)
 
 
 @dataclass
@@ -204,7 +231,6 @@ class _LayerModel:
     values: np.ndarray          # (n,)
     variogram: VariogramModel | None   # None => constant field
     constant: float | None
-    tree: cKDTree | None = None
 
 
 @dataclass
@@ -224,13 +250,11 @@ def _layer_bin(z: float, layer_height_m: float) -> int:
 
 def _fit_layer(points: np.ndarray, values: np.ndarray) -> _LayerModel:
     """The (layer, cell) model of one group of 3+ samples."""
-    from scipy.spatial import cKDTree
-
     if np.ptp(values) == 0.0:
         return _LayerModel(points=points, values=values, variogram=None,
                            constant=float(values[0]))
     return _LayerModel(points=points, values=values, variogram=fit_variogram(points, values),
-                       constant=None, tree=cKDTree(points))
+                       constant=None)
 
 
 def kriging_fit(train: MeasurementSet, layer_height_m: float = DEFAULT_LAYER_HEIGHT_M,
@@ -279,14 +303,17 @@ def kriging_fit(train: MeasurementSet, layer_height_m: float = DEFAULT_LAYER_HEI
 def _kriging_system(model: _LayerModel, xy: np.ndarray):
     """Ordinary-Kriging weights at ``xy`` over its nearest training samples.
 
-    Returns (weights, neighbour indices); the weights sum to 1.
+    The neighbours are the ``KRIGING_NEIGHBORS`` nearest, ordered by squared
+    distance; ties go to the lower index, as in a stable argsort. Returns
+    (weights, neighbour indices); the weights sum to 1.
     """
-    n = len(model.values)
-    if n > KRIGING_NEIGHBORS:
-        _, neigh = model.tree.query(xy, k=KRIGING_NEIGHBORS)
-        neigh = np.atleast_1d(neigh)
-    else:
-        neigh = np.arange(n)
+    d2 = ((model.points - xy) ** 2).sum(axis=1)
+    neigh = np.arange(len(d2))
+    if len(d2) > KRIGING_NEIGHBORS:
+        kth = np.partition(d2, KRIGING_NEIGHBORS - 1)[KRIGING_NEIGHBORS - 1]
+        near = np.concatenate([np.flatnonzero(d2 < kth),
+                               np.flatnonzero(d2 == kth)])[:KRIGING_NEIGHBORS]
+        neigh = near[np.argsort(d2[near], kind="stable")]
     pts = model.points[neigh]
     k = len(neigh)
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
@@ -296,9 +323,8 @@ def _kriging_system(model: _LayerModel, xy: np.ndarray):
     a[k, :k] = 1.0
     a[:k, k] = 1.0
     a[k, k] = 0.0
-    d0 = np.sqrt(((pts - xy) ** 2).sum(axis=1))
     b = np.empty(k + 1)
-    b[:k] = model.variogram.gamma(d0)
+    b[:k] = model.variogram.gamma(np.sqrt(d2[neigh]))
     b[k] = 1.0
     try:
         sol = np.linalg.solve(a, b)
@@ -386,40 +412,30 @@ class KrigingPredictor:
 
         return predict
 
-    def fit_fallbacks(self) -> list[str]:
-        """The error of each variogram fit so far that fell back to the default model."""
-        return [layer.variogram.fit_error for layer in self.fits.values()
-                if layer.variogram is not None and layer.variogram.fit_error is not None]
-
 
 class NearestNeighborPredictor:
-    """Plain nearest-training-sample lookup per cell (the Kriging foil)."""
+    """Plain nearest-training-sample lookup per cell (the Kriging foil).
+
+    A point of a cell absent from training takes the nearest sample of any
+    cell and is flagged. Of samples at the same distance, the first wins.
+    """
 
     def fit(self, train: MeasurementSet):
-        from scipy.spatial import cKDTree
-
-        trees = {}
-        values = {}
+        samples = {}   # cell id -> (positions, rsrp)
         for cid in sorted(set(str(c) for c in train.cell_ids)):
             sel = np.asarray([str(c) == cid for c in train.cell_ids])
-            trees[cid] = cKDTree(train.positions[sel])
-            values[cid] = train.rsrp_dbm[sel]
-        all_tree = cKDTree(train.positions)
-        all_values = train.rsrp_dbm
+            samples[cid] = (train.positions[sel], train.rsrp_dbm[sel])
+        everything = (train.positions, train.rsrp_dbm)
 
         def predict(points):
             pts = list(points)
             out = np.empty(len(pts))
             flags = np.zeros(len(pts), dtype=bool)
             for i, (pos, cell_id) in enumerate(pts):
-                cid = str(cell_id)
-                if cid in trees:
-                    _, j = trees[cid].query(np.asarray(pos, dtype=float))
-                    out[i] = values[cid][j]
-                else:
-                    _, j = all_tree.query(np.asarray(pos, dtype=float))
-                    out[i] = all_values[j]
-                    flags[i] = True
+                flags[i] = str(cell_id) not in samples
+                positions, values = samples.get(str(cell_id), everything)
+                out[i] = values[np.argmin(((positions - np.asarray(pos, dtype=float)) ** 2)
+                                          .sum(axis=1))]
             return out, flags
 
         return predict
@@ -495,8 +511,6 @@ def run_validation(measurements: MeasurementSet, predictors: dict,
                 rmse_db[name] = rmse(errors)
                 n_fallback[name] = int(np.count_nonzero(flags))
                 pooled_errors[name].append(errors)
-            except ImportError:
-                raise   # a missing scipy fails the run, not one predictor
             except Exception as exc:   # a failed predictor must not sink the fold
                 failed[name] = f"{type(exc).__name__}: {exc}"
         fold_results.append(FoldResult(

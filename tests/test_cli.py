@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import airtwin.cli
 import airtwin.optimizer
-import airtwin.validation
 from airtwin.cli import main
 from airtwin.measurements import load_measurements
 from airtwin.scene import BeamAssignment, build_voxel_grid, load_scene, save_assignment, save_scene
@@ -205,29 +204,6 @@ class TestValidate:
         assert "kriging" not in captured.out
         report = json.loads(read(tmp_path / "val" / "validation_report.json"))
         assert all("kriging" in fold["failed"] for fold in report["folds"])
-
-    def test_variogram_fit_fallback_is_one_warning(self, tiny_scene_path, tmp_path, capsys,
-                                                   monkeypatch):
-        synth_out = tmp_path / "synth"
-        main(["synth", "--scene", tiny_scene_path, "--out", str(synth_out),
-              "--samples", "120", "--noise-sigma-db", "2"])
-        calls = []
-
-        def failing(fun, x0, **kwargs):
-            calls.append(fun)
-            raise RuntimeError(f"no convergence {len(calls)}")
-
-        monkeypatch.setattr(airtwin.validation, "least_squares", failing)
-        capsys.readouterr()
-        rc = main(["validate", "--scene", tiny_scene_path, "--out", str(tmp_path / "val"),
-                   "--measurements", str(synth_out / "measurements.csv")])
-        assert rc == 0
-        assert len(calls) >= 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning: {len(calls)} variogram fit(s) fell back to the default model: "
-            "RuntimeError: no convergence 1"]
-        report = json.loads(read(tmp_path / "val" / "validation_report.json"))
-        assert "kriging" in report["pooled_rmse_db"]
 
 
 class TestOptimizeAndEvaluate:
@@ -494,6 +470,32 @@ TABLE_CASES = {
 }
 FAILURE_CASES.update({f"table_{name}": (2, ["evaluate"]) for name in TABLE_CASES})
 
+# A measurement row past +-1e7 m or +-500 dBm; each error names the file and the
+# row. The test writes the file, whose second data row holds the value.
+MEASUREMENT_CASES = {
+    "x_huge": ("calibrate", "x_m", "1e300", "sample positions"),
+    "z_past_bound": ("validate", "z_m", "-1.0000001e7", "sample positions"),
+    "rsrp_huge": ("calibrate", "rsrp_dbm", "1e300", "rsrp_dbm"),
+    "rsrp_huge_validate": ("validate", "rsrp_dbm", "1e300", "rsrp_dbm"),
+}
+FAILURE_CASES.update({f"measurement_{name}": (2, [command])
+                      for name, (command, *_) in MEASUREMENT_CASES.items()})
+
+# The airspace is bounded like a site: its center and its extent.
+FAILURE_CASES.update({
+    "airspace_center_huge": (2, ["evaluate", "--set", "airspace.center_m=[1e200,0]"]),
+    "airspace_extent_past_bound": (2, ["evaluate", "--set", "airspace.center_m=[0,-9999990]"]),
+})
+
+
+def write_measurements(path, column, value):
+    """Two native-schema rows, the second with ``value`` in ``column``."""
+    rows = [dict(seq=str(i), x_m="0", y_m="10", z_m="10", cell_id="s0c0", rsrp_dbm="-80")
+            for i in range(2)]
+    rows[1][column] = value
+    path.write_text("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n"
+                    + "".join(",".join(row.values()) + "\n" for row in rows))
+
 
 def write_table(path, column, values):
     """A 2x2 pattern table with ``values`` in ``column``, one per node; the rest finite.
@@ -521,6 +523,10 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         table = tmp_path / "pattern.csv"
         column, value = TABLE_CASES[case[len("table_"):]]
         argv += write_table(table, column, [value] * 4)
+    if case.startswith("measurement_"):
+        measurements = tmp_path / "measurements.csv"
+        write_measurements(measurements, *MEASUREMENT_CASES[case[len("measurement_"):]][1:3])
+        argv += ["--measurements", str(measurements)]
     out = tmp_path / "out"
     if case == "out_under_a_file":
         (tmp_path / "blocker").write_text("")
@@ -548,6 +554,11 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         assert f"error: scene schema violation at '{path}" in err
     if case.startswith("level_"):
         assert LEVEL_CASES[case[len("level_"):]][1] in err
+    if case.startswith("measurement_"):
+        field = MEASUREMENT_CASES[case[len("measurement_"):]][3]
+        assert f"error: {measurements}: data row 2: {field} must" in err
+    if case.startswith("airspace_"):
+        assert "airspace.center_m" in err
     if case.startswith("site_"):
         assert "from site 'site0' at (" in err
     if case.startswith("table_"):
@@ -677,9 +688,20 @@ def loaded_packages(code: str, packages: tuple[str, ...]) -> list[str]:
     return json.loads(out)
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is imported by the first variogram fit or tree build, not by ``import``."""
+def test_cli_import_loads_no_scipy(tiny_scene_path, tmp_path):
+    """Neither ``import`` nor a whole ``validate`` run, Kriging fits included, loads scipy."""
     assert loaded_packages("import airtwin.cli, airtwin", ("scipy",)) == []
+    common = ["--scene", tiny_scene_path]
+    measurements = str(tmp_path / "synth" / "measurements.csv")
+    argvs = [["synth", *common, "--out", str(tmp_path / "synth"), "--samples", "120",
+              "--noise-sigma-db", "2"],
+             ["validate", *common, "--out", str(tmp_path / "val"), "--measurements", measurements]]
+    code = ("import io, sys, airtwin.cli; sys.stdout = io.StringIO(); "
+            + "".join(f"assert airtwin.cli.main({argv!r}) == 0; " for argv in argvs)
+            + "sys.stdout = sys.__stdout__")
+    assert loaded_packages(code, ("scipy",)) == []
+    report = json.loads(read(tmp_path / "val" / "validation_report.json"))
+    assert "kriging" in report["pooled_rmse_db"]
 
 
 def test_scene_load_imports_no_schema_library():

@@ -89,6 +89,28 @@ class TestMeasurementSet:
         with pytest.raises(SceneSchemaError, match="row 1"):
             load_measurements(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1e300,0,5,a,-80", "sample positions must all be finite and within"),
+        ("0,-1.0000001e7,5,a,-80", "sample positions must all be finite and within"),
+        ("0,0,inf,a,-80", "sample positions must all be finite and within"),
+        ("0,0,5,a,1e300", "rsrp_dbm must be finite and within"),
+        ("0,0,5,a,-500.5", "rsrp_dbm must be finite and within"),
+        ("0,0,5,a,nan", "rsrp_dbm must be finite and within"),
+    ])
+    def test_out_of_bounds_value_names_file_and_row(self, row, message, tmp_path):
+        # farther out, a squared distance or a semivariance could overflow
+        path = tmp_path / "m.csv"
+        path.write_text(f"seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n0,0,0,5,a,-80\n1,{row}\n")
+        with pytest.raises(SceneValidationError, match=f"m.csv: data row 2: {message}"):
+            load_measurements(path)
+
+    def test_values_at_their_bounds_load(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n"
+                        "0,1e7,-1e7,1e7,a,500\n1,-1e7,1e7,-1e7,a,-500\n")
+        mset = load_measurements(path)
+        assert mset.rsrp_dbm.tolist() == [500.0, -500.0]
+
 
 class TestMapping:
     def test_column_rename_and_lla(self, tmp_path):
@@ -126,6 +148,19 @@ class TestMapping:
         map_path.write_text(json.dumps({"columns": {"x_m": "x"}}))
         with pytest.raises(SceneSchemaError, match="missing"):
             load_measurements(map_path, mapping=map_path)
+
+    def test_bounds_apply_after_the_frame_conversion(self, tmp_path):
+        csv_path = tmp_path / "foreign.csv"
+        csv_path.write_text("x,y,z,c,r\n113.9,22.6,10,a,-70\n113.9,22.6,-2e7,a,-70\n")
+        map_path = tmp_path / "mapping.json"
+        map_path.write_text(json.dumps({
+            "columns": {"x_m": "x", "y_m": "y", "z_m": "z", "cell_id": "c", "rsrp_dbm": "r"},
+            "position": {"frame": "lla", "origin_lla": [22.6, 113.9, -1.5e7]}}))
+        # the first altitude is 1.5e7 m above the origin, the second 5e6 m below it
+        with pytest.raises(SceneValidationError, match="data row 1: sample positions"):
+            load_measurements(csv_path, mapping=map_path)
+        csv_path.write_text("x,y,z,c,r\n113.9,22.6,-2e7,a,-70\n")
+        assert load_measurements(csv_path, mapping=map_path).positions[0, 2] == -5e6
 
     def test_lla_without_origin_rejected(self, tmp_path):
         csv_path = tmp_path / "m.csv"

@@ -91,6 +91,25 @@ def test_site_position_bounded(position):
         scene_from_dict(doc)
 
 
+@pytest.mark.parametrize("center, radius, z", [
+    ((1e200, 0.0), 100.0, (0.0, 300.0)),
+    ((0.0, -9_999_990.0), 60.0, (0.0, 300.0)),      # the center inside, its extent past
+    ((0.0, 0.0), 2e7, (0.0, 300.0)),
+    ((0.0, 0.0), 100.0, (0.0, 1.0000001e7)),
+    ((0.0, 0.0), 100.0, (-2e7, 0.0)),
+    ((np.inf, 0.0), 100.0, (0.0, 300.0)),
+    ((0.0, np.nan), 100.0, (0.0, 300.0)),
+])
+def test_airspace_bounded_like_a_site(center, radius, z):
+    with pytest.raises(SceneValidationError, match="airspace.center_m"):
+        CylinderSpec(center, radius, *z, 10.0)
+
+
+def test_airspace_at_its_bound_loads():
+    spec = CylinderSpec((9_999_900.0, -9_999_900.0), 100.0, -1e7, 1e7, 10.0)
+    assert spec.center_m == (9_999_900.0, -9_999_900.0)
+
+
 LATTICE_SPECS = [
     CylinderSpec((3.0, -2.0), 5.0, 0.0, 10.0, 10.0),      # one voxel, off the origin
     CylinderSpec((0.0, 0.0), 25.0, 0.0, 8.0, 10.0),       # one layer

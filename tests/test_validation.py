@@ -1,21 +1,28 @@
-import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airtwin import validation
+from airtwin.antenna import MAX_LEVEL_DB
 from airtwin.errors import EmptySetError, SizeError
 from airtwin.measurements import MeasurementSet
-from airtwin.scene import BeamAssignment
+from airtwin.scene import MAX_COORDINATE_M, BeamAssignment
 from airtwin.spectrum import TwinModel
 from airtwin.synth import helix_trajectory, synthesize_measurements
 from airtwin.validation import (
+    KRIGING_NEIGHBORS,
+    MIN_PARTIAL,
+    MIN_RANGE_M,
     KrigingPredictor,
     NearestNeighborPredictor,
     TwinPredictor,
     VariogramModel,
     block_holdout_folds,
     error_cdf,
+    fit_exponential,
     fit_variogram,
     kriging_fit,
     kriging_predict,
@@ -107,6 +114,42 @@ def flat_set(positions, values, cell="a"):
                           rsrp_dbm=np.asarray(values, dtype=float))
 
 
+def variogram_cost(lags, gammas, nugget, partial, range_m):
+    return float(((nugget + partial * -np.expm1(-3.0 * lags / range_m) - gammas) ** 2).sum())
+
+
+def feasible_sills(lags, gammas, range_m):
+    """Candidate (nugget, partial) pairs, among them the best within bounds for this range.
+
+    The problem is convex, so its constrained optimum is the unconstrained
+    least-squares solution when that is feasible, else the best point of an edge.
+    """
+    f = -np.expm1(-3.0 * lags / range_m)
+    (nugget, partial), *_ = np.linalg.lstsq(np.column_stack([np.ones_like(f), f]), gammas,
+                                            rcond=None)
+    if nugget >= 0.0 and partial >= MIN_PARTIAL:
+        yield nugget, partial
+    f2 = float(f @ f)
+    yield 0.0, max(float(f @ gammas) / f2 if f2 > 0.0 else 0.0, MIN_PARTIAL)
+    yield max(float(np.mean(gammas - MIN_PARTIAL * f)), 0.0), MIN_PARTIAL
+
+
+@st.composite
+def variogram_samples(draw):
+    """Bounded finite points and values, with duplicate and near-coincident points."""
+    coordinate = st.floats(-MAX_COORDINATE_M, MAX_COORDINATE_M)
+    centers = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=5))
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e3]))
+    n = draw(st.integers(3, 25))
+    offsets = st.floats(-1.0, 1.0)
+    points = np.array([np.add(draw(st.sampled_from(centers)),
+                              (spread * draw(offsets), spread * draw(offsets)))
+                       for _ in range(n)])
+    values = np.array(draw(st.lists(st.floats(-MAX_LEVEL_DB, MAX_LEVEL_DB),
+                                    min_size=n, max_size=n)))
+    return points, values
+
+
 class TestVariogram:
     def test_gamma_zero_at_origin(self):
         v = VariogramModel(nugget=1.0, sill=4.0, range_m=100.0)
@@ -131,41 +174,52 @@ class TestVariogram:
         model = fit_variogram(pts, values)
         assert 0.5 * rng_m <= model.range_m <= 1.5 * rng_m
 
-    @staticmethod
-    def _noisy_field():
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(0.0, 500.0, size=(60, 2))
-        return pts, np.sin(pts[:, 0] / 80.0) + 0.1 * rng.standard_normal(60)
+    @pytest.mark.parametrize("nugget, partial, range_m", [
+        (1.0, 3.0, 200.0),
+        (0.0, 3.0, 50.0),            # the nugget at its bound
+        (2.5, MIN_PARTIAL, 40.0),    # a pure nugget: the partial sill at its bound
+    ])
+    def test_noise_free_semivariances_recovered(self, nugget, partial, range_m):
+        lags = np.linspace(5.0, 100.0, 20)
+        gammas = nugget + partial * (1.0 - np.exp(-3.0 * lags / range_m))
+        got = fit_exponential(lags, gammas)
+        assert got[0] == pytest.approx(nugget, abs=1e-6)
+        assert got[1] == pytest.approx(partial, rel=1e-6, abs=1e-6)
+        if partial > MIN_PARTIAL:   # else every range fits
+            assert got[2] == pytest.approx(range_m, rel=1e-6)
 
-    def test_fit_goes_through_module_least_squares(self, monkeypatch):
-        # Tracing counts residual evaluations by patching this module attribute.
-        calls = []
-        scipy_fit = validation.least_squares
+    def test_linear_variogram_fits_as_range_to_infinity(self):
+        lags = np.linspace(5.0, 100.0, 20)
+        got_nugget, got_partial, got_range = fit_exponential(lags, 0.75 + 0.02 * lags)
+        assert got_nugget == pytest.approx(0.75, rel=1e-6)
+        assert 3.0 * got_partial / got_range == pytest.approx(0.02, rel=1e-6)   # the slope
+        assert got_range >= 1e6 * lags.max()
 
-        def counting(fun, x0, **kwargs):
-            calls.append(fun)
-            return scipy_fit(fun, x0, **kwargs)
-
-        monkeypatch.setattr(validation, "least_squares", counting)
-        fit_variogram(*self._noisy_field())
-        assert len(calls) >= 1
-        assert "scipy.optimize" in sys.modules
-
-    def test_failed_fit_falls_back_and_names_its_error(self, monkeypatch):
-        assert fit_variogram(*self._noisy_field()).fit_error is None
-
-        def failing(fun, x0, **kwargs):
-            raise RuntimeError("no convergence")
-
-        monkeypatch.setattr(validation, "least_squares", failing)
-        model = fit_variogram(*self._noisy_field())
-        assert model.fit_error == "RuntimeError: no convergence"
-        assert model.nugget == 0.0
-
-    def test_missing_scipy_raises_instead_of_falling_back(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
-        with pytest.raises(ImportError):
-            fit_variogram(*self._noisy_field())
+    @settings(max_examples=300, deadline=None)
+    @given(variogram_samples())
+    def test_fit_is_total_and_no_worse_than_a_range_grid(self, sample):
+        points, values = sample
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_variogram(points, values)
+            lags, gammas = validation.empirical_variogram(points, values)
+        assert all(np.isfinite([model.nugget, model.sill, model.range_m]))
+        assert model.nugget >= 0.0 and model.sill > model.nugget
+        assert model.range_m >= MIN_RANGE_M
+        if lags.size < 3:
+            return
+        cost = variogram_cost(lags, gammas, model.nugget, model.sill - model.nugget,
+                              model.range_m)
+        # the start point of the iterative least-squares fit this one replaced
+        sill0 = max(float(np.var(values)), float(gammas.mean()), 1e-6)
+        x0 = (min(gammas[0], sill0 / 2.0), sill0, max(lags.max() / 2.0, 1.0))
+        references = [variogram_cost(lags, gammas, *x0)]
+        lo = max(lags.min() / 10.0, MIN_RANGE_M)
+        for range_m in np.geomspace(lo, max(1e6 * lags.max(), lo), 25):
+            references.append(min(variogram_cost(lags, gammas, nugget, partial, range_m)
+                                  for nugget, partial in feasible_sills(lags, gammas, range_m)))
+        tolerance = 1e-12 * float((gammas ** 2).sum())   # rounding in the cost sums
+        assert cost <= min(references) * (1.0 + 1e-12) + tolerance
 
 
 class TestKriging:
@@ -261,6 +315,18 @@ class TestKriging:
         kriging_fit(other, 10.0, fits)   # the same content again is reused
         assert len(calls) == 2
 
+    def test_neighbours_equal_a_stable_argsort(self):
+        # a 12 x 12 integer lattice, with every node twice: most distances tie
+        xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0))
+        pts = np.tile(np.column_stack([xs.ravel(), ys.ravel()]), (2, 1))
+        layer = validation._LayerModel(points=pts, values=np.arange(len(pts), dtype=float),
+                                       variogram=VariogramModel(0.5, 4.0, 6.0), constant=None)
+        targets = [(5.0, 5.0), (5.5, 5.5), (0.0, 0.0), (11.5, 3.0), (-20.0, 40.0), (6.0, 5.5)]
+        for xy in map(np.asarray, targets):
+            _, neigh = validation._kriging_system(layer, xy)
+            d2 = ((pts - xy) ** 2).sum(axis=1)
+            np.testing.assert_array_equal(neigh, np.argsort(d2, kind="stable")[:KRIGING_NEIGHBORS])
+
     def test_unfittable_layer_falls_back_flagged(self):
         pts = np.array([[0.0, 0.0, 5.0], [10.0, 0.0, 5.0], [0.0, 10.0, 5.0],
                         [5.0, 5.0, 55.0]])   # one lonely sample at the top layer
@@ -271,6 +337,37 @@ class TestKriging:
         assert flags[0]
         assert values[0] == pytest.approx(np.mean(mset.rsrp_dbm))
         assert model.unfittable == [(5, "a", 1)]
+
+
+def brute_force_nearest(train, points):
+    """The first training sample at the least distance, of the point's cell if it has any."""
+    values, flags = [], []
+    for pos, cell_id in points:
+        rows = [j for j in range(len(train)) if train.cell_ids[j] == cell_id]
+        flags.append(not rows)
+        best = None
+        for j in rows or range(len(train)):
+            d2 = sum((float(a) - float(b)) ** 2 for a, b in zip(train.positions[j], pos))
+            if best is None or d2 < best[0]:
+                best = (d2, train.rsrp_dbm[j])
+        values.append(best[1])
+    return np.asarray(values), np.asarray(flags)
+
+
+class TestNearestNeighbor:
+    def test_equals_brute_force(self):
+        rng = np.random.default_rng(5)
+        positions = rng.integers(0, 6, size=(80, 3)).astype(float)   # many ties and duplicates
+        train = MeasurementSet(seq=np.arange(80), positions=positions,
+                               cell_ids=np.asarray(rng.choice(["a", "b", "c"], 80), dtype=object),
+                               rsrp_dbm=rng.uniform(-100.0, -60.0, 80))
+        points = [(tuple(p), cell) for p in rng.integers(-1, 7, size=(40, 3)).astype(float)
+                  for cell in ("a", "b", "z")]   # no training sample is of cell z
+        values, flags = NearestNeighborPredictor().fit(train)(points)
+        expected_values, expected_flags = brute_force_nearest(train, points)
+        np.testing.assert_array_equal(values, expected_values)
+        np.testing.assert_array_equal(flags, expected_flags)
+        assert flags.sum() == 40
 
 
 class _OraclePredictor:
@@ -409,13 +506,6 @@ class TestRunValidation:
             assert "boom" in fold.failed
             assert "twin" in fold.rmse_db
         assert "boom" not in report.pooled_rmse_db
-
-    def test_missing_scipy_fails_the_run(self, monkeypatch):
-        scene, assignment, mset = self._dataset(noise=0.0)
-        monkeypatch.setitem(sys.modules, "scipy.spatial", None)
-        with pytest.raises(ImportError):
-            run_validation(mset, {"twin": TwinPredictor(scene, assignment),
-                                  "nn": NearestNeighborPredictor()})
 
     def test_needs_two_predictors(self):
         scene, assignment, mset = self._dataset(noise=0.0)
