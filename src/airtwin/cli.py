@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import AirtwinError, InputError
-from .interference import NoiseModel, build_sinr_field, export_sinr_csv
+from .interference import build_sinr_field, export_sinr_csv
 from .measurements import load_measurements, save_measurements
 from .optimizer import ObjectiveWeights, greedy_optimize, save_trace
 from .report import (
@@ -37,10 +37,11 @@ from .scene import (
     BeamAssignment,
     build_voxel_grid,
     load_assignment,
+    read_json,
     save_assignment,
     scene_from_dict,
 )
-from .spectrum import TwinModel, build_field, calibrate_offset, export_field_csv
+from .spectrum import build_field, calibrate_offset, export_field_csv, predict_at
 from .synth import helix_trajectory, lawnmower_trajectory, synthesize_measurements
 from .validation import (
     DEFAULT_LAYER_HEIGHT_M,
@@ -96,11 +97,7 @@ def _apply_override(doc: dict, dotted_key: str, value) -> None:
 def _load_scene_with_overrides(path: str, overrides: list[str]):
     if not os.path.exists(path):
         raise InputError(f"scene file not found: {path}")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path, "scene")
     pairs = [_parse_override(o) for o in overrides]
     for key, value in pairs:
         _apply_override(doc, key, value)
@@ -160,7 +157,7 @@ def _load_mask(path: str) -> np.ndarray:
 
 def _fields_for(scene, grid, assignment, args):
     field = build_field(scene, grid, assignment, args.offset_db, threads=args.threads)
-    sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), args.activity_factor)
+    sinr = build_sinr_field(field, scene.radio, args.activity_factor)
     return field, sinr
 
 
@@ -186,8 +183,9 @@ def cmd_calibrate(args) -> int:
     assignment = _assignment_for(scene, args.assignment)
     measurements = _measurements_for(args, scene)
     _write_manifest(args.out, "calibrate", args, overrides)
-    model = TwinModel(scene, assignment, offset_db=0.0)
-    cal = calibrate_offset(model.predict_set(measurements), measurements)
+    predicted = predict_at(scene, assignment, 0.0,
+                           zip(measurements.positions, measurements.cell_ids))
+    cal = calibrate_offset(predicted, measurements)
     save_json_report({
         "offset_db": round(cal.offset_db, 4),
         "residual_rmse_db": round(cal.residual_rmse_db, 4),
@@ -238,9 +236,6 @@ def cmd_optimize(args) -> int:
                                margin_cap_db=args.margin_cap,
                                epsilon_gain=args.epsilon_gain)
     grid = build_voxel_grid(scene.airspace)
-    # The pass rewrites the initial field in place, so the "before" side keeps
-    # only its SINR field; the report reads nothing else of the RadioField but
-    # its grid.
     field, sinr_before = _fields_for(scene, grid, initial, args)
     optimized, trace, field = greedy_optimize(scene, grid, initial, weights,
                                               activity_factor=args.activity_factor,
@@ -249,13 +244,12 @@ def cmd_optimize(args) -> int:
     save_assignment(optimized, os.path.join(args.out, "assignment.json"))
     save_trace(trace, os.path.join(args.out, "trace.json"))
 
-    after = (field, build_sinr_field(field, NoiseModel.from_radio(scene.radio),
-                                     args.activity_factor))
-    report = compare_report((field, sinr_before), after, scene.thresholds)
+    sinr_after = build_sinr_field(field, scene.radio, args.activity_factor)
+    report = compare_report(sinr_before, sinr_after, scene.thresholds)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     print(f"objective {trace.initial_objective:.4f} -> {trace.final_objective:.4f}; "
-          f"strict RSRP ratio {report.before.ratio_rsrp_strict:.4f} -> "
-          f"{report.after.ratio_rsrp_strict:.4f}")
+          f"strict RSRP ratio {report.before.ratio('rsrp_strict'):.4f} -> "
+          f"{report.after.ratio('rsrp_strict'):.4f}")
     return EXIT_OK
 
 
@@ -265,17 +259,17 @@ def cmd_evaluate(args) -> int:
     _write_manifest(args.out, "evaluate", args, overrides)
     mask = None if args.mask is None else _load_mask(args.mask)
     grid = build_voxel_grid(scene.airspace)
-    field, sinr = _fields_for(scene, grid, assignment, args)
+    sinr = _fields_for(scene, grid, assignment, args)[1]
     if args.compare_to is None:
-        report = coverage_ratios(field, sinr, scene.thresholds, mask)
+        report = coverage_ratios(sinr, scene.thresholds, mask)
         save_json_report(report.to_json_dict(), os.path.join(args.out, "coverage_report.json"))
-        print(f"strict RSRP {report.ratio_rsrp_strict:.4f}, "
-              f"joint basic {report.ratio_joint_basic:.4f}")
+        print(f"strict RSRP {report.ratio('rsrp_strict'):.4f}, "
+              f"joint basic {report.ratio('joint_basic'):.4f}")
         return EXIT_OK
 
     other = _assignment_for(scene, args.compare_to)
-    field_o, sinr_o = _fields_for(scene, grid, other, args)
-    report = compare_report((field_o, sinr_o), (field, sinr), scene.thresholds, mask)
+    sinr_o = _fields_for(scene, grid, other, args)[1]
+    report = compare_report(sinr_o, sinr, scene.thresholds, mask)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     for alt in DEFAULT_HEATMAP_ALTITUDES_M:
         try:
@@ -288,8 +282,8 @@ def cmd_evaluate(args) -> int:
             export_heatmap_csv(layer_r, fh)
         with open(os.path.join(args.out, f"heatmap_sinr_{int(alt)}m.csv"), "w") as fh:
             export_heatmap_csv(layer_s, fh)
-    print(f"strict RSRP ratio {report.before.ratio_rsrp_strict:.4f} -> "
-          f"{report.after.ratio_rsrp_strict:.4f}")
+    print(f"strict RSRP ratio {report.before.ratio('rsrp_strict'):.4f} -> "
+          f"{report.after.ratio('rsrp_strict'):.4f}")
     return EXIT_OK
 
 
@@ -338,19 +332,19 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-def _add_common(p, scene=True, out=True):
-    if scene:
-        p.add_argument("--scene", required=True, help="scene JSON file")
+def _add_common(p, offset_db=False, activity_factor=False):
+    """Options every command takes, then the field options of those that read them."""
+    p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a scene config value by dotted path")
-    p.add_argument("--seed", type=int, default=0, help="recorded (and used where relevant)")
     p.add_argument("--threads", type=int, default=1, help="parallelism cap; output-invariant")
-    p.add_argument("--offset-db", type=float, default=0.0, dest="offset_db",
-                   help="calibration offset applied to predictions")
-    p.add_argument("--activity-factor", type=float, default=1.0, dest="activity_factor",
-                   help="fraction of full-load interference from non-serving cells")
-    if out:
-        p.add_argument("--out", required=True, help="output directory")
+    if offset_db:
+        p.add_argument("--offset-db", type=float, default=0.0, dest="offset_db",
+                       help="calibration offset applied to predictions")
+    if activity_factor:
+        p.add_argument("--activity-factor", type=float, default=1.0, dest="activity_factor",
+                       help="fraction of full-load interference from non-serving cells")
+    p.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="export RSRP and SINR fields for an assignment")
-    _add_common(p)
+    _add_common(p, offset_db=True, activity_factor=True)
     p.add_argument("--assignment", help="assignment JSON (default: scene baseline)")
     p.set_defaults(func=cmd_build)
 
@@ -385,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("optimize", help="greedy sequential sub-beam steering")
-    _add_common(p)
+    _add_common(p, offset_db=True, activity_factor=True)
     p.add_argument("--initial", help="initial assignment JSON (default: scene baseline)")
     p.add_argument("--alpha", type=float, default=1.0, help="weight per covered voxel")
     p.add_argument("--beta", type=float, default=0.1, help="weight per dB*voxel of margin")
@@ -394,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("evaluate", help="coverage report for an assignment")
-    _add_common(p)
+    _add_common(p, offset_db=True, activity_factor=True)
     p.add_argument("--assignment", help="assignment JSON (default: scene baseline)")
     p.add_argument("--compare-to", dest="compare_to",
                    help="baseline assignment to diff against (emits heatmaps)")
@@ -402,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate synthetic UAV measurements")
-    _add_common(p)
+    _add_common(p, offset_db=True)
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--assignment", help="assignment JSON (default: scene baseline)")
     p.add_argument("--trajectory", choices=("helix", "lawnmower"), default="helix")
     p.add_argument("--samples", type=int, default=400, help="helix sample count")
@@ -421,21 +416,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.offset_db) and abs(args.offset_db) <= MAX_OFFSET_DB):
+        offset_db = getattr(args, "offset_db", 0.0)
+        if not (math.isfinite(offset_db) and abs(offset_db) <= MAX_OFFSET_DB):
             raise InputError(f"--offset-db must be finite and within +-{MAX_OFFSET_DB:g} dB, "
-                             f"got {args.offset_db}")
+                             f"got {offset_db}")
         if args.threads < 1:
             raise InputError(f"--threads must be >= 1, got {args.threads}")
-        if not 0.0 <= args.activity_factor <= 1.0:   # also false for NaN
-            raise InputError(f"--activity-factor must be in [0, 1], got {args.activity_factor}")
+        activity_factor = getattr(args, "activity_factor", 1.0)
+        if not 0.0 <= activity_factor <= 1.0:   # also false for NaN
+            raise InputError(f"--activity-factor must be in [0, 1], got {activity_factor}")
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AirtwinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (AirtwinError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except MemoryError as exc:

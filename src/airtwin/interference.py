@@ -24,9 +24,9 @@ import numpy as np
 
 from . import _csv, kernels
 from .errors import EmptySetError
-from .scene import RadioConstants
 
 if TYPE_CHECKING:
+    from .scene import RadioConstants
     from .spectrum import RadioField
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -35,26 +35,10 @@ _TENS = np.full(kernels._CHUNK, 10.0)   # the base of every linear_mw
 _TENS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    bandwidth_hz: float
-    noise_figure_db: float
-    thermal_dbm_per_hz: float = THERMAL_NOISE_DBM_PER_HZ
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
-        if self.noise_figure_db < 0:
-            raise ValueError("noise_figure_db must be >= 0")
-
-    @classmethod
-    def from_radio(cls, radio: RadioConstants) -> "NoiseModel":
-        return cls(bandwidth_hz=radio.bandwidth_hz, noise_figure_db=radio.noise_figure_db)
-
-
-def noise_floor_dbm(model: NoiseModel) -> float:
+def noise_floor_dbm(radio: RadioConstants) -> float:
     """Thermal noise floor over the receive bandwidth plus noise figure."""
-    return model.thermal_dbm_per_hz + 10.0 * math.log10(model.bandwidth_hz) + model.noise_figure_db
+    return (THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(radio.bandwidth_hz)
+            + radio.noise_figure_db)
 
 
 @dataclass(frozen=True)
@@ -66,8 +50,6 @@ class SinrField:
     serving_index: np.ndarray        # (count,) int, into cell_ids
     serving_rsrp_dbm: np.ndarray     # (count,)
     sinr_db: np.ndarray              # (count,)
-    activity_factor: float
-    noise_floor_dbm: float
 
 
 def check_activity_factor(activity_factor: float) -> None:
@@ -141,18 +123,16 @@ def sinr_db(serving_dbm: np.ndarray, interference_mw: np.ndarray, noise_floor: f
     return np.subtract(serving_dbm - noise_floor, loss, out=out)
 
 
-def build_sinr_field(field: RadioField, model: NoiseModel,
+def build_sinr_field(field: RadioField, radio: RadioConstants,
                      activity_factor: float = 1.0) -> SinrField:
     """Derive the SINR field from a RadioField's cell max and cell mW sum."""
     if len(field.cell_ids) < 1:
         raise EmptySetError("field must contain at least one cell")
     check_activity_factor(activity_factor)
-    floor = noise_floor_dbm(model)
     serving, serving_dbm, sinr = assemble_sinr(field.cell_rsrp_dbm, field.cell_lin_mw,
-                                               floor, activity_factor)
+                                               noise_floor_dbm(radio), activity_factor)
     return SinrField(grid=field.grid, cell_ids=field.cell_ids, serving_index=serving,
-                     serving_rsrp_dbm=serving_dbm, sinr_db=sinr,
-                     activity_factor=float(activity_factor), noise_floor_dbm=floor)
+                     serving_rsrp_dbm=serving_dbm, sinr_db=sinr)
 
 
 def export_sinr_csv(sinr_field: SinrField, fh) -> None:

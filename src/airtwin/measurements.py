@@ -10,13 +10,14 @@ renames columns and, optionally, converts lat/lon/alt to the local ENU frame:
       "position": {"frame": "lla", "origin_lla": [22.6, 113.9, 0.0]}
     }
 
-``columns.seq`` may be omitted; rows are then numbered in file order.
+``columns.seq`` may be omitted; rows are then numbered in file order. Every
+column name is a string, ``frame`` is "enu" (the default) or "lla", "lla"
+needs ``origin_lla`` (three finite numbers), and no other key is allowed.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,11 +26,30 @@ import numpy as np
 from . import _csv
 from .antenna import MAX_LEVEL_DB
 from .errors import SceneSchemaError, SceneValidationError
-from .scene import MAX_COORDINATE_M, CylinderSpec
+from .scene import (
+    MAX_COORDINATE_M,
+    CylinderSpec,
+    _numbers,
+    _object,
+    _string,
+    _violation,
+    read_document,
+    read_json,
+)
 
 EARTH_RADIUS_M = 6_371_000.0
 
 NATIVE_COLUMNS = ("seq", "x_m", "y_m", "z_m", "cell_id", "rsrp_dbm")
+
+
+def _frame(value, path) -> None:
+    if value not in ("enu", "lla"):
+        raise _violation(path, "expected 'enu' or 'lla'")
+
+
+_read_mapping = _object(
+    {"columns": _object(dict.fromkeys(NATIVE_COLUMNS[1:], _string), {"seq": _string})},
+    {"position": _object({}, {"frame": _frame, "origin_lla": _numbers(3)})})
 
 
 @dataclass(frozen=True)
@@ -40,7 +60,6 @@ class MeasurementSet:
     positions: np.ndarray     # (n, 3) float64
     cell_ids: np.ndarray      # (n,) object (str)
     rsrp_dbm: np.ndarray      # (n,) float64
-    source: str = ""
     region: CylinderSpec | None = None
 
     def __post_init__(self):
@@ -71,7 +90,7 @@ class MeasurementSet:
         idx = np.asarray(indices, dtype=np.int64)
         return MeasurementSet(seq=self.seq[idx], positions=self.positions[idx],
                               cell_ids=self.cell_ids[idx], rsrp_dbm=self.rsrp_dbm[idx],
-                              source=self.source, region=self.region)
+                              region=self.region)
 
 
 def lla_to_enu(lat_deg, lon_deg, alt_m, origin_lla) -> tuple[float, float, float]:
@@ -84,33 +103,25 @@ def lla_to_enu(lat_deg, lon_deg, alt_m, origin_lla) -> tuple[float, float, float
 
 
 def load_mapping(path) -> dict:
-    try:
-        with open(path) as fh:
-            mapping = json.load(fh)
-    except OSError as exc:
-        raise SceneSchemaError(f"cannot read mapping file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SceneSchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if "columns" not in mapping or not isinstance(mapping["columns"], dict):
-        raise SceneSchemaError(f"{path}: mapping must contain a 'columns' object")
-    missing = [c for c in ("x_m", "y_m", "z_m", "cell_id", "rsrp_dbm")
-               if c not in mapping["columns"]]
-    if missing:
-        raise SceneSchemaError(f"{path}: mapping.columns missing {missing}")
+    mapping = read_json(path, "mapping")
+    read_document(_read_mapping, mapping, f"{path}: mapping")
+    position = mapping.get("position", {})
+    if position.get("frame") == "lla" and "origin_lla" not in position:
+        raise SceneSchemaError(f"{path}: mapping position.frame 'lla' requires "
+                               f"position.origin_lla")
     return mapping
 
 
-def load_measurements(path, mapping=None, region: CylinderSpec | None = None,
-                      source: str | None = None) -> MeasurementSet:
-    """Load a measurement CSV, optionally through a column/frame mapping."""
-    if isinstance(mapping, (str, bytes)) or hasattr(mapping, "__fspath__"):
+def load_measurements(path, mapping=None,
+                      region: CylinderSpec | None = None) -> MeasurementSet:
+    """Load a measurement CSV, optionally through a column/frame mapping file."""
+    if mapping is None:
+        columns, position = dict(zip(NATIVE_COLUMNS, NATIVE_COLUMNS)), {}
+    else:
         mapping = load_mapping(mapping)
-    columns = dict(zip(NATIVE_COLUMNS, NATIVE_COLUMNS)) if mapping is None \
-        else mapping["columns"]
-    frame = "enu" if mapping is None else mapping.get("position", {}).get("frame", "enu")
-    origin = None if mapping is None else mapping.get("position", {}).get("origin_lla")
-    if frame == "lla" and origin is None:
-        raise SceneSchemaError("mapping position.frame 'lla' requires position.origin_lla")
+        columns, position = mapping["columns"], mapping.get("position", {})
+    frame = position.get("frame", "enu")
+    origin = position.get("origin_lla")
 
     seq, positions, cell_ids, rsrp = [], [], [], []
     try:
@@ -160,7 +171,6 @@ def load_measurements(path, mapping=None, region: CylinderSpec | None = None,
         positions=positions,
         cell_ids=np.asarray(cell_ids, dtype=object),
         rsrp_dbm=rsrp,
-        source=source if source is not None else str(path),
         region=region,
     )
 

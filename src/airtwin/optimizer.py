@@ -45,7 +45,6 @@ import numpy as np
 from . import kernels
 from .errors import CapExceededError, ConfigurationError
 from .interference import (
-    NoiseModel,
     assemble_sinr,
     build_sinr_field,
     check_activity_factor,
@@ -60,6 +59,12 @@ from .spectrum import RadioField, build_field
 
 _ANGLE_EQ_TOL = 1e-9
 
+# The objective adds one weighted term per voxel: a count of at most 1 times
+# alpha, and a margin of at most a few thousand dB times beta. Weights within
+# 1e100 keep it below 1e120 for any grid that fits in memory, far from float
+# overflow, so every candidate delta is finite; 1e308 would turn them inf/NaN.
+MAX_WEIGHT = 1e100
+
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
@@ -72,8 +77,10 @@ class ObjectiveWeights:
         for name in ("alpha", "beta", "margin_cap_db", "epsilon_gain"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigurationError("alpha and beta must be >= 0")
+        for name in ("alpha", "beta"):
+            if not 0 <= getattr(self, name) <= MAX_WEIGHT:
+                raise ConfigurationError(f"{name} must be in [0, {MAX_WEIGHT:g}], "
+                                         f"got {getattr(self, name)}")
         if self.margin_cap_db <= 0:
             raise ConfigurationError("margin_cap_db must be > 0")
         if self.epsilon_gain < 0:
@@ -156,8 +163,7 @@ def objective(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
     """Full-path objective: build the RSRP and SINR fields, then score."""
     thresholds = thresholds or scene.thresholds
     radio_field = build_field(scene, grid, assignment, offset_db, threads=threads)
-    sinr_field = build_sinr_field(radio_field, NoiseModel.from_radio(scene.radio),
-                                  activity_factor)
+    sinr_field = build_sinr_field(radio_field, scene.radio, activity_factor)
     return score_fields(sinr_field.serving_rsrp_dbm, sinr_field.sinr_db,
                         weights, thresholds)
 
@@ -252,7 +258,7 @@ class _FieldEvaluator:
         self.geometry = {site.id: kernels.site_geometry(grid.centers, site,
                                                         scene.radio.frequency_hz)
                          for site in scene.sites}
-        self.noise_floor = noise_floor_dbm(NoiseModel.from_radio(scene.radio))
+        self.noise_floor = noise_floor_dbm(scene.radio)
         self.angles: dict[tuple[str, int], Orientation] = {}
         self.field: RadioField | None = None
         self._row = np.empty(grid.count, dtype=np.float64)
@@ -423,20 +429,9 @@ class _FieldEvaluator:
 
 def default_order(scene: SceneConfig) -> list[tuple[str, int]]:
     """Round-robin across cells: every cell's beam 0, then every cell's beam 1, ..."""
-    per_cell = {cell_id: [] for cell_id in scene.cell_ids}
-    for cell_id, index in scene.beam_keys():
-        per_cell[cell_id].append(index)
-    order = []
-    depth = 0
-    while True:
-        added = False
-        for cell_id in scene.cell_ids:
-            if depth < len(per_cell[cell_id]):
-                order.append((cell_id, per_cell[cell_id][depth]))
-                added = True
-        if not added:
-            return order
-        depth += 1
+    keys = scene.beam_keys()   # cells in order, each cell's beams ascending
+    depth = {key: sum(1 for k in keys[:i] if k[0] == key[0]) for i, key in enumerate(keys)}
+    return sorted(keys, key=depth.__getitem__)   # stable: cells stay in order at each depth
 
 
 def _same_angle(a: Orientation, b: Orientation) -> bool:

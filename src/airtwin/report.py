@@ -22,100 +22,64 @@ from . import _csv
 from .errors import DimensionError
 from .interference import SinrField
 from .scene import CoverageThresholds, VoxelGrid
-from .spectrum import RadioField
 
 DEFAULT_HEATMAP_ALTITUDES_M = (50.0, 150.0, 300.0, 450.0)
-_RATIOS = ("rsrp_basic", "rsrp_strict", "sinr_basic", "sinr_strict", "joint_basic")
+
+# Each coverage criterion and its test on a voxel's (serving RSRP, SINR).
+CRITERIA = {
+    "rsrp_basic": lambda rsrp, sinr, t: rsrp >= t.rsrp_basic_dbm,
+    "rsrp_strict": lambda rsrp, sinr, t: rsrp >= t.rsrp_strict_dbm,
+    "sinr_basic": lambda rsrp, sinr, t: sinr >= t.sinr_basic_db,
+    "sinr_strict": lambda rsrp, sinr, t: sinr >= t.sinr_strict_db,
+    "joint_basic": lambda rsrp, sinr, t: (rsrp >= t.rsrp_basic_dbm) & (sinr >= t.sinr_basic_db),
+}
+
+
+class _Counts:
+    """``n_voxels`` and ``counts``, the voxels that meet each criterion."""
+
+    def ratio(self, name: str) -> float:
+        return self.counts[name] / self.n_voxels
 
 
 @dataclass(frozen=True)
-class LayerCoverage:
+class LayerCoverage(_Counts):
     z_m: float
     n_voxels: int
-    ratio_rsrp_basic: float
-    ratio_rsrp_strict: float
-    ratio_sinr_basic: float
-    ratio_sinr_strict: float
-    ratio_joint_basic: float
+    counts: dict[str, int]
 
 
 @dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(_Counts):
     n_voxels: int
-    count_rsrp_basic: int
-    count_rsrp_strict: int
-    count_sinr_basic: int
-    count_sinr_strict: int
-    count_joint_basic: int
+    counts: dict[str, int]
     layers: tuple[LayerCoverage, ...]
-
-    @property
-    def ratio_rsrp_basic(self) -> float:
-        return self.count_rsrp_basic / self.n_voxels
-
-    @property
-    def ratio_rsrp_strict(self) -> float:
-        return self.count_rsrp_strict / self.n_voxels
-
-    @property
-    def ratio_sinr_basic(self) -> float:
-        return self.count_sinr_basic / self.n_voxels
-
-    @property
-    def ratio_sinr_strict(self) -> float:
-        return self.count_sinr_strict / self.n_voxels
-
-    @property
-    def ratio_joint_basic(self) -> float:
-        return self.count_joint_basic / self.n_voxels
 
     def to_json_dict(self) -> dict:
         return {
             "n_voxels": self.n_voxels,
-            "ratios": {
-                "rsrp_basic": round(self.ratio_rsrp_basic, 6),
-                "rsrp_strict": round(self.ratio_rsrp_strict, 6),
-                "sinr_basic": round(self.ratio_sinr_basic, 6),
-                "sinr_strict": round(self.ratio_sinr_strict, 6),
-                "joint_basic": round(self.ratio_joint_basic, 6),
-            },
-            "counts": {
-                "rsrp_basic": self.count_rsrp_basic,
-                "rsrp_strict": self.count_rsrp_strict,
-                "sinr_basic": self.count_sinr_basic,
-                "sinr_strict": self.count_sinr_strict,
-                "joint_basic": self.count_joint_basic,
-            },
-            "layers": [
-                {
-                    "z_m": round(l.z_m, 3),
-                    "n_voxels": l.n_voxels,
-                    "rsrp_basic": round(l.ratio_rsrp_basic, 6),
-                    "rsrp_strict": round(l.ratio_rsrp_strict, 6),
-                    "sinr_basic": round(l.ratio_sinr_basic, 6),
-                    "sinr_strict": round(l.ratio_sinr_strict, 6),
-                    "joint_basic": round(l.ratio_joint_basic, 6),
-                }
-                for l in self.layers
-            ],
+            "ratios": {name: round(self.ratio(name), 6) for name in CRITERIA},
+            "counts": dict(self.counts),
+            "layers": [{"z_m": round(l.z_m, 3), "n_voxels": l.n_voxels,
+                        **{name: round(l.ratio(name), 6) for name in CRITERIA}}
+                       for l in self.layers],
         }
 
 
-def coverage_ratios(field: RadioField, sinr: SinrField,
-                    thresholds: CoverageThresholds, mask=None) -> CoverageReport:
+def coverage_ratios(sinr: SinrField, thresholds: CoverageThresholds,
+                    mask=None) -> CoverageReport:
     """Threshold satisfaction ratios, aggregate and per altitude layer.
 
     ``mask`` optionally restricts the computation to a subset of voxel indices
     (e.g. voxels along measured flight routes); each index may appear once.
     """
-    if field.grid is not sinr.grid and field.grid.count != sinr.grid.count:
-        raise DimensionError("RSRP and SINR fields do not share a grid")
-    idx = np.arange(field.grid.count) if mask is None else np.asarray(mask, dtype=np.int64)
+    grid = sinr.grid
+    idx = np.arange(grid.count) if mask is None else np.asarray(mask, dtype=np.int64)
     if idx.size == 0:
         raise DimensionError("voxel mask selects no voxels")
-    if idx.min() < 0 or idx.max() >= field.grid.count:
+    if idx.min() < 0 or idx.max() >= grid.count:
         raise DimensionError(
-            f"voxel mask indices must lie in [0, {field.grid.count}), "
+            f"voxel mask indices must lie in [0, {grid.count}), "
             f"got {idx.min()}..{idx.max()}")
     if mask is not None:
         first = np.unique(idx, return_index=True)[1]
@@ -123,30 +87,23 @@ def coverage_ratios(field: RadioField, sinr: SinrField,
             repeat = np.ones(idx.size, dtype=bool)
             repeat[first] = False
             raise DimensionError(f"voxel mask repeats index {idx[repeat][0]}")
-    grid = field.grid
     serving = sinr.serving_rsrp_dbm[idx]
     sinr_db = sinr.sinr_db[idx]
-    passed = (serving >= thresholds.rsrp_basic_dbm,
-              serving >= thresholds.rsrp_strict_dbm,
-              sinr_db >= thresholds.sinr_basic_db,
-              sinr_db >= thresholds.sinr_strict_db)
-    passed += (passed[0] & passed[2],)   # joint: basic RSRP and basic SINR
 
     # Layers are contiguous index ranges: a voxel's layer is where its index
     # falls among the layer starts.
     layer = np.searchsorted(grid.layer_bounds, idx, side="right") - 1
     n_layers = grid.layer_z.size
     n = np.bincount(layer, minlength=n_layers)
-    counts = [np.bincount(layer, weights=flags, minlength=n_layers).astype(np.int64)
-              for flags in passed]
+    counts = {name: np.bincount(layer, weights=test(serving, sinr_db, thresholds),
+                                minlength=n_layers).astype(np.int64)
+              for name, test in CRITERIA.items()}
     layers = tuple(
         LayerCoverage(z_m=float(grid.layer_z[k]), n_voxels=int(n[k]),
-                      **{f"ratio_{name}": int(count[k]) / int(n[k])
-                         for name, count in zip(_RATIOS, counts)})
+                      counts={name: int(count[k]) for name, count in counts.items()})
         for k in np.flatnonzero(n))
     return CoverageReport(n_voxels=int(idx.size), layers=layers,
-                          **{f"count_{name}": int(count.sum())
-                             for name, count in zip(_RATIOS, counts)})
+                          counts={name: int(count.sum()) for name, count in counts.items()})
 
 
 @dataclass(frozen=True)
@@ -187,35 +144,22 @@ class CompareReport:
     before: CoverageReport
     after: CoverageReport
 
-    def deltas(self) -> dict:
-        return {
-            "rsrp_basic": self.after.ratio_rsrp_basic - self.before.ratio_rsrp_basic,
-            "rsrp_strict": self.after.ratio_rsrp_strict - self.before.ratio_rsrp_strict,
-            "sinr_basic": self.after.ratio_sinr_basic - self.before.ratio_sinr_basic,
-            "sinr_strict": self.after.ratio_sinr_strict - self.before.ratio_sinr_strict,
-            "joint_basic": self.after.ratio_joint_basic - self.before.ratio_joint_basic,
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "before": self.before.to_json_dict(),
             "after": self.after.to_json_dict(),
-            "ratio_deltas": {k: round(v, 6) for k, v in self.deltas().items()},
+            "ratio_deltas": {name: round(self.after.ratio(name) - self.before.ratio(name), 6)
+                             for name in CRITERIA},
         }
 
 
-def compare_report(before: tuple[RadioField, SinrField],
-                   after: tuple[RadioField, SinrField],
+def compare_report(sinr_before: SinrField, sinr_after: SinrField,
                    thresholds: CoverageThresholds, mask=None) -> CompareReport:
-    """Coverage reports for two configurations plus per-ratio deltas."""
-    field_b, sinr_b = before
-    field_a, sinr_a = after
-    if field_b.grid.count != field_a.grid.count:
+    """Coverage reports for two configurations; ``to_json_dict`` adds per-ratio deltas."""
+    if sinr_before.grid.count != sinr_after.grid.count:
         raise DimensionError("before/after fields do not share a grid")
-    return CompareReport(
-        before=coverage_ratios(field_b, sinr_b, thresholds, mask),
-        after=coverage_ratios(field_a, sinr_a, thresholds, mask),
-    )
+    return CompareReport(before=coverage_ratios(sinr_before, thresholds, mask),
+                         after=coverage_ratios(sinr_after, thresholds, mask))
 
 
 def save_json_report(data: dict, path) -> None:

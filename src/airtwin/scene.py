@@ -370,10 +370,6 @@ class SceneConfig:
             keys.extend((cell_id, sb.index) for sb in sorted(cell.sub_beams, key=lambda b: b.index))
         return keys
 
-    @property
-    def n_sub_beams(self) -> int:
-        return sum(len(c.sub_beams) for s in self.sites for c in s.cells)
-
 
 # ---------------------------------------------------------------------------
 # Beam assignments
@@ -450,14 +446,25 @@ def save_assignment(assignment: BeamAssignment, path) -> None:
         fh.write("\n")
 
 
-def load_assignment(path) -> BeamAssignment:
+def read_json(path, kind: str):
+    """The document in the JSON file ``path``, of the given ``kind`` (for messages).
+
+    A file that cannot be read, is not UTF-8, is not JSON or nests too deep for
+    the parser raises SceneSchemaError, an input error.
+    """
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SceneSchemaError(f"cannot read assignment file {path}: {exc}") from exc
+        raise SceneSchemaError(f"cannot read {kind} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SceneSchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise SceneSchemaError(f"{path}: not a readable JSON {kind} file: {exc}") from None
+
+
+def load_assignment(path) -> BeamAssignment:
+    data = read_json(path, "assignment")
     try:
         return BeamAssignment.from_json_dict(data)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
@@ -469,15 +476,26 @@ def load_assignment(path) -> BeamAssignment:
 # ---------------------------------------------------------------------------
 # The scene format, one reader per value. A reader checks the value's JSON type
 # (a number is an int or a float, never a bool), an array's length and an
-# object's keys, and raises SceneSchemaError naming the value's path. A number
-# must also be finite: NaN compares false with every bound, so a range check
-# alone would let it through. Ranges are left to the dataclasses' own checks.
+# object's keys, and raises SceneSchemaError naming the value's path;
+# ``read_document`` names the document too. A number must also be finite: NaN
+# compares false with every bound, so a range check alone would let it through.
+# Ranges are left to the dataclasses' own checks. The mapping file of
+# ``measurements`` is read with the same readers.
 _ID_FORBIDDEN = (",", '"', "\r", "\n")   # ids are written unquoted into CSV rows
 
 
 def _violation(path, reason: str) -> SceneSchemaError:
-    where = "/".join(str(p) for p in path) or "<root>"
-    return SceneSchemaError(f"scene schema violation at '{where}': {reason}")
+    # Escaped, so that a key holding a line break cannot split the error line.
+    where = "/".join(str(p) for p in path).encode("unicode_escape").decode() or "<root>"
+    return SceneSchemaError(f"schema violation at '{where}': {reason}")
+
+
+def read_document(read, data, label: str) -> None:
+    """Check the parsed document ``data`` with ``read``; an error begins with ``label``."""
+    try:
+        read(data, ())
+    except SceneSchemaError as exc:
+        raise SceneSchemaError(f"{label} {exc}") from None
 
 
 def _json_type(value) -> str:
@@ -610,7 +628,7 @@ def _pattern_from_dict(data: dict | None, base_dir: str):
 
 def scene_from_dict(data: dict, base_dir: str = ".") -> SceneConfig:
     """Build a validated SceneConfig from a parsed scene document (README, "Scene JSON")."""
-    _read_scene(data, ())
+    read_document(_read_scene, data, "scene")
 
     air = data["airspace"]
     airspace = CylinderSpec(center_m=tuple(air["center_m"]), radius_m=air["radius_m"],
@@ -650,14 +668,8 @@ def scene_from_dict(data: dict, base_dir: str = ".") -> SceneConfig:
 
 def load_scene(path) -> SceneConfig:
     """Load and validate a scene JSON file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SceneSchemaError(f"cannot read scene file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SceneSchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return scene_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    return scene_from_dict(read_json(path, "scene"),
+                           base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _pattern_to_dict(pattern) -> dict:

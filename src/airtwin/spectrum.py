@@ -177,22 +177,6 @@ def calibrate_offset(predicted, measured) -> CalibrationOffset:
     return CalibrationOffset(offset_db=offset, residual_rmse_db=rmse, n_samples=p.size)
 
 
-@dataclass(frozen=True)
-class TwinModel:
-    """A calibrated twin: scene + assignment + global offset."""
-
-    scene: SceneConfig
-    assignment: BeamAssignment
-    offset_db: float = 0.0
-
-    def predict(self, positions, cell_ids) -> np.ndarray:
-        pts = list(zip(np.asarray(positions, dtype=float), cell_ids))
-        return predict_at(self.scene, self.assignment, self.offset_db, pts)
-
-    def predict_set(self, measurements) -> np.ndarray:
-        return self.predict(measurements.positions, measurements.cell_ids)
-
-
 def export_field_csv(field: RadioField, fh) -> None:
     """Write `x_m,y_m,z_m,cell_id,rsrp_dbm`, voxel-major then cell lexicographic."""
     centers = field.grid.centers

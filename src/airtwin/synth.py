@@ -12,19 +12,9 @@ import sys
 
 import numpy as np
 
-from .antenna import AntennaPattern, Orientation
 from .errors import InputError
 from .measurements import MeasurementSet
-from .scene import (
-    Cell,
-    CoverageThresholds,
-    CylinderSpec,
-    RadioConstants,
-    SceneConfig,
-    Site,
-    SteeringBounds,
-    SubBeam,
-)
+from .scene import CylinderSpec, SceneConfig
 from .spectrum import predict_at
 
 
@@ -82,8 +72,7 @@ def clip_to_airspace(points: np.ndarray, airspace: CylinderSpec) -> tuple[np.nda
 
 def synthesize_measurements(scene: SceneConfig, assignment, trajectory: np.ndarray,
                             sigma_db: float, seed: int, offset_db: float = 0.0,
-                            cells: str = "all", source: str = "synthetic",
-                            warn=None) -> MeasurementSet:
+                            cells: str = "all", warn=None) -> MeasurementSet:
     """Twin predictions along a trajectory plus seeded Gaussian noise.
 
     ``cells`` is "all" (one sample per cell per point) or "serving" (the
@@ -125,48 +114,5 @@ def synthesize_measurements(scene: SceneConfig, assignment, trajectory: np.ndarr
         positions=np.asarray(keep_positions, dtype=float),
         cell_ids=np.asarray(keep_cells, dtype=object),
         rsrp_dbm=np.asarray(noisy, dtype=float),
-        source=source,
     )
 
-
-def demo_scene(radius_m: float = 500.0, height_m: float = 300.0, voxel_m: float = 25.0,
-               n_sites: int = 3, cells_per_site: int = 2, beams_per_cell: int = 7,
-               tx_power_dbm: float = 15.0) -> SceneConfig:
-    """Six-cell, 42-sub-beam synthetic deployment around a cylindrical airspace.
-
-    Sites sit on a ring near the cylinder edge with cells facing inward; each
-    cell's sub-beams fan out in azimuth with 0 tilt as the baseline, leaving
-    high-altitude coverage to the optimizer.
-    """
-    pattern = AntennaPattern(g_max_dbi=17.0, hpbw_az_deg=24.0, hpbw_el_deg=10.0,
-                             sla_db=30.0, fbr_db=30.0)
-    sites = []
-    for s in range(n_sites):
-        ring_deg = 360.0 * s / n_sites
-        ring = np.radians(ring_deg)
-        pos = (0.9 * radius_m * np.sin(ring), 0.9 * radius_m * np.cos(ring), 25.0)
-        inward = (ring_deg + 180.0) % 360.0
-        cells = []
-        for c in range(cells_per_site):
-            cell_az = inward + (c - (cells_per_site - 1) / 2.0) * 70.0
-            beams = []
-            for b in range(beams_per_cell):
-                beam_az = cell_az + (b - (beams_per_cell - 1) / 2.0) * 10.0
-                beams.append(SubBeam(
-                    index=b,
-                    pattern=pattern,
-                    bounds=SteeringBounds(az_min_deg=beam_az - 15.0, az_max_deg=beam_az + 15.0,
-                                          tilt_min_deg=0.0, tilt_max_deg=21.0),
-                    baseline=Orientation(beam_az, 0.0),
-                    candidate_step=(5.0, 3.0),
-                ))
-            cells.append(Cell(id=f"s{s + 1}c{c + 1}", tx_power_dbm=tx_power_dbm,
-                              sub_beams=tuple(beams)))
-        sites.append(Site(id=f"s{s + 1}", position_m=pos, cells=tuple(cells)))
-    return SceneConfig(
-        sites=tuple(sites),
-        airspace=CylinderSpec(center_m=(0.0, 0.0), radius_m=radius_m,
-                              z_min_m=0.0, z_max_m=height_m, voxel_m=voxel_m),
-        radio=RadioConstants(frequency_hz=3.5e9, bandwidth_hz=1e8, noise_figure_db=7.0),
-        thresholds=CoverageThresholds(),
-    )

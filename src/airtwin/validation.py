@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EmptySetError, SizeError
 from .measurements import MeasurementSet
-from .spectrum import TwinModel, calibrate_offset
+from .spectrum import calibrate_offset, predict_at
 
 DEFAULT_LAYER_HEIGHT_M = 10.0
 KRIGING_NEIGHBORS = 32
@@ -384,15 +384,12 @@ class TwinPredictor:
         self.assignment = assignment
 
     def fit(self, train: MeasurementSet):
-        base = TwinModel(self.scene, self.assignment, offset_db=0.0)
-        cal = calibrate_offset(base.predict_set(train), train)
-        model = TwinModel(self.scene, self.assignment, offset_db=cal.offset_db)
+        cal = calibrate_offset(predict_at(self.scene, self.assignment, 0.0,
+                                          zip(train.positions, train.cell_ids)), train)
 
         def predict(points):
-            pts = list(points)
-            positions = [p[0] for p in pts]
-            ids = [p[1] for p in pts]
-            return model.predict(positions, ids), np.zeros(len(pts), dtype=bool)
+            predicted = predict_at(self.scene, self.assignment, cal.offset_db, points)
+            return predicted, np.zeros(len(predicted), dtype=bool)
 
         return predict
 

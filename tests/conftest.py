@@ -2,15 +2,13 @@
 
 import pytest
 
-from airtwin.scene import BeamAssignment, build_voxel_grid
-from factories import simple_scene
+from airtwin.scene import BeamAssignment, build_voxel_grid, load_scene
+from factories import DEMO_SCENE, simple_scene
 
 
 @pytest.fixture(scope="session")
 def demo():
-    from airtwin.synth import demo_scene
-
-    scene = demo_scene()
+    scene = load_scene(DEMO_SCENE)
     grid = build_voxel_grid(scene.airspace)
     return scene, grid
 

@@ -5,6 +5,8 @@ name no other test directory's conftest shares.
 """
 
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 
@@ -19,6 +21,15 @@ from airtwin.scene import (
     SteeringBounds,
     SubBeam,
 )
+
+DEMO_SCENE = pathlib.Path(__file__).resolve().parents[1] / "scenes" / "demo_6cell.json"
+
+
+def demo_doc(**airspace) -> dict:
+    """The demo scene file's document, with the given ``airspace`` values replaced."""
+    doc = json.loads(DEMO_SCENE.read_text())
+    doc["airspace"].update(airspace)
+    return doc
 
 
 def simple_scene(n_cells=1, n_beams=1, radius_m=100.0, z_max_m=60.0, voxel_m=20.0,

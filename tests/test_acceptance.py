@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from airtwin.antenna import AntennaPattern, Orientation, gain
-from airtwin.interference import NoiseModel, build_sinr_field, linear_mw, noise_floor_dbm
+from airtwin.interference import build_sinr_field, linear_mw, noise_floor_dbm
 from airtwin.measurements import load_measurements
 from airtwin.optimizer import (
     ObjectiveWeights,
@@ -23,7 +23,7 @@ from airtwin.optimizer import (
     greedy_optimize,
     objective,
 )
-from airtwin.scene import BeamAssignment, build_voxel_grid
+from airtwin.scene import BeamAssignment, RadioConstants, build_voxel_grid
 from airtwin.spectrum import (
     RadioField,
     build_field,
@@ -79,7 +79,7 @@ def test_criterion_1_radio_math():
         for f in (0.7e9, 3.5e9, 26e9):
             for d in (1.0, 57.0, 1000.0):
                 assert fspl_db(2 * d, f) - fspl_db(d, f) == pytest.approx(6.0206, abs=1e-6)
-        assert noise_floor_dbm(NoiseModel(1e8, 7.0)) == -87.0
+        assert noise_floor_dbm(RadioConstants(3.5e9, 1e8, 7.0)) == -87.0
         pattern = AntennaPattern(g_max_dbi=17.0, hpbw_az_deg=65.0, hpbw_el_deg=35.0)
         north = np.array([0.0, 1.0, 0.0])
         assert gain(pattern, Orientation(0.0, 0.0), north) == pytest.approx(17.0, abs=1e-9)
@@ -107,10 +107,9 @@ def test_criterion_2_sinr_properties():
             scene = _random_1k_scene(seed)
             grid = build_voxel_grid(scene.airspace)
             assert 900 <= grid.count <= 1100
-            noise = NoiseModel.from_radio(scene.radio)
-            floor = noise_floor_dbm(noise)
+            floor = noise_floor_dbm(scene.radio)
             field = build_field(scene, grid, BeamAssignment.baseline(scene))
-            sinr = build_sinr_field(field, noise, 1.0)
+            sinr = build_sinr_field(field, scene.radio, 1.0)
             assert np.all(sinr.sinr_db <= sinr.serving_rsrp_dbm - floor)
 
             # adding an interfering sub-beam (a -20 dB clone, which cannot
@@ -119,13 +118,13 @@ def test_criterion_2_sinr_properties():
             lin[-1] += linear_mw(field.cell_rsrp_dbm[-1] - 20.0)
             bigger = RadioField(grid=grid, cell_ids=field.cell_ids,
                                 cell_rsrp_dbm=field.cell_rsrp_dbm, cell_lin_mw=lin)
-            sinr_more = build_sinr_field(bigger, noise, 1.0)
+            sinr_more = build_sinr_field(bigger, scene.radio, 1.0)
             assert np.all(sinr_more.sinr_db <= sinr.sinr_db)
 
             single = simple_scene(n_cells=1, n_beams=2, radius_m=80.0, z_max_m=50.0,
                                   voxel_m=10.0)
             sf = build_field(single, grid, BeamAssignment.baseline(single))
-            ss = build_sinr_field(sf, NoiseModel.from_radio(single.radio), 1.0)
+            ss = build_sinr_field(sf, single.radio, 1.0)
             np.testing.assert_array_equal(ss.sinr_db, ss.serving_rsrp_dbm - (-87.0))
 
 
@@ -266,12 +265,11 @@ def test_criterion_8_block_holdout_structure():
 
 def test_criterion_9_end_to_end_desk_scale(demo):
     scene, grid = demo
-    assert len(scene.cell_ids) == 6 and scene.n_sub_beams == 42
+    assert len(scene.cell_ids) == 6 and len(scene.beam_keys()) == 42
     assert 1.2e4 <= grid.count <= 1.8e4
     base = BeamAssignment.baseline(scene)
     assert all(o.tilt_deg == 0.0 for o in base.angles.values())
     thresholds = scene.thresholds
-    noise = NoiseModel.from_radio(scene.radio)
 
     with _Budget(9, "end-to-end desk-scale optimization", 300.0):
         optimized, trace, _ = greedy_optimize(scene, grid, base, W, threads=1)
@@ -282,7 +280,7 @@ def test_criterion_9_end_to_end_desk_scale(demo):
 
         def ratios(assignment):
             field = build_field(scene, grid, assignment, threads=1)
-            sinr = build_sinr_field(field, noise, 1.0)
+            sinr = build_sinr_field(field, scene.radio, 1.0)
             strict = float(np.mean(sinr.serving_rsrp_dbm >= thresholds.rsrp_strict_dbm))
             joint = float(np.mean((sinr.serving_rsrp_dbm >= thresholds.rsrp_basic_dbm)
                                   & (sinr.sinr_db >= thresholds.sinr_basic_db)))

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import airtwin.cli
 import airtwin.optimizer
 from airtwin.cli import main
-from airtwin.measurements import load_measurements
+from airtwin.measurements import NATIVE_COLUMNS, load_measurements
 from airtwin.scene import BeamAssignment, build_voxel_grid, load_scene, save_assignment, save_scene
-from airtwin.spectrum import TwinModel
+from airtwin.spectrum import predict_at
 from factories import simple_scene
 
 
@@ -122,8 +122,8 @@ class TestSynthAndCalibrate:
                      "--samples", "50", "--noise-sigma-db", "0"]) == 0
         mset = load_measurements(out / "measurements.csv")
         scene = load_scene(tiny_scene_path)
-        model = TwinModel(scene, BeamAssignment.baseline(scene), 0.0)
-        predicted = model.predict_set(mset)
+        predicted = predict_at(scene, BeamAssignment.baseline(scene), 0.0,
+                               zip(mset.positions, mset.cell_ids))
         np.testing.assert_allclose(mset.rsrp_dbm, predicted, atol=2e-4)
 
     def test_same_seed_identical_files(self, tiny_scene_path, tmp_path):
@@ -141,8 +141,8 @@ class TestSynthAndCalibrate:
         mset = load_measurements(out / "measurements.csv")
         assert len(mset) == 500  # 250 trajectory points x 2 cells
         scene = load_scene(tiny_scene_path)
-        model = TwinModel(scene, BeamAssignment.baseline(scene), 0.0)
-        residuals = mset.rsrp_dbm - model.predict_set(mset)
+        residuals = mset.rsrp_dbm - predict_at(scene, BeamAssignment.baseline(scene), 0.0,
+                                               zip(mset.positions, mset.cell_ids))
         assert 1.8 <= np.std(residuals) <= 2.2
 
     def test_calibrate_recovers_injected_offset(self, tiny_scene_path, tmp_path):
@@ -345,6 +345,9 @@ def test_version_and_help():
 FAILURE_CASES = {
     "alpha_nan": (2, ["optimize", "--alpha", "nan"]),
     "beta_nan": (2, ["optimize", "--beta", "nan"]),
+    # Past MAX_WEIGHT the objective overflows and every candidate delta turns NaN.
+    "alpha_huge": (2, ["optimize", "--alpha", "1e308"]),
+    "beta_huge": (2, ["optimize", "--beta", "1e307"]),
     "margin_cap_nan": (2, ["optimize", "--margin-cap", "nan"]),
     "epsilon_gain_inf": (2, ["optimize", "--epsilon-gain", "inf"]),
     "activity_factor_5": (2, ["optimize", "--activity-factor", "5"]),
@@ -481,6 +484,23 @@ MEASUREMENT_CASES = {
 FAILURE_CASES.update({f"measurement_{name}": (2, [command])
                       for name, (command, *_) in MEASUREMENT_CASES.items()})
 
+# A mapping file with a value of the wrong type or an unknown frame; each error
+# names the mapping file and the key. The test writes the mapping over a
+# native-schema measurement file.
+NATIVE_MAPPING = {"columns": {c: c for c in NATIVE_COLUMNS[1:]}}
+MAPPING_CASES = {
+    "position_not_an_object": ({"position": "lla"}, "position"),
+    "origin_not_an_array": ({"position": {"frame": "lla", "origin_lla": 5}},
+                            "position/origin_lla"),
+    "origin_not_numbers": ({"position": {"frame": "lla", "origin_lla": ["a", 2, 3]}},
+                           "position/origin_lla/0"),
+    "origin_two_numbers": ({"position": {"frame": "lla", "origin_lla": [1, 2]}},
+                           "position/origin_lla"),
+    "frame_unknown": ({"position": {"frame": "utm"}}, "position/frame"),
+    "column_not_a_string": ({"columns": {**NATIVE_MAPPING["columns"], "x_m": 5}}, "columns/x_m"),
+}
+FAILURE_CASES.update({f"mapping_{name}": (2, ["calibrate"]) for name in MAPPING_CASES})
+
 # The airspace is bounded like a site: its center and its extent.
 FAILURE_CASES.update({
     "airspace_center_huge": (2, ["evaluate", "--set", "airspace.center_m=[1e200,0]"]),
@@ -527,6 +547,13 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         measurements = tmp_path / "measurements.csv"
         write_measurements(measurements, *MEASUREMENT_CASES[case[len("measurement_"):]][1:3])
         argv += ["--measurements", str(measurements)]
+    if case.startswith("mapping_"):
+        mapping = tmp_path / "mapping.json"
+        update, key = MAPPING_CASES[case[len("mapping_"):]]
+        mapping.write_text(json.dumps({**NATIVE_MAPPING, **update}))
+        measurements = tmp_path / "measurements.csv"
+        write_measurements(measurements, "rsrp_dbm", "-80")
+        argv += ["--measurements", str(measurements), "--mapping", str(mapping)]
     out = tmp_path / "out"
     if case == "out_under_a_file":
         (tmp_path / "blocker").write_text("")
@@ -557,6 +584,8 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
     if case.startswith("measurement_"):
         field = MEASUREMENT_CASES[case[len("measurement_"):]][3]
         assert f"error: {measurements}: data row 2: {field} must" in err
+    if case.startswith("mapping_"):
+        assert f"error: {mapping}: mapping schema violation at '{key}'" in err
     if case.startswith("airspace_"):
         assert "airspace.center_m" in err
     if case.startswith("site_"):
@@ -565,6 +594,23 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         assert f"{table}: column {TABLE_CASES[case[len('table_'):]][0]} must be finite" in err
     if out.is_dir():
         assert set(os.listdir(out)) <= {"manifest.json"}
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not_utf8", "nested_too_deep"])
+@pytest.mark.parametrize("flag", ["--scene", "--assignment", "--mapping"])
+def test_unreadable_json_file_is_an_input_error(flag, content, tiny_scene_path, tmp_path,
+                                                capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    measurements = tmp_path / "measurements.csv"
+    write_measurements(measurements, "rsrp_dbm", "-80")
+    files = {"--scene": tiny_scene_path, "--measurements": str(measurements), flag: str(bad)}
+    rc = main(["calibrate", "--out", str(tmp_path / "out"), *(a for item in files.items()
+                                                               for a in item)])
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {bad}: not a readable JSON ")
 
 
 # The largest levels over the smallest noise floor, and the smallest over the largest.
@@ -658,6 +704,82 @@ def test_evaluate_on_any_radio_table_and_site_position(radio, gains, position, t
     assert [str(w.message) for w in caught] == []
     lines = err.getvalue().splitlines()
     assert rc in (0, 2, 3)
+    assert len(lines) == (rc != 0) and all(line.startswith("error:") for line in lines)
+
+
+# Each command takes only the options it reads.
+REMOVED_OPTIONS = [*((command, "--seed") for command in
+                     ("build", "calibrate", "validate", "optimize", "evaluate")),
+                   *((command, option) for command in ("calibrate", "validate")
+                     for option in ("--offset-db", "--activity-factor")),
+                   ("synth", "--activity-factor")]
+
+
+@pytest.mark.parametrize("command, option", REMOVED_OPTIONS)
+def test_option_a_command_does_not_read_is_rejected(command, option, tiny_scene_path, tmp_path,
+                                                    capsys):
+    argv = [command, "--scene", tiny_scene_path, "--out", str(tmp_path / "out"), option, "1"]
+    if command in ("calibrate", "validate"):
+        argv += ["--measurements", "none.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def synthesized(tmp_path_factory):
+    """A scene file and the ``synth`` measurements of its baseline."""
+    root = tmp_path_factory.mktemp("synthesized")
+    save_scene(simple_scene(n_cells=2, n_beams=2, radius_m=60.0, z_max_m=40.0, voxel_m=20.0),
+               root / "scene.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--scene", str(root / "scene.json"), "--out", str(root / "synth"),
+                     "--samples", "20"]) == 0
+    return str(root / "scene.json"), str(root / "synth" / "measurements.csv")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+def column_name(column):
+    """Mostly ``column`` itself, else another column's name or any JSON value."""
+    return mostly(st.just(column), st.sampled_from(NATIVE_COLUMNS), json_values)
+
+
+mapping_docs = mostly(st.fixed_dictionaries(
+    {"columns": mostly(st.fixed_dictionaries({c: column_name(c) for c in NATIVE_COLUMNS[1:]},
+                                             optional={"seq": column_name("seq")}),
+                       json_values)},
+    optional={"position": mostly(st.fixed_dictionaries({}, optional={
+        "frame": mostly(st.sampled_from(["enu", "lla"]), json_values),
+        "origin_lla": mostly(st.lists(st.floats(-90.0, 90.0), min_size=3, max_size=3),
+                             json_values)}), json_values)}), json_values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mapping=mapping_docs)
+def test_calibrate_on_any_mapping(mapping, synthesized):
+    """Exit 0 or 2, at most one ``error:`` line, and never a warning or a traceback."""
+    scene_path, measurements = synthesized
+    with tempfile.TemporaryDirectory() as tmp:
+        mapping_path = os.path.join(tmp, "mapping.json")
+        with open(mapping_path, "w") as fh:
+            json.dump(mapping, fh)
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            rc = main(["calibrate", "--scene", scene_path, "--out", os.path.join(tmp, "out"),
+                       "--measurements", measurements, "--mapping", mapping_path])
+    event(f"exit {rc}")
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2)
     assert len(lines) == (rc != 0) and all(line.startswith("error:") for line in lines)
 
 

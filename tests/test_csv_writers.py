@@ -160,8 +160,7 @@ def test_sinr_csv(voxel_columns, n_cells, data):
     serving = np.random.default_rng(data.draw(st.integers(0, 99))).integers(0, n_cells, n)
     sinr = SinrField(grid=grid_of(centers), cell_ids=tuple(f"s{i}" for i in range(n_cells)),
                      serving_index=serving, serving_rsrp_dbm=data.draw(columns(n)),
-                     sinr_db=data.draw(columns(n)), activity_factor=1.0,
-                     noise_floor_dbm=-87.0)
+                     sinr_db=data.draw(columns(n)))
     assert_same_bytes(export_sinr_csv, reference_sinr, sinr, n)
 
 

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from airtwin import kernels
+from airtwin.errors import SceneValidationError
 from airtwin.interference import (
-    NoiseModel,
     build_sinr_field,
     export_sinr_csv,
     linear_mw,
     noise_floor_dbm,
 )
-from airtwin.scene import BeamAssignment, build_voxel_grid
+from airtwin.scene import BeamAssignment, RadioConstants, build_voxel_grid
 from airtwin.spectrum import RadioField, build_field
 
 from factories import simple_scene
@@ -58,23 +58,27 @@ class TestLinearMw:
         assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
 
 
+def radio(bandwidth_hz, noise_figure_db):
+    return RadioConstants(3.5e9, bandwidth_hz, noise_figure_db)
+
+
 class TestNoiseFloor:
     def test_reference(self):
-        assert noise_floor_dbm(NoiseModel(1e8, 7.0)) == -87.0
+        assert noise_floor_dbm(radio(1e8, 7.0)) == -87.0
 
     def test_definitional(self):
-        assert noise_floor_dbm(NoiseModel(1.0, 0.0)) == -174.0
+        assert noise_floor_dbm(radio(1.0, 0.0)) == -174.0
 
     def test_bandwidth_decade(self):
-        a = noise_floor_dbm(NoiseModel(1e7, 3.0))
-        b = noise_floor_dbm(NoiseModel(1e8, 3.0))
+        a = noise_floor_dbm(radio(1e7, 3.0))
+        b = noise_floor_dbm(radio(1e8, 3.0))
         assert b - a == pytest.approx(10.0, abs=1e-9)
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            NoiseModel(0.0, 3.0)
-        with pytest.raises(ValueError):
-            NoiseModel(1e8, -1.0)
+        with pytest.raises(SceneValidationError):
+            radio(0.0, 3.0)
+        with pytest.raises(SceneValidationError):
+            radio(1e8, -1.0)
 
 
 def synthetic_field(beam_values, cell_of_beam, cell_ids, grid=None):
@@ -96,7 +100,7 @@ class TestSinr:
     def test_worked_example(self):
         # serving -80 dBm, one interfering sub-beam -90 dBm, noise -87 dBm
         field = synthetic_field([[-80.0], [-90.0]], [0, 1], ("a", "b"))
-        sinr = build_sinr_field(field, NoiseModel(1e8, 7.0), 1.0)
+        sinr = build_sinr_field(field, radio(1e8, 7.0), 1.0)
         assert sinr.sinr_db[0] == pytest.approx(5.24, abs=0.01)
         assert sinr.sinr_db[0] == pytest.approx(5.235651375635149, abs=1e-9)
 
@@ -104,20 +108,20 @@ class TestSinr:
         scene = simple_scene(n_cells=1, n_beams=2)
         grid = build_voxel_grid(scene.airspace)
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), 1.0)
+        sinr = build_sinr_field(field, scene.radio, 1.0)
         np.testing.assert_array_equal(sinr.sinr_db,
                                       sinr.serving_rsrp_dbm - (-87.0))
 
     def test_activity_zero_reduces_to_single_cell(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), 0.0)
+        sinr = build_sinr_field(field, scene.radio, 0.0)
         np.testing.assert_array_equal(sinr.sinr_db, sinr.serving_rsrp_dbm - (-87.0))
 
     def test_bound_by_noise_limited_sinr(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), 1.0)
+        sinr = build_sinr_field(field, scene.radio, 1.0)
         assert np.all(sinr.sinr_db <= sinr.serving_rsrp_dbm - (-87.0))
 
     def test_extra_interfering_beam_never_raises_sinr(self, tiny):
@@ -125,7 +129,7 @@ class TestSinr:
         # unchanged, interference can only grow
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        noise = NoiseModel.from_radio(scene.radio)
+        noise = scene.radio
         before = build_sinr_field(field, noise, 1.0)
 
         lin = field.cell_lin_mw.copy()
@@ -140,7 +144,7 @@ class TestSinr:
     def test_higher_activity_never_raises_sinr(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        noise = NoiseModel.from_radio(scene.radio)
+        noise = scene.radio
         low = build_sinr_field(field, noise, 0.3)
         high = build_sinr_field(field, noise, 0.9)
         assert np.all(high.sinr_db <= low.sinr_db)
@@ -153,15 +157,15 @@ class TestSinr:
         shifted = RadioField(grid=grid, cell_ids=field.cell_ids,
                              cell_rsrp_dbm=field.cell_rsrp_dbm + delta,
                              cell_lin_mw=field.cell_lin_mw * 10.0 ** (delta / 10.0))
-        a = build_sinr_field(field, NoiseModel(1e8, 7.0), 1.0)
-        b = build_sinr_field(shifted, NoiseModel(1e8, 7.0 + delta), 1.0)
+        a = build_sinr_field(field, radio(1e8, 7.0), 1.0)
+        b = build_sinr_field(shifted, radio(1e8, 7.0 + delta), 1.0)
         np.testing.assert_allclose(a.sinr_db, b.sinr_db, atol=1e-9)
 
     def test_signal_only_shift_changes_sinr(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
         shifted = build_field(scene, grid, BeamAssignment.baseline(scene), 6.0)
-        noise = NoiseModel.from_radio(scene.radio)
+        noise = scene.radio
         a = build_sinr_field(field, noise, 1.0)
         b = build_sinr_field(shifted, noise, 1.0)
         assert not np.allclose(a.sinr_db, b.sinr_db)
@@ -170,11 +174,11 @@ class TestSinr:
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
         with pytest.raises(ValueError):
-            build_sinr_field(field, NoiseModel.from_radio(scene.radio), 1.5)
+            build_sinr_field(field, scene.radio, 1.5)
 
 
 def serving_ids(field: RadioField) -> list[str]:
-    sinr = build_sinr_field(field, NoiseModel(1e8, 7.0), 1.0)
+    sinr = build_sinr_field(field, radio(1e8, 7.0), 1.0)
     return [field.cell_ids[c] for c in sinr.serving_index]
 
 
@@ -217,7 +221,7 @@ class TestServingMap:
                          np.where(np.arange(n) % 2 == 0, -70.0, np.nextafter(-70.0, 0.0))])
         field = RadioField(grid=None, cell_ids=("a", "b", "c", "d"), cell_rsrp_dbm=rsrp,
                            cell_lin_mw=linear_mw(rsrp))
-        sinr = build_sinr_field(field, NoiseModel(1e8, 7.0), 1.0)
+        sinr = build_sinr_field(field, radio(1e8, 7.0), 1.0)
         np.testing.assert_array_equal(sinr.serving_index, np.tile([1, 3], n // 2))
         np.testing.assert_array_equal(sinr.serving_rsrp_dbm,
                                       rsrp[sinr.serving_index, np.arange(n)])
@@ -227,7 +231,7 @@ class TestServingMap:
 def test_export_sinr_csv(tiny):
     scene, grid = tiny
     field = build_field(scene, grid, BeamAssignment.baseline(scene))
-    sinr = build_sinr_field(field, NoiseModel.from_radio(scene.radio), 1.0)
+    sinr = build_sinr_field(field, scene.radio, 1.0)
     buf = io.StringIO()
     export_sinr_csv(sinr, buf)
     lines = buf.getvalue().splitlines()

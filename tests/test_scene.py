@@ -30,9 +30,8 @@ from airtwin.scene import (
     scene_to_dict,
 )
 from airtwin.antenna import AntennaPattern, Orientation, TablePattern
-from airtwin.synth import demo_scene
 
-from factories import simple_scene
+from factories import DEMO_SCENE, demo_doc, simple_scene
 
 
 def brute_force_count(spec: CylinderSpec) -> int:
@@ -203,17 +202,13 @@ class TestVoxelGrid:
 
 
 class TestSceneIO:
-    def test_demo_scene_file_matches_generator(self):
-        loaded = load_scene("scenes/demo_6cell.json")
-        assert scene_to_dict(loaded) == scene_to_dict(demo_scene())
-
     def test_42_sub_beams(self):
-        scene = load_scene("scenes/demo_6cell.json")
-        assert scene.n_sub_beams == 42
+        scene = load_scene(DEMO_SCENE)
+        assert len(scene.beam_keys()) == 42
         assert len(scene.cell_ids) == 6
 
     def test_roundtrip_idempotent(self, tmp_path):
-        scene = demo_scene()
+        scene = load_scene(DEMO_SCENE)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_scene(scene, p1)
@@ -223,13 +218,13 @@ class TestSceneIO:
         assert scene_to_dict(reloaded) == scene_to_dict(scene)
 
     def test_duplicate_cell_id_named(self, tmp_path):
-        doc = scene_to_dict(demo_scene())
+        doc = demo_doc()
         doc["sites"][1]["cells"][0]["id"] = doc["sites"][0]["cells"][0]["id"]
         with pytest.raises(SceneValidationError, match="s1c1"):
             scene_from_dict(doc)
 
     def test_inverted_tilt_bounds(self):
-        doc = scene_to_dict(demo_scene())
+        doc = demo_doc()
         beam = doc["sites"][0]["cells"][0]["sub_beams"][0]
         beam["bounds"]["tilt_min_deg"] = 10.0
         beam["bounds"]["tilt_max_deg"] = 0.0
@@ -247,7 +242,7 @@ class TestSceneIO:
             load_scene(bad)
 
     def test_schema_violation_names_field(self, tmp_path):
-        doc = scene_to_dict(demo_scene())
+        doc = demo_doc()
         del doc["radio"]["frequency_hz"]
         p = tmp_path / "scene.json"
         p.write_text(json.dumps(doc))
@@ -255,13 +250,13 @@ class TestSceneIO:
             load_scene(p)
 
     def test_nonpositive_frequency_rejected(self):
-        doc = scene_to_dict(demo_scene())
+        doc = demo_doc()
         doc["radio"]["frequency_hz"] = 0.0
         with pytest.raises(SceneValidationError, match="frequency_hz"):
             scene_from_dict(doc)
 
     def test_baseline_outside_bounds_rejected(self):
-        doc = scene_to_dict(demo_scene())
+        doc = demo_doc()
         doc["sites"][0]["cells"][0]["sub_beams"][0]["baseline"] = [0.0, 90.0]
         with pytest.raises(SceneValidationError, match="baseline"):
             scene_from_dict(doc)
@@ -332,7 +327,7 @@ def test_lattice_enumeration_order():
 # The scene format: what scene_from_dict accepts and rejects
 # ---------------------------------------------------------------------------
 def _demo_doc():
-    doc = scene_to_dict(demo_scene())
+    doc = demo_doc()
     # A cell-level table pattern that no sub-beam uses (each has its own), so
     # the table pattern's keys are checked without a table file.
     doc["sites"][1]["cells"][0]["pattern"] = {"type": "table", "path": "pattern.csv"}
@@ -385,6 +380,14 @@ def test_unknown_key_rejected(name):
     message = _schema_error(doc, path)
     if not name.endswith("_pattern"):   # a pattern of neither kind may be named as a whole
         assert "bogus" in message
+
+
+@pytest.mark.parametrize("key, shown", [("a\nb", "a\\nb"), ("a\x85b", "a\\x85b")])
+def test_unknown_key_with_a_line_break_is_named_on_one_line(key, shown):
+    doc = _demo_doc()
+    doc["radio"][key] = 1.0
+    assert _schema_error(doc, f"radio/{shown}").splitlines() == [
+        f"scene schema violation at 'radio/{shown}': unknown key"]
 
 
 @pytest.mark.parametrize("name, key", [(name, key) for name in sorted(SCENE_OBJECTS)
@@ -488,7 +491,7 @@ def test_non_finite_number_rejected(where, value):
 
 
 def test_scene_file_with_a_nan_literal_rejected(tmp_path):
-    doc = scene_to_dict(demo_scene())
+    doc = demo_doc()
     doc["sites"][0]["position_m"][0] = float("nan")
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))   # Python's json writes and reads the literal NaN
@@ -519,7 +522,7 @@ def test_tx_power_and_peak_gain_at_their_bounds_load():
 
 
 def test_integral_index_and_integers_accepted():
-    doc = scene_to_dict(demo_scene())
+    doc = demo_doc()
     beams = doc["sites"][0]["cells"][0]["sub_beams"]
     beams[0]["index"] = -0.0
     beams[1]["index"] = 1.0
@@ -530,11 +533,11 @@ def test_integral_index_and_integers_accepted():
     beams[2].update(baseline=[int(v) for v in beams[2]["baseline"]], candidate_step=[5, 3])
     scene = scene_from_dict(doc)
     assert [sb.index for sb in scene.sites[0].cells[0].sub_beams][:2] == [0, 1]
-    assert scene_to_dict(scene) == scene_to_dict(demo_scene())
+    assert scene_to_dict(scene) == demo_doc()
 
 
 def test_optional_parts_take_their_defaults():
-    doc = scene_to_dict(demo_scene())
+    doc = demo_doc()
     del doc["thresholds"]
     beam = doc["sites"][0]["cells"][0]["sub_beams"][0]
     del beam["pattern"], beam["candidate_step"]
@@ -552,7 +555,7 @@ def test_optional_parts_take_their_defaults():
 def test_cell_pattern_is_the_default_of_its_sub_beams(tmp_path):
     (tmp_path / "pattern.csv").write_text(
         "az_deg,el_deg,gain_dbi\n-90,-45,0\n-90,45,1\n90,-45,2\n90,45,17\n")
-    doc = scene_to_dict(demo_scene())
+    doc = demo_doc()
     cell = doc["sites"][0]["cells"][0]
     cell["pattern"] = {"type": "table", "path": "pattern.csv"}
     del cell["sub_beams"][0]["pattern"]
@@ -578,7 +581,7 @@ def _paths(node, prefix=()):
         yield from _paths(child, (*prefix, key))
 
 
-DEMO_TEXT = json.dumps(scene_to_dict(demo_scene()))
+DEMO_TEXT = json.dumps(demo_doc())
 # Every place in the demo document, by its keys without the list indices. A
 # mutation picks a key first, then a place, so that the 42 sub-beams' values
 # do not crowd out the few airspace, radio and cell ones.

@@ -12,7 +12,7 @@ from airtwin.antenna import AntennaPattern, Orientation, TablePattern, gain, wra
 from airtwin.errors import EmptySetError, SingularityError
 from airtwin.interference import linear_mw
 from airtwin.optimizer import ObjectiveWeights, _FieldEvaluator
-from airtwin.scene import BeamAssignment, CylinderSpec, build_voxel_grid
+from airtwin.scene import BeamAssignment, CylinderSpec, build_voxel_grid, scene_from_dict
 from airtwin.spectrum import (
     beam_rsrp,
     build_field,
@@ -21,8 +21,7 @@ from airtwin.spectrum import (
     fspl_db,
     predict_at,
 )
-from airtwin.synth import demo_scene
-from factories import simple_scene, with_table_beam
+from factories import demo_doc, simple_scene, with_table_beam
 
 C = 299_792_458.0
 
@@ -53,10 +52,15 @@ def in_order_mw(values_dbm):
     return total
 
 
+def small_demo():
+    """The demo scene over a 200 m radius, 150 m high airspace of 15 m voxels."""
+    return scene_from_dict(demo_doc(radius_m=200.0, z_max_m=150.0, voxel_m=15.0))
+
+
 def interleaved_demo():
     """Small demo scene where site s1 owns s1c1 and s3c0, which are not adjacent in
     ``cell_ids`` order, and cell s2c1 lists its sub-beams in reverse index order."""
-    scene = demo_scene(radius_m=200.0, height_m=150.0, voxel_m=15.0)
+    scene = small_demo()
     s1, s2, s3 = scene.sites
     s1 = dataclasses.replace(s1, cells=(s1.cells[0],
                                         dataclasses.replace(s1.cells[1], id="s3c0")))
@@ -434,7 +438,7 @@ class TestRowByRowBuildBitIdentity:
     def test_cells_sharing_tilts_on_other_elevation_terms(self, changes):
         # the baseline tilt is 0 for every sub-beam, so both cells of site s1
         # meet the same tilts; only the pattern tells their elevation terms apart
-        scene = with_cell_pattern(demo_scene(radius_m=200.0, height_m=150.0, voxel_m=15.0),
+        scene = with_cell_pattern(small_demo(),
                                   "s1c2", **changes)
         grid = build_voxel_grid(scene.airspace)
         assignment = BeamAssignment.baseline(scene)
@@ -454,7 +458,7 @@ class TestRowByRowBuildBitIdentity:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_small_chunks_any_threads(self, monkeypatch, threads):
-        scene = with_table_beam(demo_scene(radius_m=200.0, height_m=150.0, voxel_m=15.0))
+        scene = with_table_beam(small_demo())
         grid = build_voxel_grid(scene.airspace)
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         assert grid.count > 3 * kernels._CHUNK
@@ -580,7 +584,7 @@ class TestPredictAtBitIdentity:
                                        random_points(scene, 300, 11))
 
     def test_more_points_than_a_chunk(self, monkeypatch):
-        scene = with_table_beam(demo_scene(radius_m=200.0, height_m=150.0, voxel_m=15.0))
+        scene = with_table_beam(small_demo())
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         points = random_points(scene, 3 * 6 * kernels._CHUNK, 12)
         counts = [sum(1 for _, c in points if c == cell_id) for cell_id in scene.cell_ids]

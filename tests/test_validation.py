@@ -10,7 +10,7 @@ from airtwin.antenna import MAX_LEVEL_DB
 from airtwin.errors import EmptySetError, SizeError
 from airtwin.measurements import MeasurementSet
 from airtwin.scene import MAX_COORDINATE_M, BeamAssignment
-from airtwin.spectrum import TwinModel
+from airtwin.spectrum import predict_at
 from airtwin.synth import helix_trajectory, synthesize_measurements
 from airtwin.validation import (
     KRIGING_NEIGHBORS,
@@ -373,14 +373,14 @@ class TestNearestNeighbor:
 class _OraclePredictor:
     """Returns the exact ground truth of the generating model."""
 
-    def __init__(self, model):
-        self.model = model
+    def __init__(self, scene, assignment):
+        self.scene = scene
+        self.assignment = assignment
 
     def fit(self, train):
         def predict(points):
-            pts = list(points)
-            values = self.model.predict([p[0] for p in pts], [p[1] for p in pts])
-            return values, np.zeros(len(pts), dtype=bool)
+            values = predict_at(self.scene, self.assignment, 0.0, points)
+            return values, np.zeros(len(values), dtype=bool)
         return predict
 
 
@@ -416,9 +416,8 @@ class TestRunValidation:
 
     def test_oracle_predictor_zero_rmse(self):
         scene, assignment, mset = self._dataset(noise=0.0)
-        model = TwinModel(scene, assignment, 0.0)
         report = run_validation(mset, {
-            "oracle": _OraclePredictor(model),
+            "oracle": _OraclePredictor(scene, assignment),
             "twin": TwinPredictor(scene, assignment),
         })
         for fold in report.folds:
