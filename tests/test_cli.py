@@ -497,7 +497,8 @@ MAPPING_CASES = {
     "origin_two_numbers": ({"position": {"frame": "lla", "origin_lla": [1, 2]}},
                            "position/origin_lla"),
     "frame_unknown": ({"position": {"frame": "utm"}}, "position/frame"),
-    "column_not_a_string": ({"columns": {**NATIVE_MAPPING["columns"], "x_m": 5}}, "columns/x_m"),
+    "column_not_a_string": ({"columns": {**NATIVE_MAPPING["columns"], "x_m": 5}},
+                            "columns/x_m"),
 }
 FAILURE_CASES.update({f"mapping_{name}": (2, ["calibrate"]) for name in MAPPING_CASES})
 
@@ -606,9 +607,10 @@ def test_unreadable_json_file_is_an_input_error(flag, content, tiny_scene_path, 
     measurements = tmp_path / "measurements.csv"
     write_measurements(measurements, "rsrp_dbm", "-80")
     files = {"--scene": tiny_scene_path, "--measurements": str(measurements), flag: str(bad)}
-    rc = main(["calibrate", "--out", str(tmp_path / "out"), *(a for item in files.items()
-                                                               for a in item)])
-    assert rc == 2
+    argv = ["calibrate", "--out", str(tmp_path / "out")]
+    for option, path in files.items():
+        argv += [option, path]
+    assert main(argv) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {bad}: not a readable JSON ")
 
@@ -745,6 +747,7 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=6)
+
 
 def column_name(column):
     """Mostly ``column`` itself, else another column's name or any JSON value."""
