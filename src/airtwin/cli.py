@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import AirtwinError, InputError
-from .interference import build_sinr_field, export_sinr_csv
+from .interference import build_sinr_field, export_sinr_csv, sinr_from_field
 from .measurements import load_measurements, save_measurements
 from .optimizer import ObjectiveWeights, greedy_optimize, save_trace
 from .report import (
@@ -157,8 +157,12 @@ def _load_mask(path: str) -> np.ndarray:
 
 def _fields_for(scene, grid, assignment, args):
     field = build_field(scene, grid, assignment, args.offset_db, threads=args.threads)
-    sinr = build_sinr_field(field, scene.radio, args.activity_factor)
-    return field, sinr
+    return field, sinr_from_field(field, scene.radio, args.activity_factor)
+
+
+def _sinr_for(scene, grid, assignment, args):
+    return build_sinr_field(scene, grid, assignment, args.offset_db, args.activity_factor,
+                            threads=args.threads)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +248,7 @@ def cmd_optimize(args) -> int:
     save_assignment(optimized, os.path.join(args.out, "assignment.json"))
     save_trace(trace, os.path.join(args.out, "trace.json"))
 
-    sinr_after = build_sinr_field(field, scene.radio, args.activity_factor)
+    sinr_after = sinr_from_field(field, scene.radio, args.activity_factor)
     report = compare_report(sinr_before, sinr_after, scene.thresholds)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     print(f"objective {trace.initial_objective:.4f} -> {trace.final_objective:.4f}; "
@@ -259,7 +263,7 @@ def cmd_evaluate(args) -> int:
     _write_manifest(args.out, "evaluate", args, overrides)
     mask = None if args.mask is None else _load_mask(args.mask)
     grid = build_voxel_grid(scene.airspace)
-    sinr = _fields_for(scene, grid, assignment, args)[1]
+    sinr = _sinr_for(scene, grid, assignment, args)
     if args.compare_to is None:
         report = coverage_ratios(sinr, scene.thresholds, mask)
         save_json_report(report.to_json_dict(), os.path.join(args.out, "coverage_report.json"))
@@ -268,7 +272,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
 
     other = _assignment_for(scene, args.compare_to)
-    sinr_o = _fields_for(scene, grid, other, args)[1]
+    sinr_o = _sinr_for(scene, grid, other, args)
     report = compare_report(sinr_o, sinr, scene.thresholds, mask)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     for alt in DEFAULT_HEATMAP_ALTITUDES_M:

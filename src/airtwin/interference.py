@@ -12,27 +12,26 @@ by default). SINR is computed as
 which is algebraically serving - 10 log10(I + N) but keeps the single-cell
 case exact (I = 0 gives SINR = RSRP - noise floor with no rounding) and makes
 "more interference never raises SINR" hold in floating point.
+
+``build_sinr_field`` streams an assignment's SINR field one voxel chunk at a
+time and never holds the (cells, voxels) RadioField; ``sinr_from_field``
+derives it from a RadioField that a caller keeps anyway (``build`` exports
+it, ``optimize`` scores changes to it). Both end in ``assemble_sinr``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _csv, kernels
 from .errors import EmptySetError
-
-if TYPE_CHECKING:
-    from .scene import RadioConstants
-    from .spectrum import RadioField
+from .scene import BeamAssignment, RadioConstants, SceneConfig, VoxelGrid
+from .spectrum import RadioField, cell_fold
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
-
-_TENS = np.full(kernels._CHUNK, 10.0)   # the base of every linear_mw
-_TENS.flags.writeable = False
 
 
 def noise_floor_dbm(radio: RadioConstants) -> float:
@@ -45,7 +44,7 @@ def noise_floor_dbm(radio: RadioConstants) -> float:
 class SinrField:
     """Per-voxel serving cell, serving RSRP, and SINR."""
 
-    grid: object
+    grid: VoxelGrid
     cell_ids: tuple[str, ...]
     serving_index: np.ndarray        # (count,) int, into cell_ids
     serving_rsrp_dbm: np.ndarray     # (count,)
@@ -55,26 +54,6 @@ class SinrField:
 def check_activity_factor(activity_factor: float) -> None:
     if not 0.0 <= activity_factor <= 1.0:
         raise ValueError(f"activity_factor must be in [0, 1], got {activity_factor}")
-
-
-def linear_mw(rsrp_dbm: np.ndarray, out=None) -> np.ndarray:
-    """dBm to mW, elementwise: ``10 ** (0.1 x)``; ``out`` may be ``rsrp_dbm``.
-
-    numpy raises a contiguous array of bases about twice as fast as a scalar
-    or stride-0 base, with the same bits. So the exponents are raised against
-    the read-only ``_TENS``, in place, one ``kernels`` chunk of the last axis
-    at a time, and no temporary is made: the optimizer passes a (7, N) array
-    of rows that is 200+ MB at paper scale.
-    """
-    mw = np.multiply(rsrp_dbm, 0.1, out=out)
-    if np.ndim(mw) == 0:
-        return np.power(10.0, mw, out=out)
-    for index in np.ndindex(mw.shape[:-1]):
-        line = mw[index]
-        for lo in range(0, line.size, _TENS.size):
-            part = line[lo:lo + _TENS.size]
-            np.power(_TENS[:part.size], part, out=part)
-    return mw
 
 
 def first_max(cell_rsrp_dbm: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +102,8 @@ def sinr_db(serving_dbm: np.ndarray, interference_mw: np.ndarray, noise_floor: f
     return np.subtract(serving_dbm - noise_floor, loss, out=out)
 
 
-def build_sinr_field(field: RadioField, radio: RadioConstants,
-                     activity_factor: float = 1.0) -> SinrField:
+def sinr_from_field(field: RadioField, radio: RadioConstants,
+                    activity_factor: float = 1.0) -> SinrField:
     """Derive the SINR field from a RadioField's cell max and cell mW sum."""
     if len(field.cell_ids) < 1:
         raise EmptySetError("field must contain at least one cell")
@@ -132,6 +111,41 @@ def build_sinr_field(field: RadioField, radio: RadioConstants,
     serving, serving_dbm, sinr = assemble_sinr(field.cell_rsrp_dbm, field.cell_lin_mw,
                                                noise_floor_dbm(radio), activity_factor)
     return SinrField(grid=field.grid, cell_ids=field.cell_ids, serving_index=serving,
+                     serving_rsrp_dbm=serving_dbm, sinr_db=sinr)
+
+
+def build_sinr_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
+                     offset_db: float = 0.0, activity_factor: float = 1.0, *,
+                     threads: int = 1) -> SinrField:
+    """The SINR field of ``assignment``, streamed one voxel chunk at a time.
+
+    Each task takes one ``kernels.chunks`` chunk: it runs ``build_field``'s
+    fold, ``spectrum.cell_fold``, into chunk-sized (cells, chunk) cell max
+    and mW buffers, runs ``assemble_sinr`` on them and writes the chunk's
+    slice of the three outputs. So no (cells, voxels) array is ever made.
+    Every step is elementwise per voxel and the chunks do not depend on
+    ``threads``, so the result equals ``sinr_from_field`` of ``build_field``
+    bit for bit.
+    """
+    assignment.validate_for(scene, require_lattice=False)
+    check_activity_factor(activity_factor)
+    fold = cell_fold(scene, assignment, offset_db, scene.cell_ids)
+    noise_floor = noise_floor_dbm(scene.radio)
+    n_cells, points = len(scene.cell_ids), grid.centers
+    serving = np.empty(grid.count, dtype=np.int_)
+    serving_dbm = np.empty(grid.count, dtype=np.float64)
+    sinr = np.empty(grid.count, dtype=np.float64)
+
+    def work(chunk):
+        lo, hi = chunk
+        cell_rsrp = np.empty((n_cells, hi - lo), dtype=np.float64)
+        cell_lin = np.empty_like(cell_rsrp)
+        fold(points[lo:hi], cell_rsrp, cell_lin)
+        serving[lo:hi], serving_dbm[lo:hi], sinr[lo:hi] = assemble_sinr(
+            cell_rsrp, cell_lin, noise_floor, activity_factor)
+
+    kernels.run_tasks(work, kernels.chunks(grid.count), threads)
+    return SinrField(grid=grid, cell_ids=scene.cell_ids, serving_index=serving,
                      serving_rsrp_dbm=serving_dbm, sinr_db=sinr)
 
 

@@ -12,7 +12,9 @@ renames columns and, optionally, converts lat/lon/alt to the local ENU frame:
 
 ``columns.seq`` may be omitted; rows are then numbered in file order. Every
 column name is a string, ``frame`` is "enu" (the default) or "lla", "lla"
-needs ``origin_lla`` (three finite numbers), and no other key is allowed.
+needs ``origin_lla`` (three finite numbers, the first a latitude in [-90, 90]),
+and no other key is allowed. Through an "lla" mapping, every row's latitude
+must lie in [-90, 90] too.
 """
 
 from __future__ import annotations
@@ -47,9 +49,15 @@ def _frame(value, path) -> None:
         raise _violation(path, "expected 'enu' or 'lla'")
 
 
+def _origin_lla(value, path) -> None:
+    _numbers(3)(value, path)
+    if not -90.0 <= value[0] <= 90.0:
+        raise _violation((*path, 0), f"latitude must be in [-90, 90], got {value[0]}")
+
+
 _read_mapping = _object(
     {"columns": _object(dict.fromkeys(NATIVE_COLUMNS[1:], _string), {"seq": _string})},
-    {"position": _object({}, {"frame": _frame, "origin_lla": _numbers(3)})})
+    {"position": _object({}, {"frame": _frame, "origin_lla": _origin_lla})})
 
 
 @dataclass(frozen=True)
@@ -144,8 +152,12 @@ def load_measurements(path, mapping=None,
                     raise SceneSchemaError(
                         f"{path}: bad numeric value on data row {i + 1}: {exc}"
                     ) from exc
-                if frame == "lla":
-                    x, y, z = lla_to_enu(y, x, z, origin)  # x column holds lon, y lat
+                if frame == "lla":   # the x column holds the longitude, y the latitude
+                    if not -90.0 <= y <= 90.0:
+                        raise SceneValidationError(
+                            f"{path}: data row {i + 1}: latitude must be in [-90, 90], "
+                            f"got {y} in column '{columns['y_m']}'")
+                    x, y, z = lla_to_enu(y, x, z, origin)
                 seq.append(s)
                 positions.append((x, y, z))
                 cell_ids.append(row[columns["cell_id"]])

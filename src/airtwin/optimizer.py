@@ -43,13 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .kernels import linear_mw
 from .errors import CapExceededError, ConfigurationError
 from .interference import (
     assemble_sinr,
     build_sinr_field,
     check_activity_factor,
     first_max,
-    linear_mw,
     noise_floor_dbm,
     sinr_db,
 )
@@ -160,10 +160,10 @@ def objective(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
               weights: ObjectiveWeights, thresholds: CoverageThresholds | None = None,
               *, activity_factor: float = 1.0, offset_db: float = 0.0,
               threads: int = 1) -> float:
-    """Full-path objective: build the RSRP and SINR fields, then score."""
+    """Full-path objective: stream the SINR field, then score."""
     thresholds = thresholds or scene.thresholds
-    radio_field = build_field(scene, grid, assignment, offset_db, threads=threads)
-    sinr_field = build_sinr_field(radio_field, scene.radio, activity_factor)
+    sinr_field = build_sinr_field(scene, grid, assignment, offset_db, activity_factor,
+                                  threads=threads)
     return score_fields(sinr_field.serving_rsrp_dbm, sinr_field.sinr_db,
                         weights, thresholds)
 

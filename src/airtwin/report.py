@@ -6,9 +6,10 @@ covered only if it satisfies the RSRP and SINR thresholds simultaneously.
 Threshold comparisons use >= throughout.
 
 Per-layer ratios read the grid's layer table: every altitude layer is one
-contiguous index range, so each voxel's layer is a ``searchsorted`` of its
-index among the layer starts and ``np.bincount`` counts every layer in one
-pass. A ``mask`` may pick any voxels; a layer it leaves empty is omitted.
+contiguous index range, so ``np.add.reduceat`` over the layer starts counts
+a criterion's flags in every layer in one pass over the full arrays. A
+``mask`` may pick any voxels: it becomes one boolean selection ANDed into
+the flags, and a layer it leaves empty is omitted.
 """
 
 from __future__ import annotations
@@ -74,36 +75,42 @@ def coverage_ratios(sinr: SinrField, thresholds: CoverageThresholds,
     (e.g. voxels along measured flight routes); each index may appear once.
     """
     grid = sinr.grid
-    idx = np.arange(grid.count) if mask is None else np.asarray(mask, dtype=np.int64)
-    if idx.size == 0:
-        raise DimensionError("voxel mask selects no voxels")
-    if idx.min() < 0 or idx.max() >= grid.count:
-        raise DimensionError(
-            f"voxel mask indices must lie in [0, {grid.count}), "
-            f"got {idx.min()}..{idx.max()}")
-    if mask is not None:
-        first = np.unique(idx, return_index=True)[1]
-        if first.size < idx.size:
-            repeat = np.ones(idx.size, dtype=bool)
-            repeat[first] = False
-            raise DimensionError(f"voxel mask repeats index {idx[repeat][0]}")
-    serving = sinr.serving_rsrp_dbm[idx]
-    sinr_db = sinr.sinr_db[idx]
-
-    # Layers are contiguous index ranges: a voxel's layer is where its index
-    # falls among the layer starts.
-    layer = np.searchsorted(grid.layer_bounds, idx, side="right") - 1
-    n_layers = grid.layer_z.size
-    n = np.bincount(layer, minlength=n_layers)
-    counts = {name: np.bincount(layer, weights=test(serving, sinr_db, thresholds),
-                                minlength=n_layers).astype(np.int64)
-              for name, test in CRITERIA.items()}
+    starts = grid.layer_bounds[:-1]   # every layer is a non-empty contiguous range
+    if mask is None:
+        selected = None
+        n = np.diff(grid.layer_bounds)
+    else:
+        selected = _selection(np.asarray(mask, dtype=np.int64), grid.count)
+        n = np.add.reduceat(selected, starts, dtype=np.int64)
+    counts = {}
+    for name, test in CRITERIA.items():
+        flags = test(sinr.serving_rsrp_dbm, sinr.sinr_db, thresholds)
+        if selected is not None:
+            flags &= selected
+        counts[name] = np.add.reduceat(flags, starts, dtype=np.int64)
     layers = tuple(
         LayerCoverage(z_m=float(grid.layer_z[k]), n_voxels=int(n[k]),
                       counts={name: int(count[k]) for name, count in counts.items()})
         for k in np.flatnonzero(n))
-    return CoverageReport(n_voxels=int(idx.size), layers=layers,
+    return CoverageReport(n_voxels=int(n.sum()), layers=layers,
                           counts={name: int(count.sum()) for name, count in counts.items()})
+
+
+def _selection(idx: np.ndarray, count: int) -> np.ndarray:
+    """The voxels a mask of indices picks, as a (count,) boolean array."""
+    if idx.size == 0:
+        raise DimensionError("voxel mask selects no voxels")
+    if idx.min() < 0 or idx.max() >= count:
+        raise DimensionError(
+            f"voxel mask indices must lie in [0, {count}), got {idx.min()}..{idx.max()}")
+    selected = np.zeros(count, dtype=bool)
+    selected[idx] = True
+    if np.count_nonzero(selected) < idx.size:
+        first = np.unique(idx, return_index=True)[1]
+        repeat = np.ones(idx.size, dtype=bool)
+        repeat[first] = False
+        raise DimensionError(f"voxel mask repeats index {idx[repeat][0]}")
+    return selected
 
 
 @dataclass(frozen=True)

@@ -143,22 +143,20 @@ def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
     dx = xs - cx
     dy = ys - cy
     in_circle = (dy[:, None] ** 2 + dx[None, :] ** 2) <= spec.radius_m ** 2  # (ny, nx)
-    in_band = zs <= spec.z_max_m                                             # (nz,)
-    mask = in_band[:, None, None] & in_circle[None, :, :]
+    layer_z = zs[zs <= spec.z_max_m]   # the kept layers, a prefix of zs
 
-    count = int(mask.sum())
-    if count == 0:
+    # Every kept layer holds the same circle of voxels, in C order: y, then x.
+    iy, ix = np.nonzero(in_circle)
+    if layer_z.size * iy.size == 0:
         raise EmptyGridError("voxelization produced zero voxels for this airspace spec")
+    centers = np.empty((layer_z.size, iy.size, 3), dtype=np.float64)
+    centers[:, :, 0] = xs[ix]
+    centers[:, :, 1] = ys[iy]
+    centers[:, :, 2] = layer_z[:, None]
 
-    iz, iy, ix = np.nonzero(mask)  # C order: z-major, then y, then x
-    centers = np.empty((count, 3), dtype=np.float64)
-    centers[:, 0] = xs[ix]
-    centers[:, 1] = ys[iy]
-    centers[:, 2] = zs[iz]
-
-    # Every kept layer holds the same circle of voxels; the kept layers are zs' prefix.
-    layer_bounds = np.arange(np.count_nonzero(in_band) + 1) * np.count_nonzero(in_circle)
-    return VoxelGrid(spec=spec, centers=centers, layer_z=zs[in_band], layer_bounds=layer_bounds)
+    layer_bounds = np.arange(layer_z.size + 1) * iy.size
+    return VoxelGrid(spec=spec, centers=centers.reshape(-1, 3), layer_z=layer_z,
+                     layer_bounds=layer_bounds)
 
 
 # ---------------------------------------------------------------------------

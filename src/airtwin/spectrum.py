@@ -19,7 +19,6 @@ import numpy as np
 from . import _csv, kernels
 from .antenna import Orientation, gain
 from .errors import EmptySetError, SingularityError
-from .interference import linear_mw
 from .scene import BeamAssignment, Cell, SceneConfig, Site, SubBeam, VoxelGrid
 
 
@@ -61,63 +60,71 @@ class RadioField:
     cell_lin_mw: np.ndarray     # (n_cells, count), sub-beams added in index order
 
 
-def _fold_cells(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
-                points: np.ndarray, cell_ids, threads: int = 1):
-    """Per-point cell max RSRP (dBm) and summed mW of each cell in ``cell_ids``.
+def cell_fold(scene: SceneConfig, assignment: BeamAssignment, offset_db: float, cell_ids):
+    """The one cell reduction: ``fold(points, cell_rsrp, cell_lin)`` for ``cell_ids``.
 
-    Returns two (len(cell_ids), n) arrays whose rows follow ``cell_ids``, for
-    the (n, 3) ``points``. One task per (site with a listed cell, chunk of
-    points) computes the site's geometry to the chunk once, then each of its
-    listed cells' sub-beam rows into one chunk-sized buffer, and folds that
-    row straight into its cell's slice of the outputs: a cell's first row is
-    copied in, and each later row is added by an in-place max and an
-    in-place add of its mW. So no (sub-beam, point) array is ever made. The
-    task's dict of elevation terms serves only its own chunk's points, so it
-    lives and dies with the task.
+    ``fold`` writes the cell max RSRP (dBm) and summed mW of each listed cell
+    at the (n, 3) ``points`` into row ``cell_ids.index(cell)`` of the
+    (len(cell_ids), n) arrays it is given, which may be views. For each site
+    with a listed cell it computes the site's geometry to the points once,
+    then each of those cells' sub-beam rows into one n-sized buffer, and
+    folds that row straight into its cell's row of the outputs: a cell's
+    first row is copied in, and each later row is added by an in-place max
+    and an in-place add of its mW. So no (sub-beam, point) array is ever
+    made. A call's dict of elevation terms serves only its own points, so it
+    lives and dies with the call. Callers pass one ``kernels.chunks`` chunk
+    of points at a time.
 
-    Deterministic regardless of ``threads``: chunk boundaries are fixed, the
-    max is exact, and each cell's mW sum adds its rows in sub-beam index
-    order for every point, the order of ``np.add.reduce(axis=0)``.
+    Deterministic for any chunking: the max is exact, and each cell's mW sum
+    adds its rows in sub-beam index order for every point, the order of
+    ``np.add.reduce(axis=0)``.
     """
-    cell_rsrp = np.empty((len(cell_ids), len(points)), dtype=np.float64)
-    cell_lin = np.empty_like(cell_rsrp)
     frequency_hz = scene.radio.frequency_hz
-
-    def work(task):
-        site, cells, lo, hi = task
-        geometry = kernels.site_geometry(points[lo:hi], site, frequency_hz)
-        row = np.empty(hi - lo, dtype=np.float64)
-        el_terms = {}
-        for c, beams in cells:
-            rsrp, lin = cell_rsrp[c, lo:hi], cell_lin[c, lo:hi]
-            for i, (pattern, angle, tx_power_dbm) in enumerate(beams):
-                kernels.beam_rsrp_numpy(*geometry, pattern, angle, tx_power_dbm, offset_db,
-                                        out=row, el_terms=el_terms)
-                if i == 0:
-                    rsrp[:] = row
-                    linear_mw(row, out=lin)
-                else:
-                    np.maximum(rsrp, row, out=rsrp)
-                    lin += linear_mw(row, out=row)
-
-    tasks = []
+    sites = []
     for site in scene.sites:
         cells = [(cell_ids.index(cell.id),
                   [(sb.pattern, assignment.angle(cell.id, sb.index), cell.tx_power_dbm)
                    for sb in sorted(cell.sub_beams, key=lambda b: b.index)])
                  for cell in site.cells if cell.id in cell_ids]
         if cells:
-            tasks.extend((site, cells, lo, hi) for lo, hi in kernels.chunks(len(points)))
-    kernels.run_tasks(work, tasks, threads)
+            sites.append((site, cells))
+
+    def fold(points, cell_rsrp, cell_lin):
+        row = np.empty(len(points), dtype=np.float64)
+        for site, cells in sites:
+            geometry = kernels.site_geometry(points, site, frequency_hz)
+            el_terms = {}
+            for c, beams in cells:
+                rsrp, lin = cell_rsrp[c], cell_lin[c]
+                for i, (pattern, angle, tx_power_dbm) in enumerate(beams):
+                    kernels.beam_rsrp_numpy(*geometry, pattern, angle, tx_power_dbm, offset_db,
+                                            out=row, el_terms=el_terms)
+                    if i == 0:
+                        rsrp[:] = row
+                        kernels.linear_mw(row, out=lin)
+                    else:
+                        np.maximum(rsrp, row, out=rsrp)
+                        lin += kernels.linear_mw(row, out=row)
+
+    return fold
+
+
+def _fold_points(fold, n_cells: int, points: np.ndarray, threads: int = 1):
+    """Two new (n_cells, n) arrays that ``fold`` fills chunk by chunk for the (n, 3) points."""
+    cell_rsrp = np.empty((n_cells, len(points)), dtype=np.float64)
+    cell_lin = np.empty_like(cell_rsrp)
+    kernels.run_tasks(lambda chunk: fold(points[slice(*chunk)], cell_rsrp[:, slice(*chunk)],
+                                         cell_lin[:, slice(*chunk)]),
+                      kernels.chunks(len(points)), threads)
     return cell_rsrp, cell_lin
 
 
 def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
                 offset_db: float = 0.0, *, threads: int = 1) -> RadioField:
-    """Every voxel's cell-level RSRP and mW sum: ``_fold_cells`` over every cell."""
+    """Every voxel's cell-level RSRP and mW sum: ``cell_fold`` over every cell."""
     assignment.validate_for(scene, require_lattice=False)
-    cell_rsrp, cell_lin = _fold_cells(scene, assignment, offset_db, grid.centers,
-                                      scene.cell_ids, threads)
+    fold = cell_fold(scene, assignment, offset_db, scene.cell_ids)
+    cell_rsrp, cell_lin = _fold_points(fold, len(scene.cell_ids), grid.centers, threads)
     return RadioField(grid=grid, cell_ids=scene.cell_ids, cell_rsrp_dbm=cell_rsrp,
                       cell_lin_mw=cell_lin)
 
@@ -126,8 +133,8 @@ def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
                points) -> np.ndarray:
     """Cell-level RSRP at arbitrary (position, cell id) points, in input order.
 
-    Each cell's points go through ``build_field``'s fold, ``_fold_cells``,
-    for that cell alone. An unknown cell id raises ``UnknownCellError``.
+    Each cell's points go through ``build_field``'s fold, ``cell_fold``, for
+    that cell alone. An unknown cell id raises ``UnknownCellError``.
     """
     assignment.validate_for(scene, require_lattice=False)
     pts = list(points)
@@ -139,7 +146,8 @@ def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
     for cell_id in sorted(set(cell_ids)):
         scene.cell(cell_id)   # an unknown id raises here
         idx = np.asarray([i for i, c in enumerate(cell_ids) if c == cell_id])
-        out[idx] = _fold_cells(scene, assignment, offset_db, positions[idx], (cell_id,))[0][0]
+        fold = cell_fold(scene, assignment, offset_db, (cell_id,))
+        out[idx] = _fold_points(fold, 1, positions[idx])[0][0]
     return out
 
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from airtwin.antenna import AntennaPattern, Orientation, gain
-from airtwin.interference import build_sinr_field, linear_mw, noise_floor_dbm
+from airtwin.interference import noise_floor_dbm, sinr_from_field
+from airtwin.kernels import linear_mw
 from airtwin.measurements import load_measurements
 from airtwin.optimizer import (
     ObjectiveWeights,
@@ -109,7 +110,7 @@ def test_criterion_2_sinr_properties():
             assert 900 <= grid.count <= 1100
             floor = noise_floor_dbm(scene.radio)
             field = build_field(scene, grid, BeamAssignment.baseline(scene))
-            sinr = build_sinr_field(field, scene.radio, 1.0)
+            sinr = sinr_from_field(field, scene.radio, 1.0)
             assert np.all(sinr.sinr_db <= sinr.serving_rsrp_dbm - floor)
 
             # adding an interfering sub-beam (a -20 dB clone, which cannot
@@ -118,13 +119,13 @@ def test_criterion_2_sinr_properties():
             lin[-1] += linear_mw(field.cell_rsrp_dbm[-1] - 20.0)
             bigger = RadioField(grid=grid, cell_ids=field.cell_ids,
                                 cell_rsrp_dbm=field.cell_rsrp_dbm, cell_lin_mw=lin)
-            sinr_more = build_sinr_field(bigger, scene.radio, 1.0)
+            sinr_more = sinr_from_field(bigger, scene.radio, 1.0)
             assert np.all(sinr_more.sinr_db <= sinr.sinr_db)
 
             single = simple_scene(n_cells=1, n_beams=2, radius_m=80.0, z_max_m=50.0,
                                   voxel_m=10.0)
             sf = build_field(single, grid, BeamAssignment.baseline(single))
-            ss = build_sinr_field(sf, single.radio, 1.0)
+            ss = sinr_from_field(sf, single.radio, 1.0)
             np.testing.assert_array_equal(ss.sinr_db, ss.serving_rsrp_dbm - (-87.0))
 
 
@@ -280,7 +281,7 @@ def test_criterion_9_end_to_end_desk_scale(demo):
 
         def ratios(assignment):
             field = build_field(scene, grid, assignment, threads=1)
-            sinr = build_sinr_field(field, scene.radio, 1.0)
+            sinr = sinr_from_field(field, scene.radio, 1.0)
             strict = float(np.mean(sinr.serving_rsrp_dbm >= thresholds.rsrp_strict_dbm))
             joint = float(np.mean((sinr.serving_rsrp_dbm >= thresholds.rsrp_basic_dbm)
                                   & (sinr.sinr_db >= thresholds.sinr_basic_db)))

@@ -473,21 +473,24 @@ TABLE_CASES = {
 }
 FAILURE_CASES.update({f"table_{name}": (2, ["evaluate"]) for name in TABLE_CASES})
 
-# A measurement row past +-1e7 m or +-500 dBm; each error names the file and the
-# row. The test writes the file, whose second data row holds the value.
+# A measurement row past +-1e7 m, +-500 dBm or a pole; each error names the file
+# and the row. The test writes the file, whose second data row holds the value.
 MEASUREMENT_CASES = {
     "x_huge": ("calibrate", "x_m", "1e300", "sample positions"),
     "z_past_bound": ("validate", "z_m", "-1.0000001e7", "sample positions"),
     "rsrp_huge": ("calibrate", "rsrp_dbm", "1e300", "rsrp_dbm"),
     "rsrp_huge_validate": ("validate", "rsrp_dbm", "1e300", "rsrp_dbm"),
+    # Read through LLA_MAPPING, whose y column holds the latitude.
+    "latitude_past_pole": ("calibrate", "y_m", "95.0001", "latitude"),
 }
 FAILURE_CASES.update({f"measurement_{name}": (2, [command])
                       for name, (command, *_) in MEASUREMENT_CASES.items()})
 
-# A mapping file with a value of the wrong type or an unknown frame; each error
-# names the mapping file and the key. The test writes the mapping over a
-# native-schema measurement file.
+# A mapping file with a value of the wrong type, an unknown frame or an origin
+# latitude past a pole; each error names the mapping file and the key. The test
+# writes the mapping over a native-schema measurement file.
 NATIVE_MAPPING = {"columns": {c: c for c in NATIVE_COLUMNS[1:]}}
+LLA_MAPPING = {**NATIVE_MAPPING, "position": {"frame": "lla", "origin_lla": [0, 0, 0]}}
 MAPPING_CASES = {
     "position_not_an_object": ({"position": "lla"}, "position"),
     "origin_not_an_array": ({"position": {"frame": "lla", "origin_lla": 5}},
@@ -499,6 +502,8 @@ MAPPING_CASES = {
     "frame_unknown": ({"position": {"frame": "utm"}}, "position/frame"),
     "column_not_a_string": ({"columns": {**NATIVE_MAPPING["columns"], "x_m": 5}},
                             "columns/x_m"),
+    "origin_latitude_past_pole": ({"position": {"frame": "lla", "origin_lla": [95, 0, 0]}},
+                                  "position/origin_lla/0"),
 }
 FAILURE_CASES.update({f"mapping_{name}": (2, ["calibrate"]) for name in MAPPING_CASES})
 
@@ -548,6 +553,10 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         measurements = tmp_path / "measurements.csv"
         write_measurements(measurements, *MEASUREMENT_CASES[case[len("measurement_"):]][1:3])
         argv += ["--measurements", str(measurements)]
+        if case == "measurement_latitude_past_pole":
+            mapping = tmp_path / "mapping.json"
+            mapping.write_text(json.dumps(LLA_MAPPING))
+            argv += ["--mapping", str(mapping)]
     if case.startswith("mapping_"):
         mapping = tmp_path / "mapping.json"
         update, key = MAPPING_CASES[case[len("mapping_"):]]

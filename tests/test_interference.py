@@ -9,12 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from airtwin import kernels
 from airtwin.errors import SceneValidationError
-from airtwin.interference import (
-    build_sinr_field,
-    export_sinr_csv,
-    linear_mw,
-    noise_floor_dbm,
-)
+from airtwin.interference import export_sinr_csv, noise_floor_dbm, sinr_from_field
+from airtwin.kernels import linear_mw
 from airtwin.scene import BeamAssignment, RadioConstants, build_voxel_grid
 from airtwin.spectrum import RadioField, build_field
 
@@ -100,7 +96,7 @@ class TestSinr:
     def test_worked_example(self):
         # serving -80 dBm, one interfering sub-beam -90 dBm, noise -87 dBm
         field = synthetic_field([[-80.0], [-90.0]], [0, 1], ("a", "b"))
-        sinr = build_sinr_field(field, radio(1e8, 7.0), 1.0)
+        sinr = sinr_from_field(field, radio(1e8, 7.0), 1.0)
         assert sinr.sinr_db[0] == pytest.approx(5.24, abs=0.01)
         assert sinr.sinr_db[0] == pytest.approx(5.235651375635149, abs=1e-9)
 
@@ -108,20 +104,20 @@ class TestSinr:
         scene = simple_scene(n_cells=1, n_beams=2)
         grid = build_voxel_grid(scene.airspace)
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        sinr = build_sinr_field(field, scene.radio, 1.0)
+        sinr = sinr_from_field(field, scene.radio, 1.0)
         np.testing.assert_array_equal(sinr.sinr_db,
                                       sinr.serving_rsrp_dbm - (-87.0))
 
     def test_activity_zero_reduces_to_single_cell(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        sinr = build_sinr_field(field, scene.radio, 0.0)
+        sinr = sinr_from_field(field, scene.radio, 0.0)
         np.testing.assert_array_equal(sinr.sinr_db, sinr.serving_rsrp_dbm - (-87.0))
 
     def test_bound_by_noise_limited_sinr(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        sinr = build_sinr_field(field, scene.radio, 1.0)
+        sinr = sinr_from_field(field, scene.radio, 1.0)
         assert np.all(sinr.sinr_db <= sinr.serving_rsrp_dbm - (-87.0))
 
     def test_extra_interfering_beam_never_raises_sinr(self, tiny):
@@ -130,13 +126,13 @@ class TestSinr:
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
         noise = scene.radio
-        before = build_sinr_field(field, noise, 1.0)
+        before = sinr_from_field(field, noise, 1.0)
 
         lin = field.cell_lin_mw.copy()
         lin[0] += linear_mw(field.cell_rsrp_dbm[0] - 20.0)
         bigger = RadioField(grid=grid, cell_ids=field.cell_ids,
                             cell_rsrp_dbm=field.cell_rsrp_dbm, cell_lin_mw=lin)
-        after = build_sinr_field(bigger, noise, 1.0)
+        after = sinr_from_field(bigger, noise, 1.0)
         np.testing.assert_array_equal(after.serving_index, before.serving_index)
         assert np.all(after.sinr_db <= before.sinr_db)
         assert np.any(after.sinr_db < before.sinr_db)
@@ -145,8 +141,8 @@ class TestSinr:
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
         noise = scene.radio
-        low = build_sinr_field(field, noise, 0.3)
-        high = build_sinr_field(field, noise, 0.9)
+        low = sinr_from_field(field, noise, 0.3)
+        high = sinr_from_field(field, noise, 0.9)
         assert np.all(high.sinr_db <= low.sinr_db)
 
     def test_uniform_shift_invariance(self, tiny):
@@ -157,8 +153,8 @@ class TestSinr:
         shifted = RadioField(grid=grid, cell_ids=field.cell_ids,
                              cell_rsrp_dbm=field.cell_rsrp_dbm + delta,
                              cell_lin_mw=field.cell_lin_mw * 10.0 ** (delta / 10.0))
-        a = build_sinr_field(field, radio(1e8, 7.0), 1.0)
-        b = build_sinr_field(shifted, radio(1e8, 7.0 + delta), 1.0)
+        a = sinr_from_field(field, radio(1e8, 7.0), 1.0)
+        b = sinr_from_field(shifted, radio(1e8, 7.0 + delta), 1.0)
         np.testing.assert_allclose(a.sinr_db, b.sinr_db, atol=1e-9)
 
     def test_signal_only_shift_changes_sinr(self, tiny):
@@ -166,24 +162,24 @@ class TestSinr:
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
         shifted = build_field(scene, grid, BeamAssignment.baseline(scene), 6.0)
         noise = scene.radio
-        a = build_sinr_field(field, noise, 1.0)
-        b = build_sinr_field(shifted, noise, 1.0)
+        a = sinr_from_field(field, noise, 1.0)
+        b = sinr_from_field(shifted, noise, 1.0)
         assert not np.allclose(a.sinr_db, b.sinr_db)
 
     def test_activity_factor_validated(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
         with pytest.raises(ValueError):
-            build_sinr_field(field, scene.radio, 1.5)
+            sinr_from_field(field, scene.radio, 1.5)
 
 
 def serving_ids(field: RadioField) -> list[str]:
-    sinr = build_sinr_field(field, radio(1e8, 7.0), 1.0)
+    sinr = sinr_from_field(field, radio(1e8, 7.0), 1.0)
     return [field.cell_ids[c] for c in sinr.serving_index]
 
 
 class TestServingMap:
-    """``build_sinr_field``'s serving cell: the first strongest cell per voxel."""
+    """``sinr_from_field``'s serving cell: the first strongest cell per voxel."""
 
     def test_single_cell(self):
         scene = simple_scene(n_cells=1)
@@ -221,7 +217,7 @@ class TestServingMap:
                          np.where(np.arange(n) % 2 == 0, -70.0, np.nextafter(-70.0, 0.0))])
         field = RadioField(grid=None, cell_ids=("a", "b", "c", "d"), cell_rsrp_dbm=rsrp,
                            cell_lin_mw=linear_mw(rsrp))
-        sinr = build_sinr_field(field, radio(1e8, 7.0), 1.0)
+        sinr = sinr_from_field(field, radio(1e8, 7.0), 1.0)
         np.testing.assert_array_equal(sinr.serving_index, np.tile([1, 3], n // 2))
         np.testing.assert_array_equal(sinr.serving_rsrp_dbm,
                                       rsrp[sinr.serving_index, np.arange(n)])
@@ -231,7 +227,7 @@ class TestServingMap:
 def test_export_sinr_csv(tiny):
     scene, grid = tiny
     field = build_field(scene, grid, BeamAssignment.baseline(scene))
-    sinr = build_sinr_field(field, scene.radio, 1.0)
+    sinr = sinr_from_field(field, scene.radio, 1.0)
     buf = io.StringIO()
     export_sinr_csv(sinr, buf)
     lines = buf.getvalue().splitlines()

@@ -8,7 +8,7 @@ import pytest
 from airtwin import antenna, kernels, optimizer
 from airtwin.antenna import Orientation, TablePattern
 from airtwin.errors import CapExceededError, ConfigurationError
-from airtwin.interference import build_sinr_field
+from airtwin.interference import sinr_from_field
 from airtwin.optimizer import (
     ObjectiveWeights,
     OptimizationTrace,
@@ -43,7 +43,7 @@ class TestObjective:
     def test_zero_margin_single_voxel(self, tiny):
         scene, grid = tiny
         field = build_field(scene, grid, BeamAssignment.baseline(scene))
-        sinr = build_sinr_field(field, scene.radio, 1.0)
+        sinr = sinr_from_field(field, scene.radio, 1.0)
         voxel_sinr = float(sinr.sinr_db[0])
         thr = CoverageThresholds(rsrp_basic_dbm=-200.0, rsrp_strict_dbm=-150.0,
                                  sinr_basic_db=voxel_sinr - 1.0, sinr_strict_db=voxel_sinr)
@@ -56,7 +56,7 @@ class TestObjective:
         assignment = BeamAssignment.baseline(scene)
         value = objective(scene, grid, assignment, W)
         field = build_field(scene, grid, assignment)
-        sinr = build_sinr_field(field, scene.radio, 1.0)
+        sinr = sinr_from_field(field, scene.radio, 1.0)
         thr = scene.thresholds
         covered = np.count_nonzero((sinr.serving_rsrp_dbm >= thr.rsrp_strict_dbm)
                                    & (sinr.sinr_db >= thr.sinr_basic_db))
@@ -200,7 +200,7 @@ class TestCandidateDeltasExact:
         current = BeamAssignment.baseline(scene)
         field = build_field(scene, grid, current)
         np.testing.assert_array_equal(field.cell_rsrp_dbm[0], field.cell_rsrp_dbm[1])
-        sinr = build_sinr_field(field, scene.radio, 1.0)
+        sinr = sinr_from_field(field, scene.radio, 1.0)
         assert not np.any(sinr.serving_index == 1)
         ev = assert_deltas_exact(scene, scene.beam_keys())
         for key in (("cell0", 0), ("cell1", 1)):   # steering to the same angle keeps the tie

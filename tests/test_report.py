@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airtwin.errors import DimensionError, LayerError
-from airtwin.interference import build_sinr_field
+from airtwin.interference import sinr_from_field
 from airtwin.report import (
     CRITERIA,
     CoverageReport,
@@ -26,7 +26,7 @@ THR = CoverageThresholds()
 def sinr_for(scene, assignment=None, activity=1.0):
     grid = build_voxel_grid(scene.airspace)
     field = build_field(scene, grid, assignment or BeamAssignment.baseline(scene))
-    return grid, build_sinr_field(field, scene.radio, activity)
+    return grid, sinr_from_field(field, scene.radio, activity)
 
 
 def deltas(report) -> dict:
@@ -189,8 +189,8 @@ class TestDifferenceHeatmap:
             Orientation(before_assign.angle("cell1", 0).azimuth_deg + 10.0, 5.0))
         field_b = build_field(scene, grid, before_assign)
         field_a = build_field(scene, grid, after_assign)
-        sinr_b = build_sinr_field(field_b, scene.radio, 1.0)
-        sinr_a = build_sinr_field(field_a, scene.radio, 1.0)
+        sinr_b = sinr_from_field(field_b, scene.radio, 1.0)
+        sinr_a = sinr_from_field(field_a, scene.radio, 1.0)
         c = field_b.cell_ids.index("cell1")   # one sub-beam, so its cell row is its row
         unchanged = ((field_b.cell_rsrp_dbm[c] == field_a.cell_rsrp_dbm[c])
                      & (field_b.cell_lin_mw[c] == field_a.cell_lin_mw[c]))
@@ -240,7 +240,7 @@ class TestCompareReport:
         optimized = BeamAssignment.baseline(scene).replaced(
             ("cell0", 0), Orientation(180.0, 10.0))
         field_a = build_field(scene, grid, optimized)
-        sinr_a = build_sinr_field(field_a, scene.radio, 1.0)
+        sinr_a = sinr_from_field(field_a, scene.radio, 1.0)
         report = compare_report(sinr_b, sinr_a, THR)
         expected = (np.mean(sinr_a.serving_rsrp_dbm >= THR.rsrp_strict_dbm)
                     - np.mean(sinr_b.serving_rsrp_dbm >= THR.rsrp_strict_dbm))

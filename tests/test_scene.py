@@ -34,6 +34,30 @@ from airtwin.antenna import AntennaPattern, Orientation, TablePattern
 from factories import DEMO_SCENE, demo_doc, simple_scene
 
 
+def mask_voxel_grid(spec: CylinderSpec):
+    """Centers, layer altitudes and layer bounds from a (nz, ny, nx) mask.
+
+    The construction ``build_voxel_grid`` used before it filled one circle
+    per layer, kept as an oracle for it.
+    """
+    v = spec.voxel_m
+    cx, cy = spec.center_m
+    x0, y0, z0 = cx - spec.radius_m, cy - spec.radius_m, spec.z_min_m
+    nx = max(int(np.ceil(2.0 * spec.radius_m / v)), 1)
+    nz = max(int(np.ceil((spec.z_max_m - spec.z_min_m) / v)), 1)
+    xs, ys, zs = (o + (np.arange(n) + 0.5) * v for o, n in ((x0, nx), (y0, nx), (z0, nz)))
+    in_circle = ((ys - cy)[:, None] ** 2 + (xs - cx)[None, :] ** 2) <= spec.radius_m ** 2
+    in_band = zs <= spec.z_max_m
+    mask = in_band[:, None, None] & in_circle[None, :, :]
+    iz, iy, ix = np.nonzero(mask)
+    centers = np.empty((int(mask.sum()), 3), dtype=np.float64)
+    centers[:, 0] = xs[ix]
+    centers[:, 1] = ys[iy]
+    centers[:, 2] = zs[iz]
+    layer_bounds = np.arange(np.count_nonzero(in_band) + 1) * np.count_nonzero(in_circle)
+    return centers, zs[in_band], layer_bounds
+
+
 def brute_force_count(spec: CylinderSpec) -> int:
     """Independent enumeration of lattice centers inside the cylinder."""
     v = spec.voxel_m
@@ -137,6 +161,22 @@ class TestVoxelGrid:
         spec = CylinderSpec((10.0, -5.0), radius, 0.0, z_max, voxel)
         grid = build_voxel_grid(spec)
         assert grid.count == brute_force_count(spec)
+
+    @pytest.mark.parametrize("spec", [
+        CylinderSpec((10.0, -5.0), 37.0, 0.0, 25.0, 5.0),
+        CylinderSpec((10.0, -5.0), 100.0, 0.0, 40.0, 10.0),
+        CylinderSpec((10.0, -5.0), 52.5, 0.0, 33.0, 7.5),
+        # 26 / 6 leaves a top layer whose center, 27 m, lies above the band
+        CylinderSpec((3.0, 4.0), 41.0, 0.0, 26.0, 6.0),
+    ])
+    def test_equals_the_three_dimensional_mask_construction(self, spec):
+        grid = build_voxel_grid(spec)
+        centers, layer_z, layer_bounds = mask_voxel_grid(spec)
+        assert grid.centers.tobytes() == centers.tobytes()
+        assert grid.centers.shape == centers.shape
+        assert grid.layer_z.tobytes() == layer_z.tobytes()
+        assert grid.layer_bounds.dtype == layer_bounds.dtype
+        assert np.array_equal(grid.layer_bounds, layer_bounds)
 
     def test_production_scale_count(self):
         # 2 km radius, 0-500 m, 10 m voxels; oracle enumerates one layer.

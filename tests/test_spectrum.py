@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from airtwin import kernels
 from airtwin.antenna import AntennaPattern, Orientation, TablePattern, gain, wrap_angle_deg
 from airtwin.errors import EmptySetError, SingularityError
-from airtwin.interference import linear_mw
+from airtwin.interference import build_sinr_field, sinr_from_field
+from airtwin.kernels import linear_mw
 from airtwin.optimizer import ObjectiveWeights, _FieldEvaluator
 from airtwin.scene import BeamAssignment, CylinderSpec, build_voxel_grid, scene_from_dict
 from airtwin.spectrum import (
@@ -325,7 +327,7 @@ class TestBuildField:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_optimizer_field_after_applies_equals_build_field(self, monkeypatch, threads):
-        # the field reduces per (site, chunk), the evaluator rewrites one cell
+        # the field reduces per chunk, the evaluator rewrites one cell
         # per step from full-grid rows; both must give the same bits, also for
         # a site whose cells are not adjacent in cell_ids order and a cell
         # listing its sub-beams out of order
@@ -463,6 +465,62 @@ class TestRowByRowBuildBitIdentity:
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         assert grid.count > 3 * kernels._CHUNK
         assert_bits_equal_rows_block(scene, grid, seeded_assignment(scene, 5), 1.5, threads)
+
+
+def tied_interleaved_demo():
+    """``interleaved_demo`` with s3c0 a copy of s1c1 on the same site: the two
+    cells' RSRP ties at every voxel, wherever one of them is the strongest."""
+    scene = interleaved_demo()
+    s1 = scene.sites[0]
+    twin = dataclasses.replace(s1.cells[0], id="s3c0")
+    return dataclasses.replace(scene, sites=(dataclasses.replace(s1, cells=(s1.cells[0], twin)),
+                                             *scene.sites[1:]))
+
+
+class TestStreamedSinrField:
+    """``build_sinr_field`` streams each voxel chunk from the fold to its SINR."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("make_scene", [interleaved_demo, tied_interleaved_demo])
+    def test_equals_sinr_of_build_field(self, monkeypatch, threads, make_scene):
+        scene = make_scene()
+        grid = build_voxel_grid(scene.airspace)
+        monkeypatch.setattr(kernels, "_CHUNK", 997)
+        assert grid.count > 3 * kernels._CHUNK
+        baseline = BeamAssignment.baseline(scene)
+        for assignment in (baseline, seeded_assignment(scene, 6)):
+            field = build_field(scene, grid, assignment, 1.5, threads=threads)
+            if make_scene is tied_interleaved_demo and assignment is baseline:
+                a, b = scene.cell_ids.index("s1c1"), scene.cell_ids.index("s3c0")
+                top = field.cell_rsrp_dbm.max(axis=0)
+                assert np.any(field.cell_rsrp_dbm[b] == top)   # the tie is reached
+                assert np.array_equal(field.cell_rsrp_dbm[a], field.cell_rsrp_dbm[b])
+            expected = sinr_from_field(field, scene.radio, 0.5)
+            got = build_sinr_field(scene, grid, assignment, 1.5, 0.5, threads=threads)
+            assert got.grid is grid and got.cell_ids == expected.cell_ids
+            for name in ("serving_index", "serving_rsrp_dbm", "sinr_db"):
+                want, have = getattr(expected, name), getattr(got, name)
+                assert have.dtype == want.dtype, name
+                assert have.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_never_allocates_a_cell_by_voxel_array(self, monkeypatch, threads):
+        scene = scene_from_dict(demo_doc(radius_m=200.0, z_max_m=300.0, voxel_m=15.0))
+        grid = build_voxel_grid(scene.airspace)
+        # Each thread holds about 260 B per chunk voxel; small chunks keep
+        # that well apart from the 48 B per grid voxel of a (cells, N) array.
+        monkeypatch.setattr(kernels, "_CHUNK", 499)
+        assert grid.count > 10_000 and grid.count > 3 * kernels._CHUNK
+        assignment = seeded_assignment(scene, 7)
+        cells_by_voxels = len(scene.cell_ids) * grid.count * 8
+        tracemalloc.start()
+        try:
+            sinr = build_sinr_field(scene, grid, assignment, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sinr.serving_index.nbytes + sinr.serving_rsrp_dbm.nbytes + sinr.sinr_db.nbytes
+        assert peak - outputs < cells_by_voxels
 
 
 class TestPredictAt:
