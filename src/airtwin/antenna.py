@@ -14,6 +14,7 @@ steering angles is a known fidelity gap of the rigid-rotation approach.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,8 @@ class Orientation:
     tilt_deg: float
 
     def __post_init__(self):
+        if not math.isfinite(self.azimuth_deg):
+            raise SceneValidationError(f"azimuth_deg must be finite, got {self.azimuth_deg}")
         object.__setattr__(self, "azimuth_deg", normalize_azimuth_deg(self.azimuth_deg))
         object.__setattr__(self, "tilt_deg", float(self.tilt_deg))
         if not -90.0 <= self.tilt_deg <= 90.0:

@@ -54,10 +54,6 @@ class ConfigurationError(InputError):
     """Inconsistent optimizer configuration (e.g. an empty candidate set)."""
 
 
-class CapExceededError(InputError):
-    """Exhaustive search refused: candidate product exceeds the configured cap."""
-
-
 class LayerError(InputError):
     """Requested altitude does not correspond to any voxel layer of the grid."""
 

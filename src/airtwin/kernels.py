@@ -143,7 +143,7 @@ def chunks(n):
 
 def run_tasks(work, tasks, threads=1):
     """Run ``work(task)`` for every task, on a thread pool when ``threads`` > 1."""
-    if threads is None or threads <= 1 or len(tasks) <= 1:
+    if threads <= 1 or len(tasks) <= 1:
         for task in tasks:
             work(task)
         return

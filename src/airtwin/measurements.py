@@ -30,7 +30,6 @@ from .antenna import MAX_LEVEL_DB
 from .errors import SceneSchemaError, SceneValidationError
 from .scene import (
     MAX_COORDINATE_M,
-    CylinderSpec,
     _numbers,
     _object,
     _string,
@@ -40,6 +39,7 @@ from .scene import (
 )
 
 EARTH_RADIUS_M = 6_371_000.0
+MAX_SEQ = 2.0 ** 63   # seq is stored as int64
 
 NATIVE_COLUMNS = ("seq", "x_m", "y_m", "z_m", "cell_id", "rsrp_dbm")
 
@@ -68,7 +68,6 @@ class MeasurementSet:
     positions: np.ndarray     # (n, 3) float64
     cell_ids: np.ndarray      # (n,) object (str)
     rsrp_dbm: np.ndarray      # (n,) float64
-    region: CylinderSpec | None = None
 
     def __post_init__(self):
         seq = np.asarray(self.seq, dtype=np.int64)
@@ -84,8 +83,6 @@ class MeasurementSet:
             raise SceneValidationError("rsrp_dbm values must all be finite")
         if not np.all(np.isfinite(pos)):
             raise SceneValidationError("sample positions must all be finite")
-        if self.region is not None and n > 0 and not np.all(self.region.contains(pos)):
-            raise SceneValidationError("some sample positions fall outside the declared region")
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "cell_ids", ids)
@@ -97,8 +94,7 @@ class MeasurementSet:
     def subset(self, indices) -> "MeasurementSet":
         idx = np.asarray(indices, dtype=np.int64)
         return MeasurementSet(seq=self.seq[idx], positions=self.positions[idx],
-                              cell_ids=self.cell_ids[idx], rsrp_dbm=self.rsrp_dbm[idx],
-                              region=self.region)
+                              cell_ids=self.cell_ids[idx], rsrp_dbm=self.rsrp_dbm[idx])
 
 
 def lla_to_enu(lat_deg, lon_deg, alt_m, origin_lla) -> tuple[float, float, float]:
@@ -120,8 +116,7 @@ def load_mapping(path) -> dict:
     return mapping
 
 
-def load_measurements(path, mapping=None,
-                      region: CylinderSpec | None = None) -> MeasurementSet:
+def load_measurements(path, mapping=None) -> MeasurementSet:
     """Load a measurement CSV, optionally through a column/frame mapping file."""
     if mapping is None:
         columns, position = dict(zip(NATIVE_COLUMNS, NATIVE_COLUMNS)), {}
@@ -147,22 +142,26 @@ def load_measurements(path, mapping=None,
                     y = float(row[columns["y_m"]])
                     z = float(row[columns["z_m"]])
                     value = float(row[columns["rsrp_dbm"]])
-                    s = int(float(row[columns["seq"]])) if has_seq else i
+                    s = float(row[columns["seq"]]) if has_seq else i
                 except (TypeError, ValueError) as exc:
                     raise SceneSchemaError(
                         f"{path}: bad numeric value on data row {i + 1}: {exc}"
                     ) from exc
+                if not (-MAX_SEQ <= s < MAX_SEQ and s == int(s)):   # false for NaN
+                    raise SceneValidationError(
+                        f"{path}: data row {i + 1}: seq must be an integer in [-2^63, 2^63), "
+                        f"got {s} in column '{columns['seq']}'")
                 if frame == "lla":   # the x column holds the longitude, y the latitude
                     if not -90.0 <= y <= 90.0:
                         raise SceneValidationError(
                             f"{path}: data row {i + 1}: latitude must be in [-90, 90], "
                             f"got {y} in column '{columns['y_m']}'")
                     x, y, z = lla_to_enu(y, x, z, origin)
-                seq.append(s)
+                seq.append(int(s))
                 positions.append((x, y, z))
                 cell_ids.append(row[columns["cell_id"]])
                 rsrp.append(value)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SceneSchemaError(f"cannot read measurement file {path}: {exc}") from exc
 
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
@@ -183,7 +182,6 @@ def load_measurements(path, mapping=None,
         positions=positions,
         cell_ids=np.asarray(cell_ids, dtype=object),
         rsrp_dbm=rsrp,
-        region=region,
     )
 
 

@@ -9,9 +9,9 @@ AND whose SINR meets the basic SINR threshold, and M sums the per-voxel SINR
 margin over the strict SINR threshold, capped at margin_cap_db (negative
 contributions included).
 
-The greedy pass visits sub-beams in a fixed order (default: round-robin
-across cells), scores every candidate lattice angle plus the current angle,
-and picks the best delta. When the best delta falls below
+The greedy pass visits sub-beams round-robin across cells (``default_order``),
+scores every candidate lattice angle plus the current angle, and picks the
+best delta. When the best delta falls below
 epsilon_gain * max(objective, 1) and another sub-beam of the same cell has
 already been assigned this run, the most recently assigned angle of that cell
 is reused instead (aligning sub-beams within a cell), provided it is an
@@ -34,7 +34,6 @@ equal the full rebuild's bit for bit, and the greedy choices with it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import queue
@@ -44,10 +43,9 @@ import numpy as np
 
 from . import kernels
 from .kernels import linear_mw
-from .errors import CapExceededError, ConfigurationError
+from .errors import ConfigurationError
 from .interference import (
     assemble_sinr,
-    build_sinr_field,
     check_activity_factor,
     first_max,
     noise_floor_dbm,
@@ -156,18 +154,6 @@ def score_fields(serving_rsrp_dbm, sinr_db, weights: ObjectiveWeights,
                         weights)
 
 
-def objective(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
-              weights: ObjectiveWeights, thresholds: CoverageThresholds | None = None,
-              *, activity_factor: float = 1.0, offset_db: float = 0.0,
-              threads: int = 1) -> float:
-    """Full-path objective: stream the SINR field, then score."""
-    thresholds = thresholds or scene.thresholds
-    sinr_field = build_sinr_field(scene, grid, assignment, offset_db, activity_factor,
-                                  threads=threads)
-    return score_fields(sinr_field.serving_rsrp_dbm, sinr_field.sinr_db,
-                        weights, thresholds)
-
-
 @dataclass(frozen=True)
 class _StepContext:
     """Everything a candidate score needs that does not depend on the candidate.
@@ -243,13 +229,12 @@ class _FieldEvaluator:
     full rebuild bit for bit.
     """
 
-    def __init__(self, scene, grid, weights, thresholds, activity_factor,
-                 offset_db, threads=1):
+    def __init__(self, scene, grid, weights, activity_factor, offset_db, threads=1):
         check_activity_factor(activity_factor)
         self.scene = scene
         self.grid = grid
         self.weights = weights
-        self.thresholds = thresholds or scene.thresholds
+        self.thresholds = scene.thresholds
         self.activity_factor = float(activity_factor)
         self.offset_db = float(offset_db)
         self.threads = threads
@@ -393,7 +378,7 @@ class _FieldEvaluator:
         tasks = kernels.chunks(self.grid.count)
         size = max((hi - lo for lo, hi in tasks), default=0)
         scratch = queue.SimpleQueue()   # one set of chunk buffers per running task
-        for _ in range(min(self.threads or 1, len(tasks))):
+        for _ in range(min(self.threads, len(tasks))):
             scratch.put((np.empty(size), np.empty(size), np.empty(size, dtype=bool),
                          np.empty(size, dtype=bool)))
         last_az, deltas = None, []
@@ -440,33 +425,26 @@ def _same_angle(a: Orientation, b: Orientation) -> bool:
 
 
 def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment,
-                    weights: ObjectiveWeights,
-                    thresholds: CoverageThresholds | None = None,
-                    order: list[tuple[str, int]] | None = None, *,
+                    weights: ObjectiveWeights, *,
                     activity_factor: float = 1.0, offset_db: float = 0.0,
                     threads: int = 1, field: RadioField | None = None
                     ) -> tuple[BeamAssignment, OptimizationTrace, RadioField]:
     """One greedy sequential pass over all sub-beams; monotone by construction.
 
+    The pass scores against ``scene.thresholds`` in ``default_order(scene)``.
     Returns the optimized assignment, the trace and the optimized assignment's
     field, which equals ``build_field`` of it. ``field`` may pass in
     ``build_field(scene, grid, initial, offset_db)`` when the caller has
     built it already; the pass then rewrites that field in place.
     """
     initial.validate_for(scene, require_lattice=True)
-    if order is None:
-        order = default_order(scene)
-    if sorted(order) != sorted(scene.beam_keys()):
-        raise ConfigurationError("order must visit every sub-beam exactly once")
-
-    ev = _FieldEvaluator(scene, grid, weights, thresholds, activity_factor,
-                         offset_db, threads)
+    ev = _FieldEvaluator(scene, grid, weights, activity_factor, offset_db, threads)
     ev.set_assignment(initial, field)
     initial_objective = ev.objective
     last_assigned: dict[str, Orientation] = {}
     steps = []
 
-    for key in order:
+    for key in default_order(scene):
         cell_id, index = key
         _, _, sb = scene.sub_beam(cell_id, index)
         candidates = sb.lattice()
@@ -507,48 +485,3 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
     trace = OptimizationTrace(steps=tuple(steps), initial_objective=initial_objective,
                               final_objective=ev.objective)
     return BeamAssignment(ev.angles), trace, ev.field
-
-
-def brute_force_optimize(scene: SceneConfig, grid: VoxelGrid,
-                         weights: ObjectiveWeights,
-                         thresholds: CoverageThresholds | None = None, *,
-                         initial: BeamAssignment | None = None,
-                         cap: int = 100_000, activity_factor: float = 1.0,
-                         offset_db: float = 0.0,
-                         threads: int = 1) -> tuple[BeamAssignment, float]:
-    """Exhaustive search over the candidate lattice product (oracle).
-
-    Candidate sets are each sub-beam's lattice plus its baseline (or the
-    initial angle when given); enumeration is lexicographic over (az, tilt)
-    tuples so ties resolve to the smallest angle tuple.
-    """
-    keys = scene.beam_keys()
-    candidate_sets = []
-    for key in keys:
-        _, _, sb = scene.sub_beam(*key)
-        cands = sb.lattice()
-        extra = initial.angles[key] if initial is not None else sb.baseline
-        if not any(_same_angle(extra, c) for c in cands):
-            cands.append(extra)
-        cands.sort(key=lambda o: (o.azimuth_deg, o.tilt_deg))
-        candidate_sets.append(cands)
-
-    size = 1
-    for cands in candidate_sets:
-        size *= len(cands)
-    if size > cap:
-        raise CapExceededError(
-            f"brute force refused: candidate product {size} exceeds cap {cap}"
-        )
-
-    best_assignment = None
-    best_value = -np.inf
-    for combo in itertools.product(*candidate_sets):
-        assignment = BeamAssignment(dict(zip(keys, combo)))
-        value = objective(scene, grid, assignment, weights, thresholds,
-                          activity_factor=activity_factor, offset_db=offset_db,
-                          threads=threads)
-        if value > best_value:
-            best_value = value
-            best_assignment = assignment
-    return best_assignment, float(best_value)

@@ -79,15 +79,6 @@ class CylinderSpec:
         if self.voxel_m <= 0:
             raise SceneValidationError(f"airspace.voxel_m must be > 0, got {self.voxel_m}")
 
-    def contains(self, points) -> np.ndarray:
-        """Membership test for point(s); boundary (distance == radius) included."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        dx = p[:, 0] - self.center_m[0]
-        dy = p[:, 1] - self.center_m[1]
-        inside = (dx * dx + dy * dy <= self.radius_m * self.radius_m)
-        inside &= (p[:, 2] >= self.z_min_m) & (p[:, 2] <= self.z_max_m)
-        return inside if np.asarray(points).ndim == 2 else bool(inside[0])
-
 
 @dataclass(frozen=True)
 class VoxelGrid:
@@ -374,10 +365,7 @@ class SceneConfig:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class BeamAssignment:
-    """One steering angle per sub-beam, keyed by (cell id, sub-beam index).
-
-    Treated as immutable; derive modified copies with :meth:`replaced`.
-    """
+    """One steering angle per sub-beam, keyed by (cell id, sub-beam index)."""
 
     angles: dict[tuple[str, int], Orientation]
 
@@ -388,11 +376,6 @@ class BeamAssignment:
 
     def angle(self, cell_id: str, index: int) -> Orientation:
         return self.angles[(cell_id, index)]
-
-    def replaced(self, key: tuple[str, int], orientation: Orientation) -> "BeamAssignment":
-        new = dict(self.angles)
-        new[key] = orientation
-        return BeamAssignment(new)
 
     def validate_for(self, scene: SceneConfig, require_lattice: bool = True) -> None:
         """Check completeness, bounds, and (optionally) lattice membership."""
@@ -429,14 +412,6 @@ class BeamAssignment:
             out.setdefault(cell_id, {})[str(index)] = [o.azimuth_deg, o.tilt_deg]
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BeamAssignment":
-        angles = {}
-        for cell_id, beams in data.items():
-            for index, pair in beams.items():
-                angles[(cell_id, int(index))] = Orientation(float(pair[0]), float(pair[1]))
-        return cls(angles)
-
 
 def save_assignment(assignment: BeamAssignment, path) -> None:
     with open(path, "w") as fh:
@@ -463,10 +438,9 @@ def read_json(path, kind: str):
 
 def load_assignment(path) -> BeamAssignment:
     data = read_json(path, "assignment")
-    try:
-        return BeamAssignment.from_json_dict(data)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise SceneSchemaError(f"{path}: malformed assignment document: {exc}") from exc
+    read_document(_read_assignment, data, f"{path}: assignment")
+    return BeamAssignment({(cell_id, int(index)): Orientation(*pair)
+                           for cell_id, beams in data.items() for index, pair in beams.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +451,8 @@ def load_assignment(path) -> BeamAssignment:
 # object's keys, and raises SceneSchemaError naming the value's path;
 # ``read_document`` names the document too. A number must also be finite: NaN
 # compares false with every bound, so a range check alone would let it through.
-# Ranges are left to the dataclasses' own checks. The mapping file of
-# ``measurements`` is read with the same readers.
+# Ranges are left to the dataclasses' own checks. Assignment files, and the
+# mapping file of ``measurements``, are read with the same readers.
 _ID_FORBIDDEN = (",", '"', "\r", "\n")   # ids are written unquoted into CSV rows
 
 
@@ -573,6 +547,22 @@ def _object(required: dict, optional: dict | None = None):
     return read
 
 
+def _keyed(read_key, read_item):
+    """An object whose every key ``read_key`` checks and every value ``read_item`` does."""
+    def read(value, path) -> None:
+        if not isinstance(value, dict):
+            raise _violation(path, f"expected an object, got {_json_type(value)}")
+        for key, item in value.items():
+            read_key(key, (*path, key))
+            read_item(item, (*path, key))
+    return read
+
+
+def _index_key(key, path) -> None:
+    if not (key.isascii() and key.isdigit()):
+        raise _violation(path, "expected a sub-beam index, an integer >= 0")
+
+
 def _numbers_named(*names: str) -> dict:
     return dict.fromkeys(names, _number)
 
@@ -611,6 +601,10 @@ _read_scene = _object({
     })),
 }, {"thresholds": _object({}, _numbers_named("rsrp_basic_dbm", "rsrp_strict_dbm",
                                               "sinr_basic_db", "sinr_strict_db"))})
+
+
+# {cell id: {sub-beam index: [azimuth_deg, tilt_deg]}}, as ``save_assignment`` writes it.
+_read_assignment = _keyed(_id, _keyed(_index_key, _numbers(2)))
 
 
 def _pattern_from_dict(data: dict | None, base_dir: str):
@@ -662,75 +656,3 @@ def scene_from_dict(data: dict, base_dir: str = ".") -> SceneConfig:
                           cells=tuple(cells)))
     return SceneConfig(sites=tuple(sites), airspace=airspace, radio=radio,
                        thresholds=thresholds)
-
-
-def load_scene(path) -> SceneConfig:
-    """Load and validate a scene JSON file."""
-    return scene_from_dict(read_json(path, "scene"),
-                           base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def _pattern_to_dict(pattern) -> dict:
-    if isinstance(pattern, AntennaPattern):
-        return {"type": "parametric", "g_max_dbi": pattern.g_max_dbi,
-                "hpbw_az_deg": pattern.hpbw_az_deg, "hpbw_el_deg": pattern.hpbw_el_deg,
-                "sla_db": pattern.sla_db, "fbr_db": pattern.fbr_db}
-    raise SceneValidationError("table patterns can only be serialized by file reference")
-
-
-def scene_to_dict(scene: SceneConfig) -> dict:
-    return {
-        "airspace": {
-            "center_m": list(scene.airspace.center_m),
-            "radius_m": scene.airspace.radius_m,
-            "z_min_m": scene.airspace.z_min_m,
-            "z_max_m": scene.airspace.z_max_m,
-            "voxel_m": scene.airspace.voxel_m,
-        },
-        "radio": {
-            "frequency_hz": scene.radio.frequency_hz,
-            "bandwidth_hz": scene.radio.bandwidth_hz,
-            "noise_figure_db": scene.radio.noise_figure_db,
-        },
-        "thresholds": {
-            "rsrp_basic_dbm": scene.thresholds.rsrp_basic_dbm,
-            "rsrp_strict_dbm": scene.thresholds.rsrp_strict_dbm,
-            "sinr_basic_db": scene.thresholds.sinr_basic_db,
-            "sinr_strict_db": scene.thresholds.sinr_strict_db,
-        },
-        "sites": [
-            {
-                "id": site.id,
-                "position_m": list(site.position_m),
-                "cells": [
-                    {
-                        "id": cell.id,
-                        "tx_power_dbm": cell.tx_power_dbm,
-                        "sub_beams": [
-                            {
-                                "index": sb.index,
-                                "pattern": _pattern_to_dict(sb.pattern),
-                                "bounds": {
-                                    "az_min_deg": sb.bounds.az_min_deg,
-                                    "az_max_deg": sb.bounds.az_max_deg,
-                                    "tilt_min_deg": sb.bounds.tilt_min_deg,
-                                    "tilt_max_deg": sb.bounds.tilt_max_deg,
-                                },
-                                "baseline": [sb.baseline.azimuth_deg, sb.baseline.tilt_deg],
-                                "candidate_step": list(sb.candidate_step),
-                            }
-                            for sb in cell.sub_beams
-                        ],
-                    }
-                    for cell in site.cells
-                ],
-            }
-            for site in scene.sites
-        ],
-    }
-
-
-def save_scene(scene: SceneConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -18,14 +18,14 @@ from .scene import CylinderSpec, SceneConfig
 from .spectrum import predict_at
 
 
-def helix_trajectory(airspace: CylinderSpec, n_points: int = 400, turns: float = 3.0,
-                     radius_frac: float = 0.8, z_frac=(0.1, 0.9)) -> np.ndarray:
-    """Ascending spiral around the cylinder axis; (n_points, 3) positions."""
+def helix_trajectory(airspace: CylinderSpec, n_points: int = 400,
+                     turns: float = 3.0) -> np.ndarray:
+    """Ascending spiral at 0.8 of the radius over 10-90% of the altitude band; (n_points, 3)."""
     t = np.linspace(0.0, 1.0, n_points)
     angle = 2.0 * np.pi * turns * t
-    r = radius_frac * airspace.radius_m
-    z0 = airspace.z_min_m + z_frac[0] * (airspace.z_max_m - airspace.z_min_m)
-    z1 = airspace.z_min_m + z_frac[1] * (airspace.z_max_m - airspace.z_min_m)
+    r = 0.8 * airspace.radius_m
+    z0 = airspace.z_min_m + 0.1 * (airspace.z_max_m - airspace.z_min_m)
+    z1 = airspace.z_min_m + 0.9 * (airspace.z_max_m - airspace.z_min_m)
     out = np.empty((n_points, 3))
     out[:, 0] = airspace.center_m[0] + r * np.sin(angle)
     out[:, 1] = airspace.center_m[1] + r * np.cos(angle)

@@ -14,6 +14,10 @@ everything else trains. Neighbouring folds share most of their training rows,
 so ``KrigingPredictor`` keeps the (layer, cell) models it fits for the whole
 run: a group whose points and values equal one fitted in an earlier fold
 reuses that model instead of being fitted again.
+
+A predictor returns its values and a fallback flag per test point. The report
+pools each predictor's errors over the folds into one RMSE and one CDF of
+|error| at every distinct magnitude.
 """
 
 from __future__ import annotations
@@ -100,15 +104,12 @@ def rmse(errors) -> float:
     return float(np.sqrt(np.mean(e ** 2)))
 
 
-def error_cdf(errors, grid=None) -> list[tuple[float, float]]:
-    """Empirical CDF of |errors|, right-continuous, evaluated on ``grid``.
-
-    Defaults to the sorted distinct magnitudes when no grid is given.
-    """
+def error_cdf(errors) -> list[tuple[float, float]]:
+    """Empirical CDF of |errors|, right-continuous, at each distinct magnitude in order."""
     e = np.abs(np.asarray(errors, dtype=float))
     if e.size == 0:
         raise EmptySetError("error CDF of an empty error list")
-    xs = np.unique(e) if grid is None else np.asarray(grid, dtype=float)
+    xs = np.unique(e)
     e_sorted = np.sort(e)
     counts = np.searchsorted(e_sorted, xs, side="right")
     return [(float(x), float(c) / e.size) for x, c in zip(xs, counts)]
@@ -124,7 +125,6 @@ class VariogramModel:
     nugget: float
     sill: float
     range_m: float
-    kind: str = "exponential"
 
     def __post_init__(self):
         if self.nugget < 0:
@@ -141,9 +141,8 @@ class VariogramModel:
         return np.where(h == 0.0, 0.0, g)
 
 
-def empirical_variogram(points: np.ndarray, values: np.ndarray,
-                        n_bins: int = VARIOGRAM_LAG_BINS):
-    """Bin-averaged semivariances up to half the max pairwise distance."""
+def empirical_variogram(points: np.ndarray, values: np.ndarray):
+    """Bin-averaged semivariances in ``VARIOGRAM_LAG_BINS`` bins up to half the max distance."""
     d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
     sv = 0.5 * (values[:, None] - values[None, :]) ** 2
     iu = np.triu_indices(len(values), k=1)
@@ -151,9 +150,9 @@ def empirical_variogram(points: np.ndarray, values: np.ndarray,
     h_max = d.max() / 2.0
     if h_max <= 0:
         return np.array([]), np.array([])
-    edges = np.linspace(0.0, h_max, n_bins + 1)
+    edges = np.linspace(0.0, h_max, VARIOGRAM_LAG_BINS + 1)
     lags, gammas = [], []
-    for i in range(n_bins):
+    for i in range(VARIOGRAM_LAG_BINS):
         in_bin = (d > edges[i]) & (d <= edges[i + 1])
         if np.any(in_bin):
             lags.append(d[in_bin].mean())
@@ -340,8 +339,8 @@ def _krige_point(model: _LayerModel, xy: np.ndarray) -> float:
     return float(weights @ model.values[neigh])
 
 
-def kriging_predict(model: KrigingModel, points, return_flags: bool = False):
-    """Ordinary-Kriging predictions at (position, cell id) points.
+def kriging_predict(model: KrigingModel, points) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinary-Kriging predictions at (position, cell id) points, and their fallback flags.
 
     Points whose (layer, cell) has no fitted model fall back to the training
     mean of that cell (or the global mean) and are flagged.
@@ -358,19 +357,7 @@ def kriging_predict(model: KrigingModel, points, return_flags: bool = False):
             flags[i] = True
         else:
             values[i] = _krige_point(layer, pos[:2])
-    if return_flags:
-        return values, flags
-    return values
-
-
-def kriging_weights(model: KrigingModel, position, cell_id: str) -> np.ndarray:
-    """Kriging weights for one prediction (exposed for the unbiasedness check)."""
-    pos = np.asarray(position, dtype=float)
-    key = (_layer_bin(pos[2], model.layer_height_m), str(cell_id))
-    layer = model.layers[key]
-    if layer.variogram is None:
-        return np.full(len(layer.values), 1.0 / len(layer.values))
-    return _kriging_system(layer, pos[:2])[0]
+    return values, flags
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +392,7 @@ class KrigingPredictor:
         model = kriging_fit(train, self.layer_height_m, self.fits)
 
         def predict(points):
-            return kriging_predict(model, points, return_flags=True)
+            return kriging_predict(model, points)
 
         return predict
 
@@ -483,8 +470,7 @@ class ValidationReport:
 
 
 def run_validation(measurements: MeasurementSet, predictors: dict,
-                   train_fraction: float = 0.7, n_folds: int = 3,
-                   cdf_grid=None) -> ValidationReport:
+                   train_fraction: float = 0.7, n_folds: int = 3) -> ValidationReport:
     """Fit every predictor per fold, evaluate on identical test points, report.
 
     ``predictors`` maps a name to an object with ``fit(train) -> predict``,
@@ -520,7 +506,7 @@ def run_validation(measurements: MeasurementSet, predictors: dict,
         if chunks:
             errors = np.concatenate(chunks)
             pooled_rmse[name] = rmse(errors)
-            cdfs[name] = error_cdf(errors, cdf_grid)
+            cdfs[name] = error_cdf(errors)
     return ValidationReport(folds=fold_results, pooled_rmse_db=pooled_rmse,
                             cdf=cdfs, n_samples=len(measurements),
                             train_fraction=train_fraction)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from airtwin.scene import BeamAssignment, build_voxel_grid, load_scene
+from airtwin.scene import BeamAssignment, build_voxel_grid
 from factories import DEMO_SCENE, simple_scene
+from oracles import load_scene
 
 
 @pytest.fixture(scope="session")

@@ -18,12 +18,7 @@ from airtwin.antenna import AntennaPattern, Orientation, gain
 from airtwin.interference import noise_floor_dbm, sinr_from_field
 from airtwin.kernels import linear_mw
 from airtwin.measurements import load_measurements
-from airtwin.optimizer import (
-    ObjectiveWeights,
-    brute_force_optimize,
-    greedy_optimize,
-    objective,
-)
+from airtwin.optimizer import ObjectiveWeights, greedy_optimize
 from airtwin.scene import BeamAssignment, RadioConstants, build_voxel_grid
 from airtwin.spectrum import (
     RadioField,
@@ -40,11 +35,11 @@ from airtwin.validation import (
     block_holdout_folds,
     kriging_fit,
     kriging_predict,
-    kriging_weights,
     run_validation,
 )
 
 from factories import random_instance, simple_scene
+from oracles import brute_force_optimize, kriging_weights, load_scene, objective
 
 
 class _Budget:
@@ -227,7 +222,7 @@ def test_criterion_7_kriging_suite():
         _, _, mset = _smooth_flat_dataset()
         model = kriging_fit(mset, layer_height_m=10.0)
         points = [(tuple(p), c) for p, c in zip(mset.positions, mset.cell_ids)]
-        values = kriging_predict(model, points)
+        values, _ = kriging_predict(model, points)
         np.testing.assert_allclose(values, mset.rsrp_dbm, atol=1e-6)
 
         rng = np.random.default_rng(2)
@@ -241,7 +236,7 @@ def test_criterion_7_kriging_suite():
                           cell_ids=flat.cell_ids,
                           rsrp_dbm=np.full(len(flat), -72.5))
         const_model = kriging_fit(flat, layer_height_m=10.0)
-        out = kriging_predict(const_model, points[:20])
+        out, _ = kriging_predict(const_model, points[:20])
         np.testing.assert_allclose(out, -72.5, atol=1e-12)
 
         report = run_validation(mset, {
@@ -303,8 +298,6 @@ def test_criterion_9_end_to_end_desk_scale(demo):
     reason="optional: set AIRTWIN_REAL_MEASUREMENTS (CSV), AIRTWIN_REAL_SCENE "
            "(scene JSON) and optionally AIRTWIN_REAL_MAPPING to run")
 def test_criterion_10_real_dataset_validation():
-    from airtwin.scene import load_scene
-
     with _Budget(10, "real-dataset validation (optional)", 1800.0):
         scene = load_scene(os.environ["AIRTWIN_REAL_SCENE"])
         mset = load_measurements(os.environ["AIRTWIN_REAL_MEASUREMENTS"],

@@ -24,6 +24,13 @@ def unit_from_azel(az_deg, el_deg):
     return np.array([np.cos(el) * np.sin(az), np.cos(el) * np.cos(az), np.sin(el)])
 
 
+@pytest.mark.parametrize("azimuth", [float("nan"), float("inf"), -float("inf")])
+def test_orientation_rejects_a_non_finite_azimuth(azimuth):
+    # It would normalize to NaN and point the beam nowhere.
+    with pytest.raises(SceneValidationError, match="azimuth_deg must be finite"):
+        Orientation(azimuth, 0.0)
+
+
 class TestOffsets:
     def test_aligned(self):
         daz, del_ = steered_offsets(Orientation(0.0, 0.0), np.array([0.0, 1.0, 0.0]))

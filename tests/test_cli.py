@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -11,16 +12,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import airtwin.cli
 import airtwin.optimizer
 from airtwin.cli import main
 from airtwin.measurements import NATIVE_COLUMNS, load_measurements
-from airtwin.scene import BeamAssignment, build_voxel_grid, load_scene, save_assignment, save_scene
+from airtwin.optimizer import ObjectiveWeights
+from airtwin.scene import BeamAssignment, build_voxel_grid, save_assignment
 from airtwin.spectrum import predict_at
 from factories import simple_scene
+from oracles import brute_force_optimize, contains, load_scene, save_scene
 
 
 @pytest.fixture()
@@ -218,8 +221,6 @@ class TestOptimizeAndEvaluate:
     def test_matches_bruteforce_on_tiny_scene(self, tmp_path):
         # single decision variable: greedy is exhaustive, so the CLI result
         # must equal the brute-force oracle
-        from airtwin.optimizer import ObjectiveWeights, brute_force_optimize
-
         scene, path = self.make_tiny_opt_scene(tmp_path, n_cells=1)
         out = tmp_path / "opt"
         rc = main(["optimize", "--scene", path, "--out", str(out),
@@ -331,7 +332,7 @@ def test_synth_lawnmower_and_clipping(tiny_scene_path, tmp_path, capsys):
     mset = load_measurements(out / "measurements.csv")
     assert len(mset) > 0
     scene = load_scene(tiny_scene_path)
-    assert np.all(scene.airspace.contains(mset.positions))
+    assert np.all(contains(scene.airspace, mset.positions))
 
 
 def test_version_and_help():
@@ -473,8 +474,9 @@ TABLE_CASES = {
 }
 FAILURE_CASES.update({f"table_{name}": (2, ["evaluate"]) for name in TABLE_CASES})
 
-# A measurement row past +-1e7 m, +-500 dBm or a pole; each error names the file
-# and the row. The test writes the file, whose second data row holds the value.
+# A measurement row past +-1e7 m, +-500 dBm or a pole, or whose seq is not an
+# int64; each error names the file and the row. The test writes the file, whose
+# second data row holds the value.
 MEASUREMENT_CASES = {
     "x_huge": ("calibrate", "x_m", "1e300", "sample positions"),
     "z_past_bound": ("validate", "z_m", "-1.0000001e7", "sample positions"),
@@ -482,6 +484,10 @@ MEASUREMENT_CASES = {
     "rsrp_huge_validate": ("validate", "rsrp_dbm", "1e300", "rsrp_dbm"),
     # Read through LLA_MAPPING, whose y column holds the latitude.
     "latitude_past_pole": ("calibrate", "y_m", "95.0001", "latitude"),
+    "seq_inf": ("calibrate", "seq", "inf", "seq"),
+    "seq_huge": ("validate", "seq", "1e20", "seq"),
+    "seq_minus_huge": ("calibrate", "seq", "-1e300", "seq"),
+    "seq_fraction": ("validate", "seq", "1.5", "seq"),
 }
 FAILURE_CASES.update({f"measurement_{name}": (2, [command])
                       for name, (command, *_) in MEASUREMENT_CASES.items()})
@@ -507,6 +513,21 @@ MAPPING_CASES = {
 }
 FAILURE_CASES.update({f"mapping_{name}": (2, ["calibrate"]) for name in MAPPING_CASES})
 
+# An assignment angle that is not a finite number, read where sub-beam 0 of
+# cell0 may point anywhere; each error names the assignment file and the angle.
+# The test writes the file: the baseline with ``token`` as that angle's entry.
+ASSIGNMENT_CASES = {
+    "azimuth_nan": ("evaluate", 0, "NaN"),
+    "azimuth_infinity": ("evaluate", 0, "Infinity"),
+    "azimuth_huge": ("evaluate", 0, "1e400"),
+    "azimuth_nan_build": ("build", 0, "NaN"),
+    "tilt_bool": ("evaluate", 1, "true"),
+}
+ANY_AZIMUTH = ["--set", "sites.0.cells.0.sub_beams.0.bounds.az_min_deg=0",
+               "--set", "sites.0.cells.0.sub_beams.0.bounds.az_max_deg=360"]
+FAILURE_CASES.update({f"assignment_{name}": (2, [command, *ANY_AZIMUTH])
+                      for name, (command, *_) in ASSIGNMENT_CASES.items()})
+
 # The airspace is bounded like a site: its center and its extent.
 FAILURE_CASES.update({
     "airspace_center_huge": (2, ["evaluate", "--set", "airspace.center_m=[1e200,0]"]),
@@ -521,6 +542,13 @@ def write_measurements(path, column, value):
     rows[1][column] = value
     path.write_text("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n"
                     + "".join(",".join(row.values()) + "\n" for row in rows))
+
+
+def write_assignment(path, scene_path, position, token):
+    """The scene's baseline assignment, with ``token`` at ``position`` of cell0's beam 0."""
+    doc = BeamAssignment.baseline(load_scene(scene_path)).to_json_dict()
+    doc["cell0"]["0"][position] = "TOKEN"
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
 
 
 def write_table(path, column, values):
@@ -557,6 +585,11 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
             mapping = tmp_path / "mapping.json"
             mapping.write_text(json.dumps(LLA_MAPPING))
             argv += ["--mapping", str(mapping)]
+    if case.startswith("assignment_"):
+        assignment = tmp_path / "assignment.json"
+        position, token = ASSIGNMENT_CASES[case[len("assignment_"):]][1:]
+        write_assignment(assignment, tiny_scene_path, position, token)
+        argv += ["--assignment", str(assignment)]
     if case.startswith("mapping_"):
         mapping = tmp_path / "mapping.json"
         update, key = MAPPING_CASES[case[len("mapping_"):]]
@@ -596,6 +629,8 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         assert f"error: {measurements}: data row 2: {field} must" in err
     if case.startswith("mapping_"):
         assert f"error: {mapping}: mapping schema violation at '{key}'" in err
+    if case.startswith("assignment_"):
+        assert f"error: {assignment}: assignment schema violation at 'cell0/0/{position}'" in err
     if case.startswith("airspace_"):
         assert "airspace.center_m" in err
     if case.startswith("site_"):
@@ -795,6 +830,62 @@ def test_calibrate_on_any_mapping(mapping, synthesized):
     assert len(lines) == (rc != 0) and all(line.startswith("error:") for line in lines)
 
 
+# What a drive-test export can hold where a number belongs: non-finite, past
+# every bound, past int64, not an integer, empty or not a number at all.
+ODD_CELLS = ["inf", "-inf", "nan", "NaN", "1e20", "-1e300", "1e400", "9223372036854775808",
+             "1.5", "-0.5", "0", "", " ", "abc", "0x10", "1e", "--1"]
+csv_headers = mostly(st.just(list(NATIVE_COLUMNS)), st.permutations(NATIVE_COLUMNS),
+                     st.lists(st.sampled_from([*NATIVE_COLUMNS, "extra"]), max_size=7))
+csv_edits = st.lists(st.tuples(st.integers(0, 39), st.sampled_from([*NATIVE_COLUMNS, "extra"]),
+                               st.sampled_from(ODD_CELLS)), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=csv_headers, n_rows=mostly(st.just(40), st.integers(0, 40)), edits=csv_edits)
+@example(header=list(NATIVE_COLUMNS), n_rows=40, edits=[(1, "seq", "inf")])
+@example(header=list(NATIVE_COLUMNS), n_rows=40, edits=[(1, "seq", "1e20")])
+def test_calibrate_on_any_measurement_file(header, n_rows, edits, synthesized):
+    """Exit 0 or 2, at most one ``error:`` line, and never a warning or a traceback.
+
+    The file is the first ``n_rows`` samples of a ``synth`` run under ``header``,
+    with each edit's cell replaced; a column the header does not name stays out.
+    """
+    scene_path, measurements = synthesized
+    with open(measurements) as fh:
+        rows = list(csv.DictReader(fh))[:n_rows]
+    for row, column, value in edits:
+        if row < len(rows):
+            rows[row][column] = value
+    table = [header, *([row.get(column, "") for column in header] for row in rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "measurements.csv")
+        with open(path, "w") as fh:
+            fh.write("".join(",".join(line) + "\n" for line in table))
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            rc = main(["calibrate", "--scene", scene_path, "--out", os.path.join(tmp, "out"),
+                       "--measurements", path])
+    event(f"exit {rc}")
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2)
+    assert len(lines) == (rc != 0) and all(line.startswith("error:") for line in lines)
+
+
+# perfbench/workloads.py runs every command with --threads.
+@pytest.mark.parametrize("command", ["build", "calibrate", "validate", "optimize", "evaluate",
+                                     "synth"])
+def test_every_command_accepts_threads(command, synthesized, tmp_path):
+    scene_path, measurements = synthesized
+    argv = [command, "--scene", scene_path, "--threads", "1", "--out", str(tmp_path / "out")]
+    if command in ("calibrate", "validate"):
+        argv += ["--measurements", measurements]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+
 @pytest.mark.parametrize("message, line", [
     ("Unable to allocate 14.6 TiB", "error: out of memory: Unable to allocate 14.6 TiB"),
     ("", "error: out of memory"),
@@ -841,5 +932,5 @@ def test_cli_import_loads_no_scipy(tiny_scene_path, tmp_path):
 def test_scene_load_imports_no_schema_library():
     """Every command's start-up, ``import airtwin.cli`` then loading a scene, stays light."""
     scene = os.path.join(os.path.dirname(SRC_DIR), "scenes", "demo_6cell.json")
-    code = f"import airtwin.cli; from airtwin.scene import load_scene; load_scene({scene!r})"
+    code = f"import airtwin.cli; airtwin.cli._load_scene_with_overrides({scene!r}, [])"
     assert loaded_packages(code, ("jsonschema", "referencing")) == []

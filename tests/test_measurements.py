@@ -10,7 +10,6 @@ from airtwin.measurements import (
     load_measurements,
     save_measurements,
 )
-from airtwin.scene import CylinderSpec
 
 
 def sample_set(n=20, seed=0):
@@ -64,13 +63,6 @@ class TestMeasurementSet:
         with pytest.raises(SceneValidationError, match="positions must all be finite"):
             load_measurements(path)
 
-    def test_region_validation(self):
-        region = CylinderSpec((0.0, 0.0), 10.0, 0.0, 10.0, 10.0)
-        with pytest.raises(SceneValidationError, match="region"):
-            MeasurementSet(seq=np.array([0]), positions=np.array([[50.0, 0.0, 5.0]]),
-                           cell_ids=np.asarray(["a"], dtype=object),
-                           rsrp_dbm=np.array([-80.0]), region=region)
-
     def test_subset_preserves_order(self):
         mset = sample_set()
         sub = mset.subset([3, 7, 11])
@@ -81,6 +73,12 @@ class TestMeasurementSet:
         path = tmp_path / "m.csv"
         path.write_text("seq,x_m,y_m,z_m,rsrp_dbm\n0,0,0,0,-80\n")
         with pytest.raises(SceneSchemaError, match="cell_id"):
+            load_measurements(path)
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n0,0,0,0,\xff,-80\n")
+        with pytest.raises(SceneSchemaError, match="cannot read measurement file"):
             load_measurements(path)
 
     def test_bad_value_reports_row(self, tmp_path):

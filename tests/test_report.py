@@ -19,6 +19,7 @@ from airtwin.spectrum import build_field
 from airtwin.antenna import Orientation
 
 from factories import simple_scene
+from oracles import replaced
 
 THR = CoverageThresholds()
 
@@ -184,8 +185,8 @@ class TestDifferenceHeatmap:
                              voxel_m=20.0, site_ring_m=100.0, tilt_bounds=(0.0, 15.0))
         grid = build_voxel_grid(scene.airspace)
         before_assign = BeamAssignment.baseline(scene)
-        after_assign = before_assign.replaced(
-            ("cell1", 0),
+        after_assign = replaced(
+            before_assign, ("cell1", 0),
             Orientation(before_assign.angle("cell1", 0).azimuth_deg + 10.0, 5.0))
         field_b = build_field(scene, grid, before_assign)
         field_a = build_field(scene, grid, after_assign)
@@ -237,8 +238,8 @@ class TestCompareReport:
     def test_deltas_match_recount(self, tiny):
         scene, grid = tiny
         _, sinr_b = sinr_for(scene)
-        optimized = BeamAssignment.baseline(scene).replaced(
-            ("cell0", 0), Orientation(180.0, 10.0))
+        optimized = replaced(BeamAssignment.baseline(scene),
+                             ("cell0", 0), Orientation(180.0, 10.0))
         field_a = build_field(scene, grid, optimized)
         sinr_a = sinr_from_field(field_a, scene.radio, 1.0)
         report = compare_report(sinr_b, sinr_a, THR)

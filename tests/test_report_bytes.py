@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from airtwin.cli import main
-from airtwin.scene import BeamAssignment, build_voxel_grid, save_assignment, save_scene
+from airtwin.scene import BeamAssignment, build_voxel_grid, save_assignment
 from factories import simple_scene
+from oracles import save_scene
 
 EXPECTED = pathlib.Path(__file__).with_name("report_bytes")
 

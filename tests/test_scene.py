@@ -23,15 +23,13 @@ from airtwin.scene import (
     SceneConfig,
     build_voxel_grid,
     load_assignment,
-    load_scene,
     save_assignment,
-    save_scene,
     scene_from_dict,
-    scene_to_dict,
 )
 from airtwin.antenna import AntennaPattern, Orientation, TablePattern
 
 from factories import DEMO_SCENE, demo_doc, simple_scene
+from oracles import load_scene, replaced, save_scene, scene_to_dict
 
 
 def mask_voxel_grid(spec: CylinderSpec):
@@ -319,7 +317,7 @@ class TestBeamAssignment:
 
     def test_out_of_bounds_rejected(self):
         scene = simple_scene()
-        bad = BeamAssignment.baseline(scene).replaced(("cell0", 0), Orientation(0.0, 89.0))
+        bad = replaced(BeamAssignment.baseline(scene), ("cell0", 0), Orientation(0.0, 89.0))
         with pytest.raises(BoundsError):
             bad.validate_for(scene)
 
@@ -327,8 +325,8 @@ class TestBeamAssignment:
         scene = simple_scene(candidate_step=(5.0, 5.0))
         key = ("cell0", 0)
         base_angle = scene.sub_beam(*key)[2].baseline
-        off = BeamAssignment.baseline(scene).replaced(
-            key, Orientation(base_angle.azimuth_deg + 2.5, base_angle.tilt_deg))
+        off = replaced(BeamAssignment.baseline(scene), key,
+                       Orientation(base_angle.azimuth_deg + 2.5, base_angle.tilt_deg))
         with pytest.raises(BoundsError):
             off.validate_for(scene, require_lattice=True)
         off.validate_for(scene, require_lattice=False)

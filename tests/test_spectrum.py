@@ -24,6 +24,7 @@ from airtwin.spectrum import (
     predict_at,
 )
 from factories import demo_doc, simple_scene, with_table_beam
+from oracles import contains, replaced
 
 C = 299_792_458.0
 
@@ -203,7 +204,7 @@ class TestSiteOnVoxelCenter:
         v = spec.voxel_m
         corner = [spec.center_m[0] - spec.radius_m + 0.5 * v,   # lattice (0, 0, 0)
                   spec.center_m[1] - spec.radius_m + 0.5 * v, spec.z_min_m + 0.5 * v]
-        assert not spec.contains(corner)
+        assert not contains(spec, corner)
         assert not np.any(np.all(self.grid.centers == corner, axis=1))
         field = build_field(site_at(self.scene, corner), self.grid,
                             BeamAssignment.baseline(self.scene))
@@ -226,7 +227,7 @@ class TestBuildField:
         grid = build_voxel_grid(scene.airspace)
         assignment = BeamAssignment.baseline(scene)
         shared = assignment.angle("cell0", 0)
-        assignment = assignment.replaced(("cell0", 1), shared)
+        assignment = replaced(assignment, ("cell0", 1), shared)
         field = build_field(scene, grid, assignment)
         # two equal rows: the max is either row, and the mW sum is twice it
         np.testing.assert_array_equal(field.cell_lin_mw[0],
@@ -336,7 +337,7 @@ class TestBuildField:
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         assert grid.count > 3 * kernels._CHUNK
         assignment = BeamAssignment.baseline(scene)
-        ev = _FieldEvaluator(scene, grid, ObjectiveWeights(), None, 1.0, 0.0, threads)
+        ev = _FieldEvaluator(scene, grid, ObjectiveWeights(), 1.0, 0.0, threads)
         ev.set_assignment(assignment)
         keys = scene.beam_keys()
         steps = [("s1c1", 0), ("s2c1", 0), ("s2c1", 6), ("s3c0", 3), ("s1c1", 0),
@@ -347,7 +348,7 @@ class TestBuildField:
             other = keys[(11 * i + 5) % len(keys)]   # apply must not reuse its context
             ev.candidate_deltas(other, scene.sub_beam(*other)[2].lattice()[:2])
             ev.apply(key, angle)
-            assignment = assignment.replaced(key, angle)
+            assignment = replaced(assignment, key, angle)
             assert ev.angles == assignment.angles
             field = build_field(scene, grid, assignment, threads=threads)
             assert field.cell_ids == ev.field.cell_ids

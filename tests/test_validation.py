@@ -26,12 +26,12 @@ from airtwin.validation import (
     fit_variogram,
     kriging_fit,
     kriging_predict,
-    kriging_weights,
     rmse,
     run_validation,
 )
 
 from factories import simple_scene
+from oracles import kriging_weights
 
 
 class TestFolds:
@@ -87,19 +87,20 @@ class TestErrorMetrics:
             rmse([])
 
     def test_cdf_single_error_step(self):
-        cdf = dict(error_cdf([2.0], grid=[1.0, 1.999, 2.0, 3.0]))
-        assert cdf[1.0] == 0.0 and cdf[1.999] == 0.0
-        assert cdf[2.0] == 1.0 and cdf[3.0] == 1.0
+        assert error_cdf([2.0]) == [(2.0, 1.0)]
 
     def test_cdf_counting(self):
-        cdf = dict(error_cdf([1.0, 2.0, 3.0], grid=[2.0]))
-        assert cdf[2.0] == pytest.approx(2.0 / 3.0)
+        # Right-continuous: each distinct magnitude counts every error up to it.
+        cdf = dict(error_cdf([1.0, 2.0, 3.0, 2.0]))
+        assert cdf == {1.0: 0.25, 2.0: 0.75, 3.0: 1.0}
 
     def test_cdf_nondecreasing_and_uses_abs(self):
         rng = np.random.default_rng(1)
         errors = rng.normal(0, 3, 500)
-        values = [p for _, p in error_cdf(errors, grid=np.linspace(0, 12, 200))]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        cdf = error_cdf(errors)
+        xs, values = zip(*cdf)
+        assert list(xs) == sorted(set(np.abs(errors).tolist()))
+        assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] == 1.0
 
     def test_cdf_empty(self):
@@ -229,8 +230,8 @@ class TestKriging:
                                np.full(30, 5.0)])
         mset = flat_set(pts, np.full(30, -77.25))
         model = kriging_fit(mset, layer_height_m=10.0)
-        out = kriging_predict(model, [((x, y, 5.0), "a")
-                                      for x, y in rng.uniform(0, 100, size=(10, 2))])
+        out, _ = kriging_predict(model, [((x, y, 5.0), "a")
+                                         for x, y in rng.uniform(0, 100, size=(10, 2))])
         np.testing.assert_allclose(out, -77.25, atol=1e-12)
 
     def test_duplicate_points_fit_proceeds(self):
@@ -238,7 +239,7 @@ class TestKriging:
                         [0.0, 10.0, 5.0], [10.0, 10.0, 5.0]])
         mset = flat_set(pts, [-80.0, -84.0, -70.0, -72.0, -74.0])
         model = kriging_fit(mset, layer_height_m=10.0)
-        out = kriging_predict(model, [((5.0, 5.0, 5.0), "a")])
+        out, _ = kriging_predict(model, [((5.0, 5.0, 5.0), "a")])
         assert np.isfinite(out[0])
 
     def _smooth_set(self, n=120, seed=3):
@@ -253,7 +254,7 @@ class TestKriging:
         mset = self._smooth_set()
         model = kriging_fit(mset, layer_height_m=10.0)
         points = [(tuple(p), "a") for p in mset.positions]
-        out = kriging_predict(model, points)
+        out, _ = kriging_predict(model, points)
         np.testing.assert_allclose(out, mset.rsrp_dbm, atol=1e-6)
 
     def test_weights_sum_to_one(self):
@@ -290,7 +291,7 @@ class TestKriging:
         b = np.array([gamma(np.linalg.norm(p - target)) for p in pts] + [1.0])
         weights = np.linalg.solve(a, b)[:5]
         expected = weights @ vals
-        got = kriging_predict(model, [((55.0, 45.0, 5.0), "a")])
+        got, _ = kriging_predict(model, [((55.0, 45.0, 5.0), "a")])
         assert got[0] == pytest.approx(expected, abs=1e-9)
 
     def test_groups_differing_in_one_value_are_each_fitted(self, monkeypatch):
@@ -332,8 +333,7 @@ class TestKriging:
                         [5.0, 5.0, 55.0]])   # one lonely sample at the top layer
         mset = flat_set(pts, [-80.0, -82.0, -84.0, -60.0])
         model = kriging_fit(mset, layer_height_m=10.0)
-        values, flags = kriging_predict(model, [((1.0, 1.0, 55.0), "a")],
-                                        return_flags=True)
+        values, flags = kriging_predict(model, [((1.0, 1.0, 55.0), "a")])
         assert flags[0]
         assert values[0] == pytest.approx(np.mean(mset.rsrp_dbm))
         assert model.unfittable == [(5, "a", 1)]
