@@ -12,6 +12,7 @@ path), 3 computation error (including running out of memory).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -21,14 +22,15 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import AirtwinError, InputError
+from .errors import AirtwinError, InputError, LayerError
 from .interference import build_sinr_field, export_sinr_csv, sinr_from_field
 from .measurements import load_measurements, save_measurements
 from .optimizer import ObjectiveWeights, greedy_optimize, save_trace
 from .report import (
     DEFAULT_HEATMAP_ALTITUDES_M,
+    CompareReport,
     compare_report,
-    coverage_ratios,
+    coverage_report,
     difference_heatmap,
     export_heatmap_csv,
     save_json_report,
@@ -160,11 +162,6 @@ def _fields_for(scene, grid, assignment, args):
     return field, sinr_from_field(field, scene.radio, args.activity_factor)
 
 
-def _sinr_for(scene, grid, assignment, args):
-    return build_sinr_field(scene, grid, assignment, args.offset_db, args.activity_factor,
-                            threads=args.threads)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -263,29 +260,28 @@ def cmd_evaluate(args) -> int:
     _write_manifest(args.out, "evaluate", args, overrides)
     mask = None if args.mask is None else _load_mask(args.mask)
     grid = build_voxel_grid(scene.airspace)
-    sinr = _sinr_for(scene, grid, assignment, args)
-    if args.compare_to is None:
-        report = coverage_ratios(sinr, scene.thresholds, mask)
+    others = () if args.compare_to is None else (_assignment_for(scene, args.compare_to),)
+    altitudes = []
+    for alt in DEFAULT_HEATMAP_ALTITUDES_M if others else ():
+        with contextlib.suppress(LayerError):   # no heatmap for an altitude outside the grid
+            grid.layer_indices(alt)
+            altitudes.append(alt)
+    counts, layers = build_sinr_field(scene, grid, (*others, assignment), scene.thresholds,
+                                      args.offset_db, args.activity_factor, mask=mask,
+                                      altitudes=altitudes, threads=args.threads)
+    *before, report = [coverage_report(grid, side) for side in counts]
+    if not others:
         save_json_report(report.to_json_dict(), os.path.join(args.out, "coverage_report.json"))
         print(f"strict RSRP {report.ratio('rsrp_strict'):.4f}, "
               f"joint basic {report.ratio('joint_basic'):.4f}")
         return EXIT_OK
 
-    other = _assignment_for(scene, args.compare_to)
-    sinr_o = _sinr_for(scene, grid, other, args)
-    report = compare_report(sinr_o, sinr, scene.thresholds, mask)
+    report = CompareReport(*before, report)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
-    for alt in DEFAULT_HEATMAP_ALTITUDES_M:
-        try:
-            layer_r = difference_heatmap(sinr_o.serving_rsrp_dbm, sinr.serving_rsrp_dbm,
-                                         grid, alt)
-            layer_s = difference_heatmap(sinr_o.sinr_db, sinr.sinr_db, grid, alt)
-        except AirtwinError:
-            continue
-        with open(os.path.join(args.out, f"heatmap_rsrp_{int(alt)}m.csv"), "w") as fh:
-            export_heatmap_csv(layer_r, fh)
-        with open(os.path.join(args.out, f"heatmap_sinr_{int(alt)}m.csv"), "w") as fh:
-            export_heatmap_csv(layer_s, fh)
+    for alt, sides in zip(altitudes, layers):
+        for q, name in enumerate(("rsrp", "sinr")):
+            with open(os.path.join(args.out, f"heatmap_{name}_{int(alt)}m.csv"), "w") as fh:
+                export_heatmap_csv(difference_heatmap(sides[0, q], sides[1, q], grid, alt), fh)
     print(f"strict RSRP ratio {report.before.ratio('rsrp_strict'):.4f} -> "
           f"{report.after.ratio('rsrp_strict'):.4f}")
     return EXIT_OK

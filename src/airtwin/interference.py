@@ -13,10 +13,11 @@ which is algebraically serving - 10 log10(I + N) but keeps the single-cell
 case exact (I = 0 gives SINR = RSRP - noise floor with no rounding) and makes
 "more interference never raises SINR" hold in floating point.
 
-``build_sinr_field`` streams an assignment's SINR field one voxel chunk at a
-time and never holds the (cells, voxels) RadioField; ``sinr_from_field``
-derives it from a RadioField that a caller keeps anyway (``build`` exports
-it, ``optimize`` scores changes to it). Both end in ``assemble_sinr``.
+``build_sinr_field`` streams assignments one voxel chunk at a time into
+per-layer coverage counts and a few heatmap layers, and never holds a
+per-voxel array over the grid; ``sinr_from_field`` derives a SinrField from a
+RadioField a caller keeps anyway (``build`` exports it, ``optimize`` scores
+changes to it). Both end in ``assemble_sinr``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import _csv, kernels
 from .errors import EmptySetError
-from .scene import BeamAssignment, RadioConstants, SceneConfig, VoxelGrid
+from .report import CRITERIA, layer_counts, selection
+from .scene import CoverageThresholds, RadioConstants, SceneConfig, VoxelGrid
 from .spectrum import RadioField, cell_fold
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -114,39 +116,53 @@ def sinr_from_field(field: RadioField, radio: RadioConstants,
                      serving_rsrp_dbm=serving_dbm, sinr_db=sinr)
 
 
-def build_sinr_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
-                     offset_db: float = 0.0, activity_factor: float = 1.0, *,
-                     threads: int = 1) -> SinrField:
-    """The SINR field of ``assignment``, streamed one voxel chunk at a time.
+def build_sinr_field(scene: SceneConfig, grid: VoxelGrid, assignments,
+                     thresholds: CoverageThresholds, offset_db: float = 0.0,
+                     activity_factor: float = 1.0, *, mask=None, altitudes=(),
+                     threads: int = 1):
+    """``(counts, layers)`` of each of ``assignments``, streamed one voxel chunk at a time.
 
-    Each task takes one ``kernels.chunks`` chunk: it runs ``build_field``'s
-    fold, ``spectrum.cell_fold``, into chunk-sized (cells, chunk) cell max
-    and mW buffers, runs ``assemble_sinr`` on them and writes the chunk's
-    slice of the three outputs. So no (cells, voxels) array is ever made.
-    Every step is elementwise per voxel and the chunks do not depend on
-    ``threads``, so the result equals ``sinr_from_field`` of ``build_field``
-    bit for bit.
+    ``counts[a]`` is assignment ``a``'s ``report.layer_counts`` over the grid,
+    and ``layers[j][a]`` its serving RSRP and SINR in the layer of
+    ``altitudes[j]``, a (2, layer size) array. Each ``kernels.chunks`` chunk
+    folds one assignment after another from one geometry per site
+    (``spectrum.cell_fold``) into one set of reused buffers, each assignment
+    run through ``assemble_sinr`` and counted, the ``mask`` selection ANDed
+    in, before the next. Counts are integers and every other step is
+    elementwise per voxel, so every number equals what ``report`` computes
+    from ``sinr_from_field`` of ``build_field``, bit for bit, for any ``threads``.
     """
-    assignment.validate_for(scene, require_lattice=False)
+    for assignment in assignments:
+        assignment.validate_for(scene, require_lattice=False)
     check_activity_factor(activity_factor)
-    fold = cell_fold(scene, assignment, offset_db, scene.cell_ids)
+    selected = None if mask is None else selection(mask, grid.count)
+    fold = cell_fold(scene, assignments, offset_db, scene.cell_ids)
     noise_floor = noise_floor_dbm(scene.radio)
-    n_cells, points = len(scene.cell_ids), grid.centers
-    serving = np.empty(grid.count, dtype=np.int_)
-    serving_dbm = np.empty(grid.count, dtype=np.float64)
-    sinr = np.empty(grid.count, dtype=np.float64)
+    spans = [(idx[0], idx[-1] + 1) for idx in map(grid.layer_indices, altitudes)]
+    layers = [np.empty((len(assignments), 2, stop - start)) for start, stop in spans]
+    tasks = kernels.chunks(grid.count)
+    threads = max(1, min(threads, len(tasks)))
+    counts = np.zeros((threads, len(assignments), 1 + len(CRITERIA), grid.layer_z.size), np.int64)
 
-    def work(chunk):
-        lo, hi = chunk
-        cell_rsrp = np.empty((n_cells, hi - lo), dtype=np.float64)
-        cell_lin = np.empty_like(cell_rsrp)
-        fold(points[lo:hi], cell_rsrp, cell_lin)
-        serving[lo:hi], serving_dbm[lo:hi], sinr[lo:hi] = assemble_sinr(
-            cell_rsrp, cell_lin, noise_floor, activity_factor)
+    def work(t):   # thread t's chunks and counts, in one set of chunk buffers
+        lo, hi = tasks[t]   # its largest chunk
+        buffers = np.empty((2, len(scene.cell_ids), hi - lo))
+        for lo, hi in tasks[t::threads]:
+            cell_rsrp, cell_lin = buffers[..., :hi - lo]
+            for a in fold(grid.centers[lo:hi], cell_rsrp, cell_lin):
+                _, serving_dbm, sinr = assemble_sinr(cell_rsrp, cell_lin, noise_floor,
+                                                     activity_factor)
+                k, chunk_counts = layer_counts(grid, lo, serving_dbm, sinr, thresholds,
+                                               None if selected is None else selected[lo:hi])
+                counts[t, a, :, k:k + chunk_counts.shape[1]] += chunk_counts
+                for (start, stop), layer in zip(spans, layers):
+                    first, last = max(start, lo), min(stop, hi)
+                    if first < last:
+                        layer[a, 0, first - start:last - start] = serving_dbm[first - lo:last - lo]
+                        layer[a, 1, first - start:last - start] = sinr[first - lo:last - lo]
 
-    kernels.run_tasks(work, kernels.chunks(grid.count), threads)
-    return SinrField(grid=grid, cell_ids=scene.cell_ids, serving_index=serving,
-                     serving_rsrp_dbm=serving_dbm, sinr_db=sinr)
+    kernels.run_tasks(work, range(threads), threads)
+    return counts.sum(axis=0), layers
 
 
 def export_sinr_csv(sinr_field: SinrField, fh) -> None:

@@ -142,7 +142,11 @@ def load_measurements(path, mapping=None) -> MeasurementSet:
                     y = float(row[columns["y_m"]])
                     z = float(row[columns["z_m"]])
                     value = float(row[columns["rsrp_dbm"]])
-                    s = float(row[columns["seq"]]) if has_seq else i
+                    s = row[columns["seq"]] if has_seq else i
+                    try:
+                        s = int(s)   # exact past 2^53, where a float is not
+                    except ValueError:
+                        s = float(s)   # integral text such as 3.0 or 1e3
                 except (TypeError, ValueError) as exc:
                     raise SceneSchemaError(
                         f"{path}: bad numeric value on data row {i + 1}: {exc}"

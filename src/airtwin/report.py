@@ -6,8 +6,9 @@ covered only if it satisfies the RSRP and SINR thresholds simultaneously.
 Threshold comparisons use >= throughout.
 
 Per-layer ratios read the grid's layer table: every altitude layer is one
-contiguous index range, so ``np.add.reduceat`` over the layer starts counts
-a criterion's flags in every layer in one pass over the full arrays. A
+contiguous index range, so ``layer_counts`` counts a criterion's flags in
+every layer a run of voxels meets with one ``np.add.reduceat``, for a whole
+SinrField or for each chunk ``interference.build_sinr_field`` streams. A
 ``mask`` may pick any voxels: it becomes one boolean selection ANDed into
 the flags, and a layer it leaves empty is omitted.
 """
@@ -16,13 +17,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _csv
 from .errors import DimensionError
-from .interference import SinrField
 from .scene import CoverageThresholds, VoxelGrid
+
+if TYPE_CHECKING:
+    from .interference import SinrField
 
 DEFAULT_HEATMAP_ALTITUDES_M = (50.0, 150.0, 300.0, 450.0)
 
@@ -67,6 +71,40 @@ class CoverageReport(_Counts):
         }
 
 
+def layer_counts(grid: VoxelGrid, lo: int, serving_rsrp_dbm, sinr_db,
+                 thresholds: CoverageThresholds, selected=None):
+    """``(k, counts)`` over voxels ``lo`` to ``lo + len(sinr_db)``, per altitude layer.
+
+    ``selected`` is their slice of a mask's ``selection`` (None: all). Column
+    j of the int64 (1 + len(CRITERIA), layers) ``counts`` is layer ``k + j``:
+    row 0 counts its selected voxels, row 1 + i those meeting criterion i.
+    """
+    hi = lo + len(sinr_db)
+    bounds = grid.layer_bounds
+    k = int(np.searchsorted(bounds, lo, side="right")) - 1
+    edges = np.clip(bounds[k:np.searchsorted(bounds, hi) + 1], lo, hi) - lo
+    starts = edges[:-1]   # each layer met is a non-empty contiguous range
+    n = np.diff(edges) if selected is None else np.add.reduceat(selected, starts, dtype=np.int64)
+    counts = [n]
+    for test in CRITERIA.values():
+        flags = test(serving_rsrp_dbm, sinr_db, thresholds)
+        if selected is not None:
+            flags &= selected
+        counts.append(np.add.reduceat(flags, starts, dtype=np.int64))
+    return k, np.stack(counts)
+
+
+def coverage_report(grid: VoxelGrid, counts) -> CoverageReport:
+    """The report of a ``layer_counts`` array over every layer of ``grid``."""
+    n, *met = counts
+    layers = tuple(
+        LayerCoverage(z_m=float(grid.layer_z[k]), n_voxels=int(n[k]),
+                      counts={name: int(count[k]) for name, count in zip(CRITERIA, met)})
+        for k in np.flatnonzero(n))
+    return CoverageReport(n_voxels=int(n.sum()), layers=layers,
+                          counts={name: int(count.sum()) for name, count in zip(CRITERIA, met)})
+
+
 def coverage_ratios(sinr: SinrField, thresholds: CoverageThresholds,
                     mask=None) -> CoverageReport:
     """Threshold satisfaction ratios, aggregate and per altitude layer.
@@ -74,30 +112,14 @@ def coverage_ratios(sinr: SinrField, thresholds: CoverageThresholds,
     ``mask`` optionally restricts the computation to a subset of voxel indices
     (e.g. voxels along measured flight routes); each index may appear once.
     """
-    grid = sinr.grid
-    starts = grid.layer_bounds[:-1]   # every layer is a non-empty contiguous range
-    if mask is None:
-        selected = None
-        n = np.diff(grid.layer_bounds)
-    else:
-        selected = _selection(np.asarray(mask, dtype=np.int64), grid.count)
-        n = np.add.reduceat(selected, starts, dtype=np.int64)
-    counts = {}
-    for name, test in CRITERIA.items():
-        flags = test(sinr.serving_rsrp_dbm, sinr.sinr_db, thresholds)
-        if selected is not None:
-            flags &= selected
-        counts[name] = np.add.reduceat(flags, starts, dtype=np.int64)
-    layers = tuple(
-        LayerCoverage(z_m=float(grid.layer_z[k]), n_voxels=int(n[k]),
-                      counts={name: int(count[k]) for name, count in counts.items()})
-        for k in np.flatnonzero(n))
-    return CoverageReport(n_voxels=int(n.sum()), layers=layers,
-                          counts={name: int(count.sum()) for name, count in counts.items()})
+    selected = None if mask is None else selection(mask, sinr.grid.count)
+    return coverage_report(sinr.grid, layer_counts(sinr.grid, 0, sinr.serving_rsrp_dbm,
+                                                   sinr.sinr_db, thresholds, selected)[1])
 
 
-def _selection(idx: np.ndarray, count: int) -> np.ndarray:
+def selection(mask, count: int) -> np.ndarray:
     """The voxels a mask of indices picks, as a (count,) boolean array."""
+    idx = np.asarray(mask, dtype=np.int64)
     if idx.size == 0:
         raise DimensionError("voxel mask selects no voxels")
     if idx.min() < 0 or idx.max() >= count:
@@ -122,20 +144,18 @@ class HeatmapLayer:
 
 
 def difference_heatmap(before, after, grid: VoxelGrid, altitude_m: float) -> HeatmapLayer:
-    """Per-voxel (after - before) for the layer containing ``altitude_m``."""
+    """(after - before) on the layer containing ``altitude_m``, from that layer's values."""
+    idx = grid.layer_indices(altitude_m)
     before = np.asarray(before, dtype=float)
     after = np.asarray(after, dtype=float)
-    if before.shape != (grid.count,) or after.shape != (grid.count,):
+    if before.shape != idx.shape or after.shape != idx.shape:
         raise DimensionError(
-            f"per-voxel arrays must have shape ({grid.count},), "
-            f"got {before.shape} and {after.shape}"
-        )
-    idx = grid.layer_indices(altitude_m)
+            f"layer values must have shape {idx.shape}, got {before.shape} and {after.shape}")
     return HeatmapLayer(
         z_m=float(grid.centers[idx[0], 2]),
         x_m=grid.centers[idx, 0].copy(),
         y_m=grid.centers[idx, 1].copy(),
-        delta_db=after[idx] - before[idx],
+        delta_db=after - before,
     )
 
 

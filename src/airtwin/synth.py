@@ -72,19 +72,19 @@ def clip_to_airspace(points: np.ndarray, airspace: CylinderSpec) -> tuple[np.nda
 
 def synthesize_measurements(scene: SceneConfig, assignment, trajectory: np.ndarray,
                             sigma_db: float, seed: int, offset_db: float = 0.0,
-                            cells: str = "all", warn=None) -> MeasurementSet:
+                            cells: str = "all") -> MeasurementSet:
     """Twin predictions along a trajectory plus seeded Gaussian noise.
 
     ``cells`` is "all" (one sample per cell per point) or "serving" (the
     best cell only). Out-of-airspace trajectory points are clipped with a
-    warning through ``warn`` (defaults to stderr).
+    warning on stderr.
     """
     if not (math.isfinite(sigma_db) and sigma_db >= 0):
         raise InputError(f"noise sigma_db must be finite and >= 0, got {sigma_db}")
     trajectory, n_clipped = clip_to_airspace(trajectory, scene.airspace)
-    if n_clipped and warn is not False:
-        message = f"warning: clipped {n_clipped} trajectory point(s) to the airspace"
-        (warn or (lambda m: print(m, file=sys.stderr)))(message)
+    if n_clipped:
+        print(f"warning: clipped {n_clipped} trajectory point(s) to the airspace",
+              file=sys.stderr)
 
     cell_ids = scene.cell_ids
     points = []

@@ -73,10 +73,10 @@ def block_holdout_folds(measurements, train_fraction: float = 0.7,
                         n_folds: int = 3) -> list[FoldSpec]:
     """Contiguous shifted test segments: fold k tests rows [k*L, k*L + L).
 
-    L = floor(N * (1 - train_fraction)); the final fold is clipped to the end.
-    Accepts a MeasurementSet or a plain sample count.
+    L = floor(N * (1 - train_fraction)), N = ``len(measurements)``; the final
+    fold is clipped to the end.
     """
-    n = measurements if isinstance(measurements, int) else len(measurements)
+    n = len(measurements)
     if n < 10:
         raise SizeError(f"need at least 10 samples for block hold-out, got {n}")
     if not 0.0 < train_fraction < 1.0:

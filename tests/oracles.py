@@ -14,7 +14,7 @@ import numpy as np
 
 from airtwin.antenna import AntennaPattern, Orientation
 from airtwin.errors import InputError, SceneValidationError
-from airtwin.interference import build_sinr_field
+from airtwin.interference import sinr_from_field
 from airtwin.optimizer import ObjectiveWeights, _same_angle, score_fields
 from airtwin.scene import (
     BeamAssignment,
@@ -25,6 +25,7 @@ from airtwin.scene import (
     read_json,
     scene_from_dict,
 )
+from airtwin.spectrum import build_field
 from airtwin.validation import KrigingModel, _kriging_system, _layer_bin
 
 
@@ -36,10 +37,10 @@ def objective(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
               weights: ObjectiveWeights, thresholds: CoverageThresholds | None = None,
               *, activity_factor: float = 1.0, offset_db: float = 0.0,
               threads: int = 1) -> float:
-    """Full-path objective: stream the SINR field, then score."""
+    """Full-path objective: build the field and its SINR, then score."""
     thresholds = thresholds or scene.thresholds
-    sinr_field = build_sinr_field(scene, grid, assignment, offset_db, activity_factor,
-                                  threads=threads)
+    field = build_field(scene, grid, assignment, offset_db, threads=threads)
+    sinr_field = sinr_from_field(field, scene.radio, activity_factor)
     return score_fields(sinr_field.serving_rsrp_dbm, sinr_field.sinr_db,
                         weights, thresholds)
 

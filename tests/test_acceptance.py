@@ -213,7 +213,7 @@ def _smooth_flat_dataset(seed=21):
     trajectory = lawnmower_trajectory(scene.airspace, altitudes_m=[15.0],
                                       line_spacing_m=40.0, step_m=25.0)
     mset = synthesize_measurements(scene, assignment, trajectory, sigma_db=1.0,
-                                   seed=seed, warn=False)
+                                   seed=seed)
     return scene, assignment, mset
 
 
@@ -250,7 +250,7 @@ def test_criterion_7_kriging_suite():
 def test_criterion_8_block_holdout_structure():
     with _Budget(8, "block hold-out structure", 1.0):
         for n in (10, 100, 1000):
-            folds = block_holdout_folds(n, train_fraction=0.7, n_folds=3)
+            folds = block_holdout_folds(range(n), train_fraction=0.7, n_folds=3)
             expected = int(np.floor(0.3 * n))
             for k, fold in enumerate(folds):
                 assert fold.test_start == k * expected

@@ -102,6 +102,20 @@ class TestMeasurementSet:
         with pytest.raises(SceneValidationError, match=f"m.csv: data row 2: {message}"):
             load_measurements(path)
 
+    @pytest.mark.parametrize("seqs, expected", [
+        # past 2^53 a float cannot tell these apart
+        (("9007199254740992", "9007199254740993"), [2 ** 53, 2 ** 53 + 1]),
+        # the largest int64, which a float rounds up to 2^63
+        (("0", "9223372036854775807"), [0, 2 ** 63 - 1]),
+        # integral text in float form stays accepted
+        (("3.0", "1e3"), [3, 1000]),
+    ])
+    def test_seq_read_exactly(self, seqs, expected, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n"
+                        + "".join(f"{s},0,0,5,a,-80\n" for s in seqs))
+        assert load_measurements(path).seq.tolist() == expected
+
     def test_values_at_their_bounds_load(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n"

@@ -162,13 +162,13 @@ class TestCoverageRatios:
 class TestDifferenceHeatmap:
     def test_identical_fields_zero(self, tiny):
         scene, grid = tiny
-        values = np.linspace(-90, -60, grid.count)
+        values = np.linspace(-90, -60, grid.layer_indices(10.0).size)
         layer = difference_heatmap(values, values, grid, altitude_m=10.0)
         np.testing.assert_array_equal(layer.delta_db, 0.0)
 
     def test_constant_offset(self, tiny):
         scene, grid = tiny
-        values = np.linspace(-90, -60, grid.count)
+        values = np.linspace(-90, -60, grid.layer_indices(30.0).size)
         layer = difference_heatmap(values, values + 3.0, grid, altitude_m=30.0)
         np.testing.assert_allclose(layer.delta_db, 3.0)
 
@@ -177,6 +177,12 @@ class TestDifferenceHeatmap:
         values = np.zeros(grid.count)
         with pytest.raises(LayerError):
             difference_heatmap(values, values, grid, altitude_m=500.0)
+
+    def test_values_of_another_shape_rejected(self, tiny):
+        scene, grid = tiny
+        values = np.zeros(grid.count)   # the whole grid, not the layer
+        with pytest.raises(DimensionError, match="layer values"):
+            difference_heatmap(values, values, grid, altitude_m=10.0)
 
     def test_untouched_region_zero_when_one_cell_moves(self):
         # two far-apart cells; steering cell1 leaves voxels where its sub-beam
@@ -198,9 +204,10 @@ class TestDifferenceHeatmap:
         assert np.any(unchanged), "expected a floor region where the move is invisible"
         layer_idx = grid.layer_indices(10.0)
         sel = unchanged[layer_idx]
-        heat_rsrp = difference_heatmap(sinr_b.serving_rsrp_dbm, sinr_a.serving_rsrp_dbm,
+        heat_rsrp = difference_heatmap(sinr_b.serving_rsrp_dbm[layer_idx],
+                                       sinr_a.serving_rsrp_dbm[layer_idx], grid, 10.0)
+        heat_sinr = difference_heatmap(sinr_b.sinr_db[layer_idx], sinr_a.sinr_db[layer_idx],
                                        grid, 10.0)
-        heat_sinr = difference_heatmap(sinr_b.sinr_db, sinr_a.sinr_db, grid, 10.0)
         np.testing.assert_array_equal(heat_rsrp.delta_db[sel], 0.0)
         np.testing.assert_array_equal(heat_sinr.delta_db[sel], 0.0)
         # and the recomputation oracle for the whole layer
@@ -209,7 +216,7 @@ class TestDifferenceHeatmap:
 
     def test_export_format(self, tiny):
         scene, grid = tiny
-        values = np.zeros(grid.count)
+        values = np.zeros(grid.layer_indices(10.0).size)
         layer = difference_heatmap(values, values, grid, 10.0)
         buf = io.StringIO()
         export_heatmap_csv(layer, buf)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import math
@@ -8,13 +9,21 @@ import warnings
 import numpy as np
 import pytest
 
-from airtwin import kernels
+from airtwin import kernels, report
 from airtwin.antenna import AntennaPattern, Orientation, TablePattern, gain, wrap_angle_deg
+from airtwin.cli import main
 from airtwin.errors import EmptySetError, SingularityError
 from airtwin.interference import build_sinr_field, sinr_from_field
 from airtwin.kernels import linear_mw
 from airtwin.optimizer import ObjectiveWeights, _FieldEvaluator
-from airtwin.scene import BeamAssignment, CylinderSpec, build_voxel_grid, scene_from_dict
+from airtwin.report import CRITERIA
+from airtwin.scene import (
+    BeamAssignment,
+    CylinderSpec,
+    build_voxel_grid,
+    save_assignment,
+    scene_from_dict,
+)
 from airtwin.spectrum import (
     beam_rsrp,
     build_field,
@@ -23,7 +32,7 @@ from airtwin.spectrum import (
     fspl_db,
     predict_at,
 )
-from factories import demo_doc, simple_scene, with_table_beam
+from factories import DEMO_SCENE, demo_doc, simple_scene, with_table_beam
 from oracles import contains, replaced
 
 C = 299_792_458.0
@@ -478,8 +487,21 @@ def tied_interleaved_demo():
                                              *scene.sites[1:]))
 
 
+def layer_oracle(sinr, thresholds, selected):
+    """``report.layer_counts`` of a whole SinrField, one layer and criterion at a time."""
+    grid = sinr.grid
+    counts = np.zeros((1 + len(CRITERIA), len(grid.layer_z)), dtype=np.int64)
+    for k, z in enumerate(grid.layer_z):
+        idx = grid.layer_indices(z)
+        counts[0, k] = np.count_nonzero(selected[idx])
+        for row, test in enumerate(CRITERIA.values(), 1):
+            met = test(sinr.serving_rsrp_dbm[idx], sinr.sinr_db[idx], thresholds)
+            counts[row, k] = np.count_nonzero(met & selected[idx])
+    return counts
+
+
 class TestStreamedSinrField:
-    """``build_sinr_field`` streams each voxel chunk from the fold to its SINR."""
+    """``build_sinr_field`` streams each voxel chunk from the fold to its counts."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("make_scene", [interleaved_demo, tied_interleaved_demo])
@@ -489,39 +511,95 @@ class TestStreamedSinrField:
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         assert grid.count > 3 * kernels._CHUNK
         baseline = BeamAssignment.baseline(scene)
-        for assignment in (baseline, seeded_assignment(scene, 6)):
-            field = build_field(scene, grid, assignment, 1.5, threads=threads)
-            if make_scene is tied_interleaved_demo and assignment is baseline:
-                a, b = scene.cell_ids.index("s1c1"), scene.cell_ids.index("s3c0")
-                top = field.cell_rsrp_dbm.max(axis=0)
-                assert np.any(field.cell_rsrp_dbm[b] == top)   # the tie is reached
-                assert np.array_equal(field.cell_rsrp_dbm[a], field.cell_rsrp_dbm[b])
-            expected = sinr_from_field(field, scene.radio, 0.5)
-            got = build_sinr_field(scene, grid, assignment, 1.5, 0.5, threads=threads)
-            assert got.grid is grid and got.cell_ids == expected.cell_ids
-            for name in ("serving_index", "serving_rsrp_dbm", "sinr_db"):
-                want, have = getattr(expected, name), getattr(got, name)
-                assert have.dtype == want.dtype, name
-                assert have.tobytes() == want.tobytes(), name
+        assignments = (baseline, seeded_assignment(scene, 6))
+        if make_scene is tied_interleaved_demo:
+            field = build_field(scene, grid, baseline)
+            a, b = scene.cell_ids.index("s1c1"), scene.cell_ids.index("s3c0")
+            top = field.cell_rsrp_dbm.max(axis=0)
+            assert np.any(field.cell_rsrp_dbm[b] == top)   # the tie is reached
+            assert np.array_equal(field.cell_rsrp_dbm[a], field.cell_rsrp_dbm[b])
+        expected = [sinr_from_field(build_field(scene, grid, a, 1.5, threads=threads),
+                                    scene.radio, 0.5) for a in assignments]
+        altitudes = (50.0, 150.0)
+        mask = np.random.default_rng(8).permutation(grid.count)[:grid.count // 3]
+        for selected, m in ((np.ones(grid.count, dtype=bool), None),
+                            (report.selection(mask, grid.count), mask)):
+            counts, layers = build_sinr_field(scene, grid, assignments, scene.thresholds, 1.5,
+                                              0.5, mask=m, altitudes=altitudes, threads=threads)
+            assert counts.dtype == np.int64 and len(layers) == len(altitudes)
+            for a, want in enumerate(expected):
+                assert np.array_equal(counts[a], layer_oracle(want, scene.thresholds, selected))
+                for altitude, layer in zip(altitudes, layers):
+                    idx = grid.layer_indices(altitude)
+                    assert layer[a, 0].tobytes() == want.serving_rsrp_dbm[idx].tobytes()
+                    assert layer[a, 1].tobytes() == want.sinr_db[idx].tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_never_allocates_a_cell_by_voxel_array(self, monkeypatch, threads):
-        scene = scene_from_dict(demo_doc(radius_m=200.0, z_max_m=300.0, voxel_m=15.0))
+        scene = scene_from_dict(demo_doc(radius_m=300.0, z_max_m=300.0, voxel_m=10.0))
         grid = build_voxel_grid(scene.airspace)
-        # Each thread holds about 260 B per chunk voxel; small chunks keep
-        # that well apart from the 48 B per grid voxel of a (cells, N) array.
+        # A compare of this 6-cell scene holds, besides its 1 B per voxel mask
+        # selection and its heatmap layer, about 300 B per chunk voxel in each
+        # running task: at 499-voxel chunks, well below one (N,) float64.
         monkeypatch.setattr(kernels, "_CHUNK", 499)
-        assert grid.count > 10_000 and grid.count > 3 * kernels._CHUNK
-        assignment = seeded_assignment(scene, 7)
-        cells_by_voxels = len(scene.cell_ids) * grid.count * 8
+        assert grid.count > 80_000
+        assignments = (BeamAssignment.baseline(scene), seeded_assignment(scene, 7))
+        mask = np.arange(0, grid.count, 2)
         tracemalloc.start()
         try:
-            sinr = build_sinr_field(scene, grid, assignment, threads=threads)
+            counts, layers = build_sinr_field(scene, grid, assignments, scene.thresholds,
+                                              mask=mask, altitudes=(150.0,), threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = sinr.serving_index.nbytes + sinr.serving_rsrp_dbm.nbytes + sinr.sinr_db.nbytes
-        assert peak - outputs < cells_by_voxels
+        assert counts[:, 0].sum() == 2 * mask.size
+        assert peak < grid.count * 8
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_evaluate_writes_the_reports_of_build_field(self, tmp_path, monkeypatch, demo,
+                                                        threads, masked):
+        scene, grid = demo
+        monkeypatch.setattr(kernels, "_CHUNK", 997)   # chunks split layers
+        assert np.any(grid.layer_bounds % kernels._CHUNK)
+        before, after = seeded_assignment(scene, 9), seeded_assignment(scene, 10)
+        save_assignment(before, tmp_path / "before.json")
+        save_assignment(after, tmp_path / "after.json")
+        mask = np.random.default_rng(11).permutation(grid.count)[:grid.count // 2]
+        mask = mask[mask >= grid.layer_bounds[1]] if masked else None   # layer 0 left out
+        flags = ["--offset-db", "1.5", "--activity-factor", "0.5", "--threads", str(threads)]
+        if masked:
+            np.savetxt(tmp_path / "mask.txt", mask, fmt="%d")
+            flags += ["--mask", str(tmp_path / "mask.txt")]
+        sinr_before, sinr_after = (
+            sinr_from_field(build_field(scene, grid, a, 1.5), scene.radio, 0.5)
+            for a in (before, after))
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        report.save_json_report(
+            report.coverage_ratios(sinr_after, scene.thresholds, mask).to_json_dict(),
+            expected / "coverage_report.json")
+        report.save_json_report(
+            report.compare_report(sinr_before, sinr_after, scene.thresholds,
+                                  mask).to_json_dict(), expected / "compare_report.json")
+        for altitude in (50.0, 150.0, 300.0):
+            idx = grid.layer_indices(altitude)
+            for name in ("serving_rsrp_dbm", "sinr_db"):
+                layer = report.difference_heatmap(getattr(sinr_before, name)[idx],
+                                                  getattr(sinr_after, name)[idx], grid, altitude)
+                prefix = "heatmap_rsrp" if name == "serving_rsrp_dbm" else "heatmap_sinr"
+                with open(expected / f"{prefix}_{int(altitude)}m.csv", "w") as fh:
+                    report.export_heatmap_csv(layer, fh)
+        common = ["evaluate", "--scene", str(DEMO_SCENE), "--assignment",
+                  str(tmp_path / "after.json"), *flags]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*common, "--out", str(tmp_path / "one")]) == 0
+            assert main([*common, "--compare-to", str(tmp_path / "before.json"),
+                         "--out", str(tmp_path / "two")]) == 0
+        written = {path.name: path.read_bytes()
+                   for out in ("one", "two") for path in (tmp_path / out).iterdir()
+                   if path.name != "manifest.json"}
+        assert written == {path.name: path.read_bytes() for path in expected.iterdir()}
 
 
 class TestPredictAt:

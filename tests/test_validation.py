@@ -36,16 +36,16 @@ from oracles import kriging_weights
 
 class TestFolds:
     def test_n100_intervals(self):
-        folds = block_holdout_folds(100)
+        folds = block_holdout_folds(range(100))
         assert [(f.test_start, f.test_stop) for f in folds] == [(0, 30), (30, 60), (60, 90)]
 
     def test_n10_lengths(self):
-        folds = block_holdout_folds(10)
+        folds = block_holdout_folds(range(10))
         assert all(f.test_stop - f.test_start == 3 for f in folds)
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 101, 997])
     def test_formula_and_union(self, n):
-        folds = block_holdout_folds(n)
+        folds = block_holdout_folds(range(n))
         expected_len = int(np.floor(0.3 * n))
         for f in folds:
             got_len = f.test_stop - f.test_start
@@ -56,13 +56,13 @@ class TestFolds:
         assert starts == [k * expected_len for k in range(3)]
 
     def test_disjoint_tests(self):
-        folds = block_holdout_folds(100)
+        folds = block_holdout_folds(range(100))
         all_test = np.concatenate([f.test_indices for f in folds])
         assert len(np.unique(all_test)) == len(all_test)
 
     def test_too_small_rejected(self):
         with pytest.raises(SizeError):
-            block_holdout_folds(9)
+            block_holdout_folds(range(9))
 
     def test_accepts_measurement_set(self):
         mset = MeasurementSet(seq=np.arange(20), positions=np.zeros((20, 3)),
@@ -411,8 +411,16 @@ class TestRunValidation:
         else:
             trajectory = helix_trajectory(scene.airspace, n_points=n_points, turns=4.0)
         mset = synthesize_measurements(scene, assignment, trajectory, sigma_db=noise,
-                                       seed=seed, warn=False)
+                                       seed=seed)
         return scene, assignment, mset
+
+    def test_clipped_trajectory_warns_on_stderr(self, capsys):
+        scene, assignment, _ = self._dataset(noise=0.0, n_points=10)
+        outside = np.array([[0.0, 0.0, 50.0], [500.0, 0.0, 50.0], [0.0, 0.0, 1e4]])
+        mset = synthesize_measurements(scene, assignment, outside, sigma_db=0.0, seed=0)
+        assert len(mset) == 3 * len(scene.cell_ids)
+        assert capsys.readouterr().err == (
+            "warning: clipped 2 trajectory point(s) to the airspace\n")
 
     def test_oracle_predictor_zero_rmse(self):
         scene, assignment, mset = self._dataset(noise=0.0)
