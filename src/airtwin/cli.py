@@ -12,7 +12,6 @@ path), 3 computation error (including running out of memory).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -22,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import AirtwinError, InputError, LayerError
+from .errors import AirtwinError, InputError
 from .interference import build_sinr_field, export_sinr_csv, sinr_from_field
 from .measurements import load_measurements, save_measurements
 from .optimizer import ObjectiveWeights, greedy_optimize, save_trace
@@ -261,14 +260,9 @@ def cmd_evaluate(args) -> int:
     mask = None if args.mask is None else _load_mask(args.mask)
     grid = build_voxel_grid(scene.airspace)
     others = () if args.compare_to is None else (_assignment_for(scene, args.compare_to),)
-    altitudes = []
-    for alt in DEFAULT_HEATMAP_ALTITUDES_M if others else ():
-        with contextlib.suppress(LayerError):   # no heatmap for an altitude outside the grid
-            grid.layer_indices(alt)
-            altitudes.append(alt)
-    counts, layers = build_sinr_field(scene, grid, (*others, assignment), scene.thresholds,
-                                      args.offset_db, args.activity_factor, mask=mask,
-                                      altitudes=altitudes, threads=args.threads)
+    counts, layers = build_sinr_field(
+        scene, grid, (*others, assignment), args.offset_db, args.activity_factor, mask=mask,
+        altitudes=DEFAULT_HEATMAP_ALTITUDES_M if others else (), threads=args.threads)
     *before, report = [coverage_report(grid, side) for side in counts]
     if not others:
         save_json_report(report.to_json_dict(), os.path.join(args.out, "coverage_report.json"))
@@ -278,7 +272,7 @@ def cmd_evaluate(args) -> int:
 
     report = CompareReport(*before, report)
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
-    for alt, sides in zip(altitudes, layers):
+    for alt, sides in layers.items():
         for q, name in enumerate(("rsrp", "sinr")):
             with open(os.path.join(args.out, f"heatmap_{name}_{int(alt)}m.csv"), "w") as fh:
                 export_heatmap_csv(difference_heatmap(sides[0, q], sides[1, q], grid, alt), fh)

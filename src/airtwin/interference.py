@@ -14,23 +14,23 @@ case exact (I = 0 gives SINR = RSRP - noise floor with no rounding) and makes
 "more interference never raises SINR" hold in floating point.
 
 ``build_sinr_field`` streams assignments one voxel chunk at a time into
-per-layer coverage counts and a few heatmap layers, and never holds a
-per-voxel array over the grid; ``sinr_from_field`` derives a SinrField from a
-RadioField a caller keeps anyway (``build`` exports it, ``optimize`` scores
-changes to it). Both end in ``assemble_sinr``.
+per-layer coverage counts and heatmap layers, holding no per-voxel array over
+the grid; ``sinr_from_field`` derives a SinrField from a RadioField a caller
+keeps (``build`` exports it, ``optimize`` scores it). Both end in ``assemble_sinr``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csv, kernels
-from .errors import EmptySetError
+from .errors import EmptySetError, LayerError
 from .report import CRITERIA, layer_counts, selection
-from .scene import CoverageThresholds, RadioConstants, SceneConfig, VoxelGrid
+from .scene import RadioConstants, SceneConfig, VoxelGrid
 from .spectrum import RadioField, cell_fold
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -116,53 +116,59 @@ def sinr_from_field(field: RadioField, radio: RadioConstants,
                      serving_rsrp_dbm=serving_dbm, sinr_db=sinr)
 
 
-def build_sinr_field(scene: SceneConfig, grid: VoxelGrid, assignments,
-                     thresholds: CoverageThresholds, offset_db: float = 0.0,
+def build_sinr_field(scene: SceneConfig, grid: VoxelGrid, assignments, offset_db: float = 0.0,
                      activity_factor: float = 1.0, *, mask=None, altitudes=(),
                      threads: int = 1):
     """``(counts, layers)`` of each of ``assignments``, streamed one voxel chunk at a time.
 
-    ``counts[a]`` is assignment ``a``'s ``report.layer_counts`` over the grid,
-    and ``layers[j][a]`` its serving RSRP and SINR in the layer of
-    ``altitudes[j]``, a (2, layer size) array. Each ``kernels.chunks`` chunk
-    folds one assignment after another from one geometry per site
-    (``spectrum.cell_fold``) into one set of reused buffers, each assignment
-    run through ``assemble_sinr`` and counted, the ``mask`` selection ANDed
-    in, before the next. Counts are integers and every other step is
-    elementwise per voxel, so every number equals what ``report`` computes
-    from ``sinr_from_field`` of ``build_field``, bit for bit, for any ``threads``.
+    ``counts[a]`` is assignment ``a``'s ``report.layer_counts`` against
+    ``scene.thresholds``, the ``mask`` selection ANDed in. ``layers`` maps each
+    of ``altitudes`` in the grid to its layer's serving RSRP and SINR, an
+    (assignments, 2, layer size) array. Each chunk folds one assignment after
+    another (``spectrum.cell_fold``) into one set of reused buffers; several
+    share one list of the sites' geometry, a single one reads it a site at a
+    time. Counts are integers and every other step is elementwise per voxel,
+    so every number equals ``report``'s from ``sinr_from_field`` of
+    ``build_field``, bit for bit, for any ``threads``.
     """
     for assignment in assignments:
         assignment.validate_for(scene, require_lattice=False)
     check_activity_factor(activity_factor)
     selected = None if mask is None else selection(mask, grid.count)
-    fold = cell_fold(scene, assignments, offset_db, scene.cell_ids)
+    folds = [cell_fold(scene, assignment, offset_db, scene.cell_ids) for assignment in assignments]
+    geometry = folds[0][0]   # the same sites for every assignment
     noise_floor = noise_floor_dbm(scene.radio)
-    spans = [(idx[0], idx[-1] + 1) for idx in map(grid.layer_indices, altitudes)]
-    layers = [np.empty((len(assignments), 2, stop - start)) for start, stop in spans]
+    layers = {}   # each altitude's layer start and values
+    for alt in altitudes:
+        with contextlib.suppress(LayerError):   # an altitude outside the grid has no layer
+            idx = grid.layer_indices(alt)
+            layers[alt] = idx[0], np.empty((len(folds), 2, idx.size))
     tasks = kernels.chunks(grid.count)
     threads = max(1, min(threads, len(tasks)))
-    counts = np.zeros((threads, len(assignments), 1 + len(CRITERIA), grid.layer_z.size), np.int64)
+    counts = np.zeros((threads, len(folds), 1 + len(CRITERIA), grid.layer_z.size), np.int64)
 
     def work(t):   # thread t's chunks and counts, in one set of chunk buffers
         lo, hi = tasks[t]   # its largest chunk
         buffers = np.empty((2, len(scene.cell_ids), hi - lo))
         for lo, hi in tasks[t::threads]:
             cell_rsrp, cell_lin = buffers[..., :hi - lo]
-            for a in fold(grid.centers[lo:hi], cell_rsrp, cell_lin):
+            sites = geometry(grid.centers[lo:hi])
+            sites = sites if len(folds) == 1 else list(sites)
+            for a, (_, fold) in enumerate(folds):
+                fold(sites, cell_rsrp, cell_lin)
                 _, serving_dbm, sinr = assemble_sinr(cell_rsrp, cell_lin, noise_floor,
                                                      activity_factor)
-                k, chunk_counts = layer_counts(grid, lo, serving_dbm, sinr, thresholds,
+                k, chunk_counts = layer_counts(grid, lo, serving_dbm, sinr, scene.thresholds,
                                                None if selected is None else selected[lo:hi])
                 counts[t, a, :, k:k + chunk_counts.shape[1]] += chunk_counts
-                for (start, stop), layer in zip(spans, layers):
-                    first, last = max(start, lo), min(stop, hi)
+                for start, layer in layers.values():
+                    first, last = max(start, lo), min(start + layer.shape[2], hi)
                     if first < last:
                         layer[a, 0, first - start:last - start] = serving_dbm[first - lo:last - lo]
                         layer[a, 1, first - start:last - start] = sinr[first - lo:last - lo]
 
     kernels.run_tasks(work, range(threads), threads)
-    return counts.sum(axis=0), layers
+    return counts.sum(axis=0), {alt: layer for alt, (_, layer) in layers.items()}
 
 
 def export_sinr_csv(sinr_field: SinrField, fh) -> None:

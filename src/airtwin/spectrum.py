@@ -60,21 +60,21 @@ class RadioField:
     cell_lin_mw: np.ndarray     # (n_cells, count), sub-beams added in index order
 
 
-def cell_fold(scene: SceneConfig, assignments, offset_db: float, cell_ids):
-    """The one cell reduction: ``fold(points, cell_rsrp, cell_lin)`` for ``cell_ids``.
+def cell_fold(scene: SceneConfig, assignment: BeamAssignment, offset_db: float, cell_ids):
+    """The one cell reduction: ``geometry, fold`` for ``cell_ids``.
 
-    ``fold`` is a generator. It computes the geometry of each site with a
-    listed cell to the (n, 3) ``points`` once. Then, for each of
-    ``assignments`` in turn, it writes the cell max RSRP (dBm) and summed mW
-    of each listed cell into row ``cell_ids.index(cell)`` of the
-    (len(cell_ids), n) arrays it is given, which may be views, and yields the
-    assignment's index; the caller reads the rows before it resumes ``fold``.
-    Each sub-beam row is computed into one n-sized buffer and folded straight
-    into its cell's row of the outputs: a cell's first row is copied in, and
-    each later row is added by an in-place max and an in-place add of its mW.
-    So no (sub-beam, point) array is ever made. The elevation terms of a site
-    and assignment serve only those, so they are dropped after them. Callers
-    pass one ``kernels.chunks`` chunk of points at a time.
+    ``geometry(points)`` yields each listed site's geometry to the (n, 3)
+    ``points`` as it is read. ``fold(geometry, cell_rsrp, cell_lin)`` writes
+    the cell max RSRP (dBm) and summed mW of each listed cell at the points
+    into row ``cell_ids.index(cell)`` of the (len(cell_ids), n) arrays it is
+    given, which may be views. Passed ``geometry(points)`` itself, it holds
+    one site's geometry at a time; folds of several assignments may share a
+    list of it. Each sub-beam row is computed into one n-sized buffer and
+    folded straight into its cell's row of the outputs: a cell's first row is
+    copied in, and each later row is added by an in-place max and an
+    in-place add of its mW. So no (sub-beam, point) array is ever made. A
+    site's dict of elevation terms serves only its own points. Callers pass
+    one ``kernels.chunks`` chunk of points at a time.
 
     Deterministic for any chunking: the max is exact, and each cell's mW sum
     adds its rows in sub-beam index order for every point, the order of
@@ -84,41 +84,41 @@ def cell_fold(scene: SceneConfig, assignments, offset_db: float, cell_ids):
     sites = []
     for site in scene.sites:
         cells = [(cell_ids.index(cell.id),
-                  [(sb.pattern, [a.angle(cell.id, sb.index) for a in assignments],
-                    cell.tx_power_dbm)
+                  [(sb.pattern, assignment.angle(cell.id, sb.index), cell.tx_power_dbm)
                    for sb in sorted(cell.sub_beams, key=lambda b: b.index)])
                  for cell in site.cells if cell.id in cell_ids]
         if cells:
             sites.append((site, cells))
 
-    def fold(points, cell_rsrp, cell_lin):
-        row = np.empty(len(points), dtype=np.float64)
-        geometry = [kernels.site_geometry(points, site, frequency_hz) for site, _ in sites]
-        for a in range(len(assignments)):
-            for (_, cells), site_geometry in zip(sites, geometry):
-                el_terms = {}
-                for c, beams in cells:
-                    rsrp, lin = cell_rsrp[c], cell_lin[c]
-                    for i, (pattern, angles, tx_power_dbm) in enumerate(beams):
-                        kernels.beam_rsrp_numpy(*site_geometry, pattern, angles[a], tx_power_dbm,
-                                                offset_db, out=row, el_terms=el_terms)
-                        if i == 0:
-                            rsrp[:] = row
-                            kernels.linear_mw(row, out=lin)
-                        else:
-                            np.maximum(rsrp, row, out=rsrp)
-                            lin += kernels.linear_mw(row, out=row)
-            yield a
+    def geometry(points):
+        return (kernels.site_geometry(points, site, frequency_hz) for site, _ in sites)
 
-    return fold
+    def fold(geometry, cell_rsrp, cell_lin):
+        row = np.empty(cell_rsrp.shape[1], dtype=np.float64)
+        for (_, cells), site_geometry in zip(sites, geometry):
+            el_terms = {}
+            for c, beams in cells:
+                rsrp, lin = cell_rsrp[c], cell_lin[c]
+                for i, (pattern, angle, tx_power_dbm) in enumerate(beams):
+                    kernels.beam_rsrp_numpy(*site_geometry, pattern, angle, tx_power_dbm,
+                                            offset_db, out=row, el_terms=el_terms)
+                    if i == 0:
+                        rsrp[:] = row
+                        kernels.linear_mw(row, out=lin)
+                    else:
+                        np.maximum(rsrp, row, out=rsrp)
+                        lin += kernels.linear_mw(row, out=row)
+
+    return geometry, fold
 
 
-def _fold_points(fold, n_cells: int, points: np.ndarray, threads: int = 1):
-    """Two new (n_cells, n) arrays that ``fold`` fills chunk by chunk for the (n, 3) points."""
+def _fold_points(folds, n_cells: int, points: np.ndarray, threads: int = 1):
+    """Two new (n_cells, n) arrays that ``cell_fold``'s pair fills chunk by chunk at ``points``."""
+    geometry, fold = folds
     cell_rsrp = np.empty((n_cells, len(points)), dtype=np.float64)
     cell_lin = np.empty_like(cell_rsrp)
-    kernels.run_tasks(lambda chunk: next(fold(points[slice(*chunk)], cell_rsrp[:, slice(*chunk)],
-                                              cell_lin[:, slice(*chunk)])),   # one assignment
+    kernels.run_tasks(lambda chunk: fold(geometry(points[slice(*chunk)]),
+                                         cell_rsrp[:, slice(*chunk)], cell_lin[:, slice(*chunk)]),
                       kernels.chunks(len(points)), threads)
     return cell_rsrp, cell_lin
 
@@ -127,7 +127,7 @@ def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
                 offset_db: float = 0.0, *, threads: int = 1) -> RadioField:
     """Every voxel's cell-level RSRP and mW sum: ``cell_fold`` over every cell."""
     assignment.validate_for(scene, require_lattice=False)
-    fold = cell_fold(scene, (assignment,), offset_db, scene.cell_ids)
+    fold = cell_fold(scene, assignment, offset_db, scene.cell_ids)
     cell_rsrp, cell_lin = _fold_points(fold, len(scene.cell_ids), grid.centers, threads)
     return RadioField(grid=grid, cell_ids=scene.cell_ids, cell_rsrp_dbm=cell_rsrp,
                       cell_lin_mw=cell_lin)
@@ -150,7 +150,7 @@ def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
     for cell_id in sorted(set(cell_ids)):
         scene.cell(cell_id)   # an unknown id raises here
         idx = np.asarray([i for i, c in enumerate(cell_ids) if c == cell_id])
-        fold = cell_fold(scene, (assignment,), offset_db, (cell_id,))
+        fold = cell_fold(scene, assignment, offset_db, (cell_id,))
         out[idx] = _fold_points(fold, 1, positions[idx])[0][0]
     return out
 

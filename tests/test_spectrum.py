@@ -520,16 +520,16 @@ class TestStreamedSinrField:
             assert np.array_equal(field.cell_rsrp_dbm[a], field.cell_rsrp_dbm[b])
         expected = [sinr_from_field(build_field(scene, grid, a, 1.5, threads=threads),
                                     scene.radio, 0.5) for a in assignments]
-        altitudes = (50.0, 150.0)
         mask = np.random.default_rng(8).permutation(grid.count)[:grid.count // 3]
         for selected, m in ((np.ones(grid.count, dtype=bool), None),
                             (report.selection(mask, grid.count), mask)):
-            counts, layers = build_sinr_field(scene, grid, assignments, scene.thresholds, 1.5,
-                                              0.5, mask=m, altitudes=altitudes, threads=threads)
-            assert counts.dtype == np.int64 and len(layers) == len(altitudes)
+            counts, layers = build_sinr_field(scene, grid, assignments, 1.5, 0.5, mask=m,
+                                              altitudes=(50.0, 1e4, 150.0), threads=threads)
+            assert counts.dtype == np.int64
+            assert list(layers) == [50.0, 150.0]   # 10 km is above the grid
             for a, want in enumerate(expected):
                 assert np.array_equal(counts[a], layer_oracle(want, scene.thresholds, selected))
-                for altitude, layer in zip(altitudes, layers):
+                for altitude, layer in layers.items():
                     idx = grid.layer_indices(altitude)
                     assert layer[a, 0].tobytes() == want.serving_rsrp_dbm[idx].tobytes()
                     assert layer[a, 1].tobytes() == want.sinr_db[idx].tobytes()
@@ -547,8 +547,8 @@ class TestStreamedSinrField:
         mask = np.arange(0, grid.count, 2)
         tracemalloc.start()
         try:
-            counts, layers = build_sinr_field(scene, grid, assignments, scene.thresholds,
-                                              mask=mask, altitudes=(150.0,), threads=threads)
+            counts, layers = build_sinr_field(scene, grid, assignments, mask=mask,
+                                              altitudes=(150.0,), threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
