@@ -13,10 +13,11 @@ which is algebraically serving - 10 log10(I + N) but keeps the single-cell
 case exact (I = 0 gives SINR = RSRP - noise floor with no rounding) and makes
 "more interference never raises SINR" hold in floating point.
 
-``build_sinr_field`` streams assignments one voxel chunk at a time into
-per-layer coverage counts and heatmap layers, holding no per-voxel array over
-the grid; ``sinr_from_field`` derives a SinrField from a RadioField a caller
-keeps (``build`` exports it, ``optimize`` scores it). Both end in ``assemble_sinr``.
+``build_sinr_field`` streams assignments one block at a time, a range of
+voxel columns over every layer, into per-layer coverage counts and heatmap
+layers, holding no per-voxel array over the grid; ``sinr_from_field`` derives
+a SinrField from a RadioField a caller keeps (``build`` exports it,
+``optimize`` scores it). Both end in ``assemble_sinr``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def first_max(cell_rsrp_dbm: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]
     earlier cell.
     """
     first, *rest = cells
-    best = np.full(cell_rsrp_dbm.shape[1], first)
+    best = np.full(cell_rsrp_dbm.shape[1:], first)
     best_dbm = cell_rsrp_dbm[first].copy()
     better = np.empty(best.shape, dtype=bool)
     for c in rest:
@@ -83,9 +84,9 @@ def assemble_sinr(cell_rsrp_dbm: np.ndarray, cell_lin_sums: np.ndarray,
     Shared by the field builder and the optimizer's incremental evaluator so
     both produce bit-identical results.
     """
-    n_cells, n = cell_rsrp_dbm.shape
+    n_cells = len(cell_rsrp_dbm)
     serving, serving_dbm = first_max(cell_rsrp_dbm, range(n_cells))   # ties: smaller id
-    interference = np.zeros(n, dtype=np.float64)
+    interference = np.zeros(serving.shape, dtype=np.float64)
     for c in range(n_cells):
         np.add(interference, cell_lin_sums[c], out=interference, where=serving != c)
     return serving, serving_dbm, sinr_db(serving_dbm, interference, noise_floor,
@@ -119,53 +120,51 @@ def sinr_from_field(field: RadioField, radio: RadioConstants,
 def build_sinr_field(scene: SceneConfig, grid: VoxelGrid, assignments, offset_db: float = 0.0,
                      activity_factor: float = 1.0, *, mask=None, altitudes=(),
                      threads: int = 1):
-    """``(counts, layers)`` of each of ``assignments``, streamed one voxel chunk at a time.
+    """``(counts, layers)`` of each of ``assignments``, streamed one block at a time.
 
     ``counts[a]`` is assignment ``a``'s ``report.layer_counts`` against
     ``scene.thresholds``, the ``mask`` selection ANDed in. ``layers`` maps each
     of ``altitudes`` in the grid to its layer's serving RSRP and SINR, an
-    (assignments, 2, layer size) array. Each chunk folds one assignment after
-    another (``spectrum.cell_fold``) into one set of reused buffers; several
-    share one list of the sites' geometry, a single one reads it a site at a
-    time. Counts are integers and every other step is elementwise per voxel,
-    so every number equals ``report``'s from ``sinr_from_field`` of
-    ``build_field``, bit for bit, for any ``threads``.
+    (assignments, 2, columns) array. A block is a ``kernels.chunks`` range of
+    columns over every layer. Each block folds one assignment after another
+    (``spectrum.cell_fold``) into one set of reused (cells, L, c) buffers;
+    several share one list of the sites' geometry, a single one reads it a
+    site at a time. Counts are integers and every other step is elementwise
+    per voxel, so every number equals ``report``'s from ``sinr_from_field``
+    of ``build_field``, bit for bit, for any ``threads``.
     """
     for assignment in assignments:
         assignment.validate_for(scene, require_lattice=False)
     check_activity_factor(activity_factor)
-    selected = None if mask is None else selection(mask, grid.count)
+    selected = None if mask is None else selection(mask, grid.count).reshape(grid.shape)
     folds = [cell_fold(scene, assignment, offset_db, scene.cell_ids) for assignment in assignments]
     geometry = folds[0][0]   # the same sites for every assignment
     noise_floor = noise_floor_dbm(scene.radio)
-    layers = {}   # each altitude's layer start and values
+    n_layers, n_columns = grid.shape
+    layers = {}   # each altitude's layer index and values
     for alt in altitudes:
         with contextlib.suppress(LayerError):   # an altitude outside the grid has no layer
-            idx = grid.layer_indices(alt)
-            layers[alt] = idx[0], np.empty((len(folds), 2, idx.size))
-    tasks = kernels.chunks(grid.count)
+            layers[alt] = grid.layer(alt), np.empty((len(folds), 2, n_columns))
+    tasks = kernels.chunks(n_columns, n_layers)
     threads = max(1, min(threads, len(tasks)))
-    counts = np.zeros((threads, len(folds), 1 + len(CRITERIA), grid.layer_z.size), np.int64)
+    counts = np.zeros((threads, len(folds), 1 + len(CRITERIA), n_layers), np.int64)
 
-    def work(t):   # thread t's chunks and counts, in one set of chunk buffers
-        lo, hi = tasks[t]   # its largest chunk
-        buffers = np.empty((2, len(scene.cell_ids), hi - lo))
+    def work(t):   # thread t's blocks and counts, in one set of block buffers
+        lo, hi = tasks[t]   # its widest block
+        buffers = np.empty((2, len(scene.cell_ids), n_layers, hi - lo))
         for lo, hi in tasks[t::threads]:
             cell_rsrp, cell_lin = buffers[..., :hi - lo]
-            sites = geometry(grid.centers[lo:hi])
+            sites = geometry(*grid.coordinates(lo, hi))
             sites = sites if len(folds) == 1 else list(sites)
             for a, (_, fold) in enumerate(folds):
                 fold(sites, cell_rsrp, cell_lin)
                 _, serving_dbm, sinr = assemble_sinr(cell_rsrp, cell_lin, noise_floor,
                                                      activity_factor)
-                k, chunk_counts = layer_counts(grid, lo, serving_dbm, sinr, scene.thresholds,
-                                               None if selected is None else selected[lo:hi])
-                counts[t, a, :, k:k + chunk_counts.shape[1]] += chunk_counts
-                for start, layer in layers.values():
-                    first, last = max(start, lo), min(start + layer.shape[2], hi)
-                    if first < last:
-                        layer[a, 0, first - start:last - start] = serving_dbm[first - lo:last - lo]
-                        layer[a, 1, first - start:last - start] = sinr[first - lo:last - lo]
+                counts[t, a] += layer_counts(serving_dbm, sinr, scene.thresholds,
+                                             None if selected is None else selected[:, lo:hi])
+                for k, layer in layers.values():
+                    layer[a, 0, lo:hi] = serving_dbm[k]
+                    layer[a, 1, lo:hi] = sinr[k]
 
     kernels.run_tasks(work, range(threads), threads)
     return counts.sum(axis=0), {alt: layer for alt, (_, layer) in layers.items()}
@@ -173,13 +172,14 @@ def build_sinr_field(scene: SceneConfig, grid: VoxelGrid, assignments, offset_db
 
 def export_sinr_csv(sinr_field: SinrField, fh) -> None:
     """Write `x_m,y_m,z_m,serving_cell,rsrp_dbm,sinr_db`, voxel order."""
-    centers = sinr_field.grid.centers
+    grid = sinr_field.grid
     ids = np.asarray(_csv.formatted(sinr_field.cell_ids, ""), dtype=object)
 
     def lines(lo, hi):
-        return [[*(_csv.distinct(centers[lo:hi, axis], ".3f") for axis in range(3)),
+        centers = grid.voxel_centers(lo, hi)
+        return [[*(_csv.distinct(centers[:, axis], ".3f") for axis in range(3)),
                  ids[sinr_field.serving_index[lo:hi]].tolist(),
                  _csv.formatted(sinr_field.serving_rsrp_dbm[lo:hi], ".4f"),
                  _csv.formatted(sinr_field.sinr_db[lo:hi], ".4f")]]
 
-    _csv.write_csv(fh, "x_m,y_m,z_m,serving_cell,rsrp_dbm,sinr_db", centers.shape[0], lines)
+    _csv.write_csv(fh, "x_m,y_m,z_m,serving_cell,rsrp_dbm,sinr_db", grid.count, lines)

@@ -159,9 +159,9 @@ class _StepContext:
     """Everything a candidate score needs that does not depend on the candidate.
 
     Built for one scored sub-beam ``key`` and valid until the evaluator's
-    state changes. Every array has shape (N,). "Rival" is the best cell other
-    than the scored sub-beam's own (first max, so ties go to the smaller id);
-    it serves wherever the scored cell does not.
+    state changes. Every array has the grid's (L, C) shape. "Rival" is the
+    best cell other than the scored sub-beam's own (first max, so ties go to
+    the smaller id); it serves wherever the scored cell does not.
     """
 
     key: tuple[str, int]
@@ -176,7 +176,7 @@ class _StepContext:
     interference_after: tuple[np.ndarray, ...]  # mW of each later cell, 0 where it is the rival
 
 
-def _cell_with_row(ctx: _StepContext, voxels: slice, row, cell_max, cell_lin):
+def _cell_with_row(ctx: _StepContext, voxels, row, cell_max, cell_lin):
     """The scored cell's max and mW sum at ``voxels``, with ``row`` as the scored row.
 
     Writes them into ``cell_max`` (which may be ``row``) and ``cell_lin``, and
@@ -198,28 +198,31 @@ class _FieldEvaluator:
     and ``apply`` rewrites the one cell that a new angle changes. No sub-beam
     row is kept between steps.
 
-    Each site's geometry to every voxel is computed once here, so a row at
-    any angle costs only the gain formula. ``candidate_deltas`` scores any
-    number of angles for one sub-beam from a per-step context
-    (``_StepContext``). The context recomputes the visited cell's rows once,
-    at the current angles, and holds the parts of the cell and SINR
-    reductions the candidate cannot change, so each candidate costs O(N).
+    Each site's geometry to every voxel is computed once here, its azimuth
+    once per column, so a row at any angle costs only the gain formula.
+    ``candidate_deltas`` scores any number of angles for one sub-beam from a
+    per-step context (``_StepContext``). The context recomputes the visited
+    cell's rows once, at the current angles, and holds the parts of the cell
+    and SINR reductions the candidate cannot change, so each candidate costs
+    O(N).
     ``apply`` reuses the context to write the cell.
 
-    A candidate is scored in one pass per voxel chunk, on
-    ``kernels.run_tasks``: the row, its mW, the in-order cell adds, the cell
-    max, the serving compare and select, the in-order interference adds and
-    the SINR all go through a few chunk-sized buffers per worker, and the
-    chunk's covered mask and capped margin land in two (N,) buffers. One
-    count and one sum over those whole buffers then give the score, so the
-    pairwise sum sees the same array for any thread count.
+    A candidate is scored in one pass per block, a range of columns over
+    every layer, on ``kernels.run_tasks``: the row, its mW, the in-order cell
+    adds, the cell max, the serving compare and select, the in-order
+    interference adds and the SINR all go through a few block-sized buffers
+    per worker, and the block's covered mask and capped margin land in two
+    (L, C) buffers. One count and one sum over those whole buffers, seen as
+    (N,) arrays, then give the score, so the pairwise sum sees the same array
+    for any thread count.
 
     For a parametric pattern the candidate row is split along the pattern's
     separable form. ``candidate_deltas`` takes the angles in the caller's
-    order and recomputes the wrapped, capped azimuth term into its one (N,)
-    buffer only when the azimuth differs from the previous angle's, so an
-    az-major lattice pays for ``wrap_angle_deg`` once per column; the
-    elevation term, the combine and the RSRP are computed per angle. A table
+    order and recomputes the wrapped, capped azimuth term into its one (C,)
+    buffer, one value per voxel column, only when the azimuth differs from
+    the previous angle's, so an az-major lattice pays for ``wrap_angle_deg``
+    once per lattice column; the elevation term, the combine and the RSRP
+    are computed per angle and voxel. A table
     pattern takes the general ``kernels.beam_rsrp_numpy`` path.
 
     Floating-point addition is not associative, so the context keeps the
@@ -240,16 +243,18 @@ class _FieldEvaluator:
         self.threads = threads
         self.beam_keys = list(scene.beam_keys())
         self.cell_ids = scene.cell_ids
-        self.geometry = {site.id: kernels.site_geometry(grid.centers, site,
+        self.geometry = {site.id: kernels.site_geometry(*grid.coordinates(), site,
                                                         scene.radio.frequency_hz)
                          for site in scene.sites}
         self.noise_floor = noise_floor_dbm(scene.radio)
         self.angles: dict[tuple[str, int], Orientation] = {}
         self.field: RadioField | None = None
-        self._row = np.empty(grid.count, dtype=np.float64)
-        self._az_term = np.empty(grid.count, dtype=np.float64)
-        self._covered = np.empty(grid.count, dtype=bool)
-        self._margin = np.empty(grid.count, dtype=np.float64)
+        n_layers, n_columns = grid.shape
+        self._tasks = kernels.chunks(n_columns, n_layers)
+        self._row = np.empty(grid.shape, dtype=np.float64)
+        self._az_term = np.empty(n_columns, dtype=np.float64)
+        self._covered = np.empty(grid.shape, dtype=bool)
+        self._margin = np.empty(grid.shape, dtype=np.float64)
         self._objective = None
         self._context = None
 
@@ -259,11 +264,11 @@ class _FieldEvaluator:
 
         def work(bounds):
             lo, hi = bounds
-            out[lo:hi] = kernels.beam_rsrp_numpy(az[lo:hi], el[lo:hi], loss[lo:hi],
-                                                 sb.pattern, angle, cell.tx_power_dbm,
-                                                 self.offset_db)
+            out[:, lo:hi] = kernels.beam_rsrp_numpy(az[lo:hi], el[:, lo:hi], loss[:, lo:hi],
+                                                    sb.pattern, angle, cell.tx_power_dbm,
+                                                    self.offset_db)
 
-        kernels.run_tasks(work, kernels.chunks(self.grid.count), self.threads)
+        kernels.run_tasks(work, self._tasks, self.threads)
 
     def set_assignment(self, assignment: BeamAssignment, field: RadioField | None = None):
         """Take ``assignment`` as the state; ``field``, if given, is its build_field."""
@@ -290,8 +295,8 @@ class _FieldEvaluator:
         s = self.cell_ids.index(key[0])
         keys = [k for k in self.beam_keys if k[0] == key[0]]
         j = keys.index(key)
-        n = self.grid.count
-        rows = np.empty((len(keys), n), dtype=np.float64)
+        shape = self.grid.shape
+        rows = np.empty((len(keys), *shape), dtype=np.float64)
         for i, k in enumerate(keys):
             self._eval_row_into(k, self.angles[k], rows[i])
         max_other_rows = np.maximum.reduce(np.delete(rows, j, axis=0), axis=0,
@@ -300,15 +305,16 @@ class _FieldEvaluator:
         lin_before = np.add.reduce(lin[:j], axis=0)
         lin_after = tuple(lin[j + 1:].copy())
         del rows, lin
-        cell_max, cell_lin = self.field.cell_rsrp_dbm, self.field.cell_lin_mw
+        cell_max, cell_lin = (a.reshape(-1, *shape) for a in (self.field.cell_rsrp_dbm,
+                                                              self.field.cell_lin_mw))
         others = [c for c in range(len(self.cell_ids)) if c != s]
         if others:   # the serving rule of assemble_sinr: ties keep the smaller id
             rival, rival_dbm = first_max(cell_max, others)
         else:
-            rival_dbm = np.full(n, -np.inf)
-            rival = np.full(n, s + 1)
-        if_serving = np.zeros(n)
-        before = np.zeros(n)
+            rival_dbm = np.full(shape, -np.inf)
+            rival = np.full(shape, s + 1)
+        if_serving = np.zeros(shape)
+        before = np.zeros(shape)
         for c in others:
             if_serving += cell_lin[c]
             if c < s:
@@ -328,10 +334,11 @@ class _FieldEvaluator:
                                      for c in others if c > s))
         return self._context
 
-    def _score_chunk(self, ctx: _StepContext, voxels: slice, row, buffers):
+    def _score_chunk(self, ctx: _StepContext, voxels, row, buffers):
         """Write the covered mask and capped margin at ``voxels`` for candidate ``row``.
 
-        ``row`` and ``buffers`` are chunk-sized scratch; ``row`` is overwritten.
+        ``voxels`` indexes a block of the (L, C) arrays; ``row`` and
+        ``buffers`` are block-sized scratch, and ``row`` is overwritten.
         The operands and their order are those of the full path.
         """
         lin, serves, rival_serves = buffers
@@ -348,36 +355,36 @@ class _FieldEvaluator:
         _score_terms(row, sinr, self.weights, self.thresholds,
                      self._covered[voxels], self._margin[voxels])
 
-    def _candidate_row(self, beam, angle, new_azimuth, voxels: slice, out):
-        """The RSRP of ``beam`` steered to ``angle`` at ``voxels``, into ``out``.
+    def _candidate_row(self, beam, angle, new_azimuth, cols: slice, out):
+        """The RSRP of ``beam`` steered to ``angle`` at columns ``cols``, into ``out``.
 
-        A parametric pattern recomputes the wrapped, capped azimuth term into
-        ``_az_term`` only when ``new_azimuth``; the elevation term, the
-        combine and the RSRP follow the operands and order of
+        A parametric pattern recomputes the wrapped, capped azimuth term of
+        each column into ``_az_term`` only when ``new_azimuth``; the elevation
+        term, the combine and the RSRP follow the operands and order of
         ``kernels.beam_rsrp_numpy``. A table pattern takes that function.
         """
         pattern, tx_power_dbm, az, el, loss = beam
         if not isinstance(pattern, AntennaPattern):
-            out[:] = kernels.beam_rsrp_numpy(az[voxels], el[voxels], loss[voxels], pattern,
+            out[:] = kernels.beam_rsrp_numpy(az[cols], el[:, cols], loss[:, cols], pattern,
                                              angle, tx_power_dbm, self.offset_db)
             return
-        a_az = self._az_term[voxels]
+        a_az = self._az_term[cols]
         if new_azimuth:
-            pattern.azimuth_attenuation_db(wrap_angle_deg(az[voxels] - angle.azimuth_deg),
+            pattern.azimuth_attenuation_db(wrap_angle_deg(az[cols] - angle.azimuth_deg),
                                            out=a_az)
-        np.subtract(el[voxels], angle.tilt_deg, out=out)
+        np.subtract(el[:, cols], angle.tilt_deg, out=out)
         pattern.elevation_attenuation_db(out, out=out)
         pattern.gain_from_attenuation_dbi(a_az, out, out=out)
-        kernels.rsrp_from_gain(tx_power_dbm, out, loss[voxels], self.offset_db, out=out)
+        kernels.rsrp_from_gain(tx_power_dbm, out, loss[:, cols], self.offset_db, out=out)
 
     def candidate_deltas(self, key, angles) -> list[float]:
         """Objective change for steering ``key`` to each angle; state unchanged."""
         ctx = self._step_context(key)
         site, cell, sb = self.scene.sub_beam(*key)
         beam = (sb.pattern, cell.tx_power_dbm, *self.geometry[site.id])
-        tasks = kernels.chunks(self.grid.count)
-        size = max((hi - lo for lo, hi in tasks), default=0)
-        scratch = queue.SimpleQueue()   # one set of chunk buffers per running task
+        tasks = self._tasks
+        size = (self.grid.shape[0], max((hi - lo for lo, hi in tasks), default=0))
+        scratch = queue.SimpleQueue()   # one set of block buffers per running task
         for _ in range(min(self.threads, len(tasks))):
             scratch.put((np.empty(size), np.empty(size), np.empty(size, dtype=bool),
                          np.empty(size, dtype=bool)))
@@ -390,15 +397,15 @@ class _FieldEvaluator:
                 lo, hi = bounds
                 chunk_buffers = scratch.get()
                 try:
-                    row, *buffers = (b[:hi - lo] for b in chunk_buffers)
+                    row, *buffers = (b[:, :hi - lo] for b in chunk_buffers)
                     self._candidate_row(beam, angle, new_azimuth, slice(lo, hi), row)
-                    self._score_chunk(ctx, slice(lo, hi), row, buffers)
+                    self._score_chunk(ctx, np.s_[:, lo:hi], row, buffers)
                 finally:
                     scratch.put(chunk_buffers)
 
             kernels.run_tasks(work, tasks, self.threads)
-            deltas.append(_score_total(self._covered, self._margin, self.weights)
-                          - self._objective)
+            deltas.append(_score_total(self._covered.ravel(), self._margin.ravel(),
+                                       self.weights) - self._objective)
         return deltas
 
     def apply(self, key, angle):
@@ -406,8 +413,9 @@ class _FieldEvaluator:
         ctx = self._step_context(key)
         row = self._row
         self._eval_row_into(key, angle, row)
-        _cell_with_row(ctx, slice(None), row, self.field.cell_rsrp_dbm[ctx.cell],
-                       self.field.cell_lin_mw[ctx.cell])
+        _cell_with_row(ctx, slice(None), row,
+                       *(a[ctx.cell].reshape(row.shape) for a in (self.field.cell_rsrp_dbm,
+                                                                  self.field.cell_lin_mw)))
         self.angles[key] = angle
         self._rescore()
 

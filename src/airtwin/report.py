@@ -5,12 +5,12 @@ analogue of a scanner's best-cell measurement. A voxel counts as jointly
 covered only if it satisfies the RSRP and SINR thresholds simultaneously.
 Threshold comparisons use >= throughout.
 
-Per-layer ratios read the grid's layer table: every altitude layer is one
-contiguous index range, so ``layer_counts`` counts a criterion's flags in
-every layer a run of voxels meets with one ``np.add.reduceat``, for a whole
-SinrField or for each chunk ``interference.build_sinr_field`` streams. A
-``mask`` may pick any voxels: it becomes one boolean selection ANDed into
-the flags, and a layer it leaves empty is omitted.
+Per-layer ratios read the grid's shape: a per-voxel array is an (L, C)
+array of layers by columns, so ``layer_counts`` counts a criterion's flags
+in each layer of an (L, c) block as one sum over the block's rows, for a
+whole SinrField or for each range of columns ``interference.build_sinr_field``
+streams. A ``mask`` may pick any voxels: it becomes one boolean selection
+ANDed into the flags, and a layer it leaves empty is omitted.
 """
 
 from __future__ import annotations
@@ -71,27 +71,22 @@ class CoverageReport(_Counts):
         }
 
 
-def layer_counts(grid: VoxelGrid, lo: int, serving_rsrp_dbm, sinr_db,
-                 thresholds: CoverageThresholds, selected=None):
-    """``(k, counts)`` over voxels ``lo`` to ``lo + len(sinr_db)``, per altitude layer.
+def layer_counts(serving_rsrp_dbm, sinr_db, thresholds: CoverageThresholds, selected=None):
+    """Int64 (1 + len(CRITERIA), L) counts of an (L, c) block of voxels, per layer.
 
-    ``selected`` is their slice of a mask's ``selection`` (None: all). Column
-    j of the int64 (1 + len(CRITERIA), layers) ``counts`` is layer ``k + j``:
-    row 0 counts its selected voxels, row 1 + i those meeting criterion i.
+    ``selected`` is the block's part of a mask's ``selection`` (None: all).
+    Column k is layer k: row 0 counts its selected voxels, row 1 + i those
+    meeting criterion i.
     """
-    hi = lo + len(sinr_db)
-    bounds = grid.layer_bounds
-    k = int(np.searchsorted(bounds, lo, side="right")) - 1
-    edges = np.clip(bounds[k:np.searchsorted(bounds, hi) + 1], lo, hi) - lo
-    starts = edges[:-1]   # each layer met is a non-empty contiguous range
-    n = np.diff(edges) if selected is None else np.add.reduceat(selected, starts, dtype=np.int64)
-    counts = [n]
+    n_layers, n_columns = np.shape(sinr_db)
+    counts = [np.full(n_layers, n_columns) if selected is None
+              else np.count_nonzero(selected, axis=1)]
     for test in CRITERIA.values():
         flags = test(serving_rsrp_dbm, sinr_db, thresholds)
         if selected is not None:
             flags &= selected
-        counts.append(np.add.reduceat(flags, starts, dtype=np.int64))
-    return k, np.stack(counts)
+        counts.append(np.count_nonzero(flags, axis=1))
+    return np.stack(counts)
 
 
 def coverage_report(grid: VoxelGrid, counts) -> CoverageReport:
@@ -112,9 +107,11 @@ def coverage_ratios(sinr: SinrField, thresholds: CoverageThresholds,
     ``mask`` optionally restricts the computation to a subset of voxel indices
     (e.g. voxels along measured flight routes); each index may appear once.
     """
-    selected = None if mask is None else selection(mask, sinr.grid.count)
-    return coverage_report(sinr.grid, layer_counts(sinr.grid, 0, sinr.serving_rsrp_dbm,
-                                                   sinr.sinr_db, thresholds, selected)[1])
+    grid = sinr.grid
+    selected = None if mask is None else selection(mask, grid.count).reshape(grid.shape)
+    return coverage_report(grid, layer_counts(sinr.serving_rsrp_dbm.reshape(grid.shape),
+                                              sinr.sinr_db.reshape(grid.shape), thresholds,
+                                              selected))
 
 
 def selection(mask, count: int) -> np.ndarray:
@@ -145,16 +142,17 @@ class HeatmapLayer:
 
 def difference_heatmap(before, after, grid: VoxelGrid, altitude_m: float) -> HeatmapLayer:
     """(after - before) on the layer containing ``altitude_m``, from that layer's values."""
-    idx = grid.layer_indices(altitude_m)
+    k = grid.layer(altitude_m)
     before = np.asarray(before, dtype=float)
     after = np.asarray(after, dtype=float)
-    if before.shape != idx.shape or after.shape != idx.shape:
+    shape = grid.columns.shape[:1]
+    if before.shape != shape or after.shape != shape:
         raise DimensionError(
-            f"layer values must have shape {idx.shape}, got {before.shape} and {after.shape}")
+            f"layer values must have shape {shape}, got {before.shape} and {after.shape}")
     return HeatmapLayer(
-        z_m=float(grid.centers[idx[0], 2]),
-        x_m=grid.centers[idx, 0].copy(),
-        y_m=grid.centers[idx, 1].copy(),
+        z_m=float(grid.layer_z[k]),
+        x_m=grid.columns[:, 0].copy(),
+        y_m=grid.columns[:, 1].copy(),
         delta_db=after - before,
     )
 

@@ -7,6 +7,7 @@ happens at ingestion, never here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -82,25 +83,43 @@ class CylinderSpec:
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Dense-indexed voxel centers inside a cylinder, z-major/y/x iteration order.
+    """Voxel centers inside a cylinder: one circle of columns, stacked in layers.
 
-    The order makes every altitude layer one contiguous index range, so the
-    grid keeps a layer table: layer ``k`` sits at altitude ``layer_z[k]``
-    (ascending) and holds the dense indices ``layer_bounds[k]`` up to
-    ``layer_bounds[k + 1]``.
+    Layer ``k`` sits at altitude ``layer_z[k]`` (ascending) and holds one voxel
+    per column, at ``columns``' x and y. The dense voxel order is z-major, then
+    y, then x: voxel ``k * C + j`` is column ``j`` of layer ``k``, so a
+    per-voxel array is a C-order ``shape`` array and a range of columns over
+    every layer is one block of it.
     """
 
     spec: CylinderSpec
-    centers: np.ndarray          # (count, 3) float64
-    layer_z: np.ndarray          # (n_layers,) distinct center altitudes, ascending
-    layer_bounds: np.ndarray     # (n_layers + 1,) int64 first index of each layer, then count
+    columns: np.ndarray          # (C, 2) float64 x and y of one layer, y then x order
+    layer_z: np.ndarray          # (L,) distinct center altitudes, ascending
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.layer_z.size, len(self.columns)
 
     @property
     def count(self) -> int:
-        return self.centers.shape[0]
+        return self.layer_z.size * len(self.columns)
 
-    def layer_indices(self, z_m: float) -> np.ndarray:
-        """Dense indices of the voxel layer whose slab contains altitude z_m."""
+    def coordinates(self, lo=0, hi=None):
+        """Columns ``lo`` to ``hi``' x and y (c,), and z (L, 1): they broadcast to the block."""
+        return self.columns[lo:hi, 0], self.columns[lo:hi, 1], self.layer_z[:, None]
+
+    def voxel_centers(self, lo=0, hi=None) -> np.ndarray:
+        """(n, 3) centers of dense voxels ``lo`` to ``hi``, built on demand."""
+        k, j = np.divmod(np.arange(lo, self.count if hi is None else hi), len(self.columns))
+        return np.column_stack((self.columns[j], self.layer_z[k]))
+
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        """(count, 3) centers of every voxel; no command builds them."""
+        return self.voxel_centers()
+
+    def layer(self, z_m: float) -> int:
+        """The index of the voxel layer whose slab contains altitude z_m."""
         half = self.spec.voxel_m / 2.0
         zs = self.layer_z
         hits = np.nonzero(np.abs(zs - z_m) <= half)[0]
@@ -111,8 +130,7 @@ class VoxelGrid:
                 f"altitude {z_m} m is outside the grid layers "
                 f"[{zs[0] - half}, {zs[-1] + half}] m"
             )
-        k = hits[0]
-        return np.arange(self.layer_bounds[k], self.layer_bounds[k + 1])
+        return int(hits[0])
 
 
 def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
@@ -140,14 +158,7 @@ def build_voxel_grid(spec: CylinderSpec) -> VoxelGrid:
     iy, ix = np.nonzero(in_circle)
     if layer_z.size * iy.size == 0:
         raise EmptyGridError("voxelization produced zero voxels for this airspace spec")
-    centers = np.empty((layer_z.size, iy.size, 3), dtype=np.float64)
-    centers[:, :, 0] = xs[ix]
-    centers[:, :, 1] = ys[iy]
-    centers[:, :, 2] = layer_z[:, None]
-
-    layer_bounds = np.arange(layer_z.size + 1) * iy.size
-    return VoxelGrid(spec=spec, centers=centers.reshape(-1, 3), layer_z=layer_z,
-                     layer_bounds=layer_bounds)
+    return VoxelGrid(spec=spec, columns=np.column_stack((xs[ix], ys[iy])), layer_z=layer_z)
 
 
 # ---------------------------------------------------------------------------

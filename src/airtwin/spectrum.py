@@ -7,7 +7,8 @@ A sub-beam's received power at a point is
 with FSPL = 20 log10(4 pi d f / c). The cell-level value at a voxel is the
 maximum over the cell's sub-beams (beam-swept reference-signal coverage). A
 single global calibration offset, fitted against measurements, absorbs
-deployment-dependent factors.
+deployment-dependent factors. A field is built one block of voxel columns,
+over every layer, at a time.
 """
 
 from __future__ import annotations
@@ -63,18 +64,19 @@ class RadioField:
 def cell_fold(scene: SceneConfig, assignment: BeamAssignment, offset_db: float, cell_ids):
     """The one cell reduction: ``geometry, fold`` for ``cell_ids``.
 
-    ``geometry(points)`` yields each listed site's geometry to the (n, 3)
-    ``points`` as it is read. ``fold(geometry, cell_rsrp, cell_lin)`` writes
-    the cell max RSRP (dBm) and summed mW of each listed cell at the points
-    into row ``cell_ids.index(cell)`` of the (len(cell_ids), n) arrays it is
-    given, which may be views. Passed ``geometry(points)`` itself, it holds
-    one site's geometry at a time; folds of several assignments may share a
-    list of it. Each sub-beam row is computed into one n-sized buffer and
-    folded straight into its cell's row of the outputs: a cell's first row is
-    copied in, and each later row is added by an in-place max and an
-    in-place add of its mW. So no (sub-beam, point) array is ever made. A
-    site's dict of elevation terms serves only its own points. Callers pass
-    one ``kernels.chunks`` chunk of points at a time.
+    ``geometry(x, y, z)`` yields each listed site's ``kernels.site_geometry``
+    to the points as it is read: three (n,) arrays, or a grid block's column
+    x and y (c,) and layer z (L, 1). ``fold(geometry, cell_rsrp, cell_lin)``
+    writes the cell max RSRP (dBm) and summed mW of each listed cell at the
+    points into row ``cell_ids.index(cell)`` of the (len(cell_ids), *points)
+    arrays it is given, which may be views. Passed ``geometry(...)`` itself,
+    it holds one site's geometry at a time; folds of several assignments may
+    share a list of it. Each sub-beam row is computed into one buffer of the
+    points' shape and folded straight into its cell's row of the outputs: a
+    cell's first row is copied in, and each later row is added by an
+    in-place max and an in-place add of its mW. So no (sub-beam, point)
+    array is ever made. A site's dict of azimuth and elevation terms serves
+    only its own points. Callers pass one ``kernels.chunks`` range at a time.
 
     Deterministic for any chunking: the max is exact, and each cell's mW sum
     adds its rows in sub-beam index order for every point, the order of
@@ -90,21 +92,21 @@ def cell_fold(scene: SceneConfig, assignment: BeamAssignment, offset_db: float, 
         if cells:
             sites.append((site, cells))
 
-    def geometry(points):
-        return (kernels.site_geometry(points, site, frequency_hz) for site, _ in sites)
+    def geometry(x, y, z):
+        return (kernels.site_geometry(x, y, z, site, frequency_hz) for site, _ in sites)
 
     def fold(geometry, cell_rsrp, cell_lin):
-        row = np.empty(cell_rsrp.shape[1], dtype=np.float64)
+        row = np.empty(cell_rsrp.shape[1:], dtype=np.float64)
         for (_, cells), site_geometry in zip(sites, geometry):
-            el_terms = {}
+            terms = {}
             for c, beams in cells:
                 rsrp, lin = cell_rsrp[c], cell_lin[c]
                 for i, (pattern, angle, tx_power_dbm) in enumerate(beams):
                     kernels.beam_rsrp_numpy(*site_geometry, pattern, angle, tx_power_dbm,
-                                            offset_db, out=row, el_terms=el_terms)
+                                            offset_db, out=row, terms=terms)
                     if i == 0:
                         rsrp[:] = row
-                        kernels.linear_mw(row, out=lin)
+                        lin[:] = kernels.linear_mw(row, out=row)
                     else:
                         np.maximum(rsrp, row, out=rsrp)
                         lin += kernels.linear_mw(row, out=row)
@@ -112,25 +114,23 @@ def cell_fold(scene: SceneConfig, assignment: BeamAssignment, offset_db: float, 
     return geometry, fold
 
 
-def _fold_points(folds, n_cells: int, points: np.ndarray, threads: int = 1):
-    """Two new (n_cells, n) arrays that ``cell_fold``'s pair fills chunk by chunk at ``points``."""
-    geometry, fold = folds
-    cell_rsrp = np.empty((n_cells, len(points)), dtype=np.float64)
-    cell_lin = np.empty_like(cell_rsrp)
-    kernels.run_tasks(lambda chunk: fold(geometry(points[slice(*chunk)]),
-                                         cell_rsrp[:, slice(*chunk)], cell_lin[:, slice(*chunk)]),
-                      kernels.chunks(len(points)), threads)
-    return cell_rsrp, cell_lin
-
-
 def build_field(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
                 offset_db: float = 0.0, *, threads: int = 1) -> RadioField:
-    """Every voxel's cell-level RSRP and mW sum: ``cell_fold`` over every cell."""
+    """Every voxel's cell-level RSRP and mW sum: ``cell_fold`` over every cell.
+
+    Each task is a range of columns over every layer, one block of the
+    (cells, L, C) view of the field.
+    """
     assignment.validate_for(scene, require_lattice=False)
-    fold = cell_fold(scene, assignment, offset_db, scene.cell_ids)
-    cell_rsrp, cell_lin = _fold_points(fold, len(scene.cell_ids), grid.centers, threads)
-    return RadioField(grid=grid, cell_ids=scene.cell_ids, cell_rsrp_dbm=cell_rsrp,
-                      cell_lin_mw=cell_lin)
+    geometry, fold = cell_fold(scene, assignment, offset_db, scene.cell_ids)
+    values = np.empty((2, len(scene.cell_ids), grid.count))   # cell max and cell mW sum
+    blocks = values.reshape(2, len(scene.cell_ids), *grid.shape)
+    n_layers, n_columns = grid.shape
+    kernels.run_tasks(lambda cols: fold(geometry(*grid.coordinates(*cols)),
+                                        *blocks[..., slice(*cols)]),
+                      kernels.chunks(n_columns, n_layers), threads)
+    return RadioField(grid=grid, cell_ids=scene.cell_ids, cell_rsrp_dbm=values[0],
+                      cell_lin_mw=values[1])
 
 
 def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
@@ -150,8 +150,11 @@ def predict_at(scene: SceneConfig, assignment: BeamAssignment, offset_db: float,
     for cell_id in sorted(set(cell_ids)):
         scene.cell(cell_id)   # an unknown id raises here
         idx = np.asarray([i for i, c in enumerate(cell_ids) if c == cell_id])
-        fold = cell_fold(scene, assignment, offset_db, (cell_id,))
-        out[idx] = _fold_points(fold, 1, positions[idx])[0][0]
+        geometry, fold = cell_fold(scene, assignment, offset_db, (cell_id,))
+        rsrp, lin = np.empty((2, 1, idx.size))
+        for lo, hi in kernels.chunks(idx.size):
+            fold(geometry(*positions[idx[lo:hi]].T), rsrp[:, lo:hi], lin[:, lo:hi])
+        out[idx] = rsrp[0]
     return out
 
 
@@ -191,11 +194,11 @@ def calibrate_offset(predicted, measured) -> CalibrationOffset:
 
 def export_field_csv(field: RadioField, fh) -> None:
     """Write `x_m,y_m,z_m,cell_id,rsrp_dbm`, voxel-major then cell lexicographic."""
-    centers = field.grid.centers
     ids = _csv.formatted(field.cell_ids, "")
 
     def lines(lo, hi):   # one record per voxel: its coordinates, then a line per cell
-        xyz = list(map(",".join, zip(*(_csv.distinct(centers[lo:hi, axis], ".3f")
+        centers = field.grid.voxel_centers(lo, hi)
+        xyz = list(map(",".join, zip(*(_csv.distinct(centers[:, axis], ".3f")
                                        for axis in range(3)))))
         return [[xyz, cell_id, _csv.formatted(field.cell_rsrp_dbm[c, lo:hi], ".4f")]
                 for c, cell_id in enumerate(ids)]

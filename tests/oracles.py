@@ -98,6 +98,17 @@ def replaced(assignment: BeamAssignment, key: tuple[str, int],
     return BeamAssignment(new)
 
 
+def layer_indices(grid: VoxelGrid, z_m: float) -> np.ndarray:
+    """Dense indices of the voxel layer whose slab contains altitude z_m."""
+    n_columns = len(grid.columns)
+    return np.arange(n_columns) + grid.layer(z_m) * n_columns
+
+
+def layer_bounds(grid: VoxelGrid) -> np.ndarray:
+    """The first dense index of each layer, then the voxel count."""
+    return np.arange(grid.layer_z.size + 1) * len(grid.columns)
+
+
 def contains(spec: CylinderSpec, points) -> np.ndarray:
     """Membership test for point(s); boundary (distance == radius) included."""
     p = np.atleast_2d(np.asarray(points, dtype=float))

@@ -20,7 +20,7 @@ import airtwin.optimizer
 from airtwin.cli import main
 from airtwin.measurements import NATIVE_COLUMNS, load_measurements
 from airtwin.optimizer import ObjectiveWeights
-from airtwin.scene import BeamAssignment, build_voxel_grid, save_assignment
+from airtwin.scene import BeamAssignment, VoxelGrid, build_voxel_grid, save_assignment
 from airtwin.spectrum import predict_at
 from factories import simple_scene
 from oracles import brute_force_optimize, contains, load_scene, save_scene
@@ -884,6 +884,29 @@ def test_every_command_accepts_threads(command, synthesized, tmp_path):
         argv += ["--measurements", measurements]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["build", "calibrate", "validate", "optimize", "evaluate",
+                                     "synth"])
+def test_no_command_builds_the_voxel_centers(command, synthesized, tmp_path, monkeypatch):
+    """Commands read the grid as columns and layers; its (N, 3) centers are for checks."""
+    def no_centers(grid):
+        raise AssertionError("a command built VoxelGrid.centers")
+
+    monkeypatch.setattr(VoxelGrid, "centers", property(no_centers))
+    scene_path, measurements = synthesized
+    argv = [command, "--scene", scene_path, "--out", str(tmp_path / "out")]
+    if command in ("calibrate", "validate"):
+        argv += ["--measurements", measurements]
+    if command == "evaluate":   # a compare, with a heatmap at 50 m and a mask
+        save_assignment(BeamAssignment.baseline(load_scene(scene_path)), tmp_path / "base.json")
+        np.savetxt(tmp_path / "mask.txt", np.arange(0, 20, 3), fmt="%d")
+        argv += ["--compare-to", str(tmp_path / "base.json"), "--mask", str(tmp_path / "mask.txt"),
+                 "--set", "airspace.z_max_m=60"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    if command == "evaluate":
+        assert any(path.name.startswith("heatmap_") for path in (tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("message, line", [

@@ -125,7 +125,9 @@ def assert_same_bytes(writer, reference, obj, n):
 
 
 def grid_of(centers):
-    return SimpleNamespace(centers=centers, count=centers.shape[0])
+    """A stand-in grid whose voxels may sit anywhere, not on one lattice."""
+    return SimpleNamespace(centers=centers, count=centers.shape[0],
+                           voxel_centers=lambda lo, hi: centers[lo:hi])
 
 
 # Shrinking columns thousands of rows long takes minutes, so a failure is

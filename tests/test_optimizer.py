@@ -281,7 +281,7 @@ class TestCandidateDeltasExact:
         for key in keys:
             azimuths = [a.azimuth_deg for a in scene.sub_beam(*key)[2].lattice()]
             assert min(azimuths) < 90.0 and max(azimuths) > 270.0, key
-        az = kernels.site_geometry(build_voxel_grid(scene.airspace).centers,
+        az = kernels.site_geometry(*build_voxel_grid(scene.airspace).coordinates(),
                                    scene.cell("cell2")[0],
                                    scene.radio.frequency_hz)[0]
         assert az.min() < 0.0 < az.max()   # the site sees voxels on both sides of north

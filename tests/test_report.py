@@ -19,7 +19,7 @@ from airtwin.spectrum import build_field
 from airtwin.antenna import Orientation
 
 from factories import simple_scene
-from oracles import replaced
+from oracles import layer_bounds, layer_indices, replaced
 
 THR = CoverageThresholds()
 
@@ -139,7 +139,7 @@ class TestCoverageRatios:
         grid, sinr = sinr_for(scene)
         assert grid.layer_z.size == 5
         rng = np.random.default_rng(4)
-        layer = np.repeat(np.arange(5), np.diff(grid.layer_bounds))
+        layer = np.repeat(np.arange(5), np.diff(layer_bounds(grid)))
         kept = np.flatnonzero(np.isin(layer, [0, 3, 4]) & (rng.random(grid.count) < 0.6))
         mask = rng.permutation(kept)
         report = coverage_ratios(sinr, scene.thresholds, mask=mask)
@@ -162,13 +162,13 @@ class TestCoverageRatios:
 class TestDifferenceHeatmap:
     def test_identical_fields_zero(self, tiny):
         scene, grid = tiny
-        values = np.linspace(-90, -60, grid.layer_indices(10.0).size)
+        values = np.linspace(-90, -60, layer_indices(grid, 10.0).size)
         layer = difference_heatmap(values, values, grid, altitude_m=10.0)
         np.testing.assert_array_equal(layer.delta_db, 0.0)
 
     def test_constant_offset(self, tiny):
         scene, grid = tiny
-        values = np.linspace(-90, -60, grid.layer_indices(30.0).size)
+        values = np.linspace(-90, -60, layer_indices(grid, 30.0).size)
         layer = difference_heatmap(values, values + 3.0, grid, altitude_m=30.0)
         np.testing.assert_allclose(layer.delta_db, 3.0)
 
@@ -202,7 +202,7 @@ class TestDifferenceHeatmap:
         unchanged = ((field_b.cell_rsrp_dbm[c] == field_a.cell_rsrp_dbm[c])
                      & (field_b.cell_lin_mw[c] == field_a.cell_lin_mw[c]))
         assert np.any(unchanged), "expected a floor region where the move is invisible"
-        layer_idx = grid.layer_indices(10.0)
+        layer_idx = layer_indices(grid, 10.0)
         sel = unchanged[layer_idx]
         heat_rsrp = difference_heatmap(sinr_b.serving_rsrp_dbm[layer_idx],
                                        sinr_a.serving_rsrp_dbm[layer_idx], grid, 10.0)
@@ -216,7 +216,7 @@ class TestDifferenceHeatmap:
 
     def test_export_format(self, tiny):
         scene, grid = tiny
-        values = np.zeros(grid.layer_indices(10.0).size)
+        values = np.zeros(layer_indices(grid, 10.0).size)
         layer = difference_heatmap(values, values, grid, 10.0)
         buf = io.StringIO()
         export_heatmap_csv(layer, buf)

@@ -29,7 +29,7 @@ from airtwin.scene import (
 from airtwin.antenna import AntennaPattern, Orientation, TablePattern
 
 from factories import DEMO_SCENE, demo_doc, simple_scene
-from oracles import load_scene, replaced, save_scene, scene_to_dict
+from oracles import layer_bounds, layer_indices, load_scene, replaced, save_scene, scene_to_dict
 
 
 def mask_voxel_grid(spec: CylinderSpec):
@@ -169,12 +169,12 @@ class TestVoxelGrid:
     ])
     def test_equals_the_three_dimensional_mask_construction(self, spec):
         grid = build_voxel_grid(spec)
-        centers, layer_z, layer_bounds = mask_voxel_grid(spec)
+        centers, layer_z, bounds = mask_voxel_grid(spec)
         assert grid.centers.tobytes() == centers.tobytes()
         assert grid.centers.shape == centers.shape
         assert grid.layer_z.tobytes() == layer_z.tobytes()
-        assert grid.layer_bounds.dtype == layer_bounds.dtype
-        assert np.array_equal(grid.layer_bounds, layer_bounds)
+        assert np.array_equal(layer_bounds(grid), bounds)
+        assert grid.shape == (layer_z.size, bounds[1]) and grid.count == bounds[-1]
 
     def test_production_scale_count(self):
         # 2 km radius, 0-500 m, 10 m voxels; oracle enumerates one layer.
@@ -220,15 +220,15 @@ class TestVoxelGrid:
         grid = build_voxel_grid(spec)
         zs = grid.centers[:, 2]
         np.testing.assert_array_equal(grid.layer_z, np.unique(zs))
-        assert grid.layer_bounds[0] == 0 and grid.layer_bounds[-1] == grid.count
+        bounds = layer_bounds(grid)
+        assert bounds[0] == 0 and bounds[-1] == grid.count
         for k, z in enumerate(np.unique(zs)):
             expected = np.nonzero(zs == z)[0]
-            np.testing.assert_array_equal(
-                np.arange(grid.layer_bounds[k], grid.layer_bounds[k + 1]), expected)
-            np.testing.assert_array_equal(grid.layer_indices(z), expected)
+            np.testing.assert_array_equal(np.arange(bounds[k], bounds[k + 1]), expected)
+            assert grid.layer(z) == k
+            np.testing.assert_array_equal(layer_indices(grid, z), expected)
             # Any altitude inside the layer's slab selects it.
-            np.testing.assert_array_equal(grid.layer_indices(z + 0.49 * spec.voxel_m),
-                                          expected)
+            assert grid.layer(z + 0.49 * spec.voxel_m) == k
 
     def test_spec_invariants(self):
         with pytest.raises(SceneValidationError):

@@ -5,9 +5,12 @@ import math
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from airtwin import kernels, report
 from airtwin.antenna import AntennaPattern, Orientation, TablePattern, gain, wrap_angle_deg
@@ -33,7 +36,7 @@ from airtwin.spectrum import (
     predict_at,
 )
 from factories import DEMO_SCENE, demo_doc, simple_scene, with_table_beam
-from oracles import contains, replaced
+from oracles import contains, layer_bounds, layer_indices, replaced
 
 C = 299_792_458.0
 
@@ -178,14 +181,14 @@ class TestSiteOnVoxelCenter:
         assert self.grid.layer_z.size == 3
 
     def test_center_in_a_later_layer_rejected(self):
-        center = self.grid.centers[self.grid.layer_indices(self.grid.layer_z[2])[3]]
+        center = self.grid.centers[layer_indices(self.grid, self.grid.layer_z[2])[3]]
         with pytest.raises(SingularityError, match="site0"):
             build_field(site_at(self.scene, center), self.grid,
                         BeamAssignment.baseline(self.scene))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_one_ulp_off_a_center_accepted(self, axis):
-        center = self.grid.centers[self.grid.layer_indices(self.grid.layer_z[1])[5]].copy()
+        center = self.grid.centers[layer_indices(self.grid, self.grid.layer_z[1])[5]].copy()
         center[axis] = np.nextafter(center[axis], np.inf)
         field = build_field(site_at(self.scene, center), self.grid,
                             BeamAssignment.baseline(self.scene))
@@ -218,6 +221,62 @@ class TestSiteOnVoxelCenter:
         field = build_field(site_at(self.scene, corner), self.grid,
                             BeamAssignment.baseline(self.scene))
         assert np.all(np.isfinite(field.cell_rsrp_dbm))
+
+
+@st.composite
+def airspaces(draw):
+    """A cylinder of at most about 20,000 voxels, anywhere."""
+    voxel_m = draw(st.floats(2.0, 40.0))
+    radius_m = draw(st.floats(0.5, 40.0)) * voxel_m
+    z_min_m = draw(st.floats(-300.0, 300.0))
+    height_m = draw(st.floats(0.5, 20.0)) * voxel_m   # the first layer's center is in
+    hypothesis.assume(math.pi * (radius_m / voxel_m + 1) ** 2 * (height_m / voxel_m + 1)
+                      < 20_000)
+    center = draw(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)))
+    return CylinderSpec(center, radius_m, z_min_m, z_min_m + height_m, voxel_m)
+
+
+def geometry_or_error(x, y, z, site, frequency_hz):
+    """``kernels.site_geometry``'s arrays, or the message of its ``SingularityError``."""
+    try:
+        return kernels.site_geometry(x, y, z, site, frequency_hz)
+    except SingularityError as exc:
+        return str(exc)
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(st.data())
+def test_broadcast_site_geometry_equals_the_per_point_form(data):
+    """Over (columns, layers), the geometry has the bits of the per-voxel form at the centers.
+
+    The site sits anywhere, or on a voxel center or an offset of it whose
+    square underflows or nearly does; then both forms name the same point.
+    """
+    grid = build_voxel_grid(data.draw(airspaces()))
+    n_layers, n_columns = grid.shape
+    voxel = grid.centers[data.draw(st.integers(0, grid.count - 1))]
+    offset = data.draw(st.tuples(*[st.sampled_from([0.0, 5e-324, 1e-200, 1e-30, 0.25])] * 3))
+    position = data.draw(st.one_of(
+        st.just(tuple(map(float, voxel + offset))),
+        st.tuples(*[st.floats(-2e4, 2e4)] * 3)))
+    site = SimpleNamespace(id="site0", position_m=position)
+    frequency_hz = data.draw(st.floats(1e6, 1e11))
+    lo = data.draw(st.integers(0, n_columns - 1))
+    hi = data.draw(st.integers(lo + 1, n_columns))
+    block = grid.centers.reshape(n_layers, n_columns, 3)[:, lo:hi].reshape(-1, 3)
+    broadcast = geometry_or_error(*grid.coordinates(lo, hi), site, frequency_hz)
+    per_point = geometry_or_error(*block.T, site, frequency_hz)
+    hypothesis.event("rejected" if isinstance(per_point, str) else "accepted")
+    if isinstance(per_point, str):
+        assert broadcast == per_point
+        return
+    az, el, loss = broadcast
+    assert az.shape == (hi - lo,) and el.shape == loss.shape == (n_layers, hi - lo)
+    for got, want in zip((np.broadcast_to(az, el.shape), el, loss), per_point):
+        assert got.tobytes() == want.tobytes()
+    dx, dy, dz = (block - np.asarray(position)).T   # the distance in the parent's order
+    assert loss.tobytes() == kernels.fspl(np.sqrt(dx * dx + dy * dy + dz * dz),
+                                          frequency_hz).tobytes()
 
 
 class TestBuildField:
@@ -392,7 +451,7 @@ def rows_block_field(scene, grid, assignment, offset_db=0.0):
     cell_lin = np.empty_like(cell_rsrp)
     for site in scene.sites:
         for lo, hi in kernels.chunks(grid.count):
-            az, el, loss = kernels.site_geometry(grid.centers[lo:hi], site,
+            az, el, loss = kernels.site_geometry(*grid.centers[lo:hi].T, site,
                                                  scene.radio.frequency_hz)
             for cell in site.cells:
                 beams = sorted(cell.sub_beams, key=lambda b: b.index)
@@ -492,7 +551,7 @@ def layer_oracle(sinr, thresholds, selected):
     grid = sinr.grid
     counts = np.zeros((1 + len(CRITERIA), len(grid.layer_z)), dtype=np.int64)
     for k, z in enumerate(grid.layer_z):
-        idx = grid.layer_indices(z)
+        idx = layer_indices(grid, z)
         counts[0, k] = np.count_nonzero(selected[idx])
         for row, test in enumerate(CRITERIA.values(), 1):
             met = test(sinr.serving_rsrp_dbm[idx], sinr.sinr_db[idx], thresholds)
@@ -530,7 +589,7 @@ class TestStreamedSinrField:
             for a, want in enumerate(expected):
                 assert np.array_equal(counts[a], layer_oracle(want, scene.thresholds, selected))
                 for altitude, layer in layers.items():
-                    idx = grid.layer_indices(altitude)
+                    idx = layer_indices(grid, altitude)
                     assert layer[a, 0].tobytes() == want.serving_rsrp_dbm[idx].tobytes()
                     assert layer[a, 1].tobytes() == want.sinr_db[idx].tobytes()
 
@@ -555,18 +614,68 @@ class TestStreamedSinrField:
         assert counts[:, 0].sum() == 2 * mask.size
         assert peak < grid.count * 8
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grid_and_streamed_compare_allocate_less_than_one_voxel_array(self, monkeypatch,
+                                                                          threads):
+        # The grid is 16 B per column; the compare holds the mask selection,
+        # 1 B per voxel, and about 300 B per block voxel in each running task.
+        # With one-column blocks on this 11,060-voxel grid, that and the fixed
+        # cost of a compare stay below one (N,) float64.
+        scene = scene_from_dict(demo_doc(radius_m=100.0, z_max_m=350.0, voxel_m=10.0))
+        assignments = (BeamAssignment.baseline(scene), seeded_assignment(scene, 7))
+        n_layers, n_columns = build_voxel_grid(scene.airspace).shape
+        assert (n_layers, n_columns) == (35, 316)
+        monkeypatch.setattr(kernels, "_CHUNK", n_layers)
+        mask = np.arange(0, n_layers * n_columns, 2)
+        tracemalloc.start()
+        try:
+            grid = build_voxel_grid(scene.airspace)
+            counts, _ = build_sinr_field(scene, grid, assignments, mask=mask, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts[:, 0].sum() == 2 * mask.size
+        assert peak < grid.count * 8
+
+    @pytest.mark.parametrize("width", [1, 9])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_counts_of_column_blocks_equal_the_whole_field_report(self, monkeypatch, width,
+                                                                  threads):
+        # Column ranges one column wide, or 9 wide, which does not divide the
+        # layer; the mask leaves layer 1 empty, so its report omits that layer.
+        scene = interleaved_demo()
+        grid = build_voxel_grid(scene.airspace)
+        n_layers, n_columns = grid.shape
+        monkeypatch.setattr(kernels, "_CHUNK", width * n_layers)
+        assert kernels.chunks(n_columns, n_layers)[1] == (width, 2 * width)
+        assert width == 1 or n_columns % width
+        assignment = seeded_assignment(scene, 12)
+        sinr = sinr_from_field(build_field(scene, grid, assignment), scene.radio, 1.0)
+        mask = np.random.default_rng(13).permutation(grid.count)[:grid.count // 2]
+        mask = mask[mask // n_columns != 1]
+        for m in (None, mask):
+            counts, _ = build_sinr_field(scene, grid, (assignment,), mask=m, threads=threads)
+            got = report.coverage_report(grid, counts[0])
+            assert got == report.coverage_ratios(sinr, scene.thresholds, m)
+            selected = np.ones(grid.count, dtype=bool) if m is None else report.selection(
+                m, grid.count)
+            assert np.array_equal(counts[0], layer_oracle(sinr, scene.thresholds, selected))
+            layers = [layer.z_m for layer in got.layers]
+            assert layers == [z for k, z in enumerate(grid.layer_z) if m is None or k != 1]
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("masked", [False, True])
     def test_evaluate_writes_the_reports_of_build_field(self, tmp_path, monkeypatch, demo,
                                                         threads, masked):
         scene, grid = demo
-        monkeypatch.setattr(kernels, "_CHUNK", 997)   # chunks split layers
-        assert np.any(grid.layer_bounds % kernels._CHUNK)
+        monkeypatch.setattr(kernels, "_CHUNK", 997)   # column ranges of uneven width
+        n_layers, n_columns = grid.shape
+        assert n_columns % (kernels._CHUNK // n_layers)
         before, after = seeded_assignment(scene, 9), seeded_assignment(scene, 10)
         save_assignment(before, tmp_path / "before.json")
         save_assignment(after, tmp_path / "after.json")
         mask = np.random.default_rng(11).permutation(grid.count)[:grid.count // 2]
-        mask = mask[mask >= grid.layer_bounds[1]] if masked else None   # layer 0 left out
+        mask = mask[mask >= layer_bounds(grid)[1]] if masked else None   # layer 0 left out
         flags = ["--offset-db", "1.5", "--activity-factor", "0.5", "--threads", str(threads)]
         if masked:
             np.savetxt(tmp_path / "mask.txt", mask, fmt="%d")
@@ -583,7 +692,7 @@ class TestStreamedSinrField:
             report.compare_report(sinr_before, sinr_after, scene.thresholds,
                                   mask).to_json_dict(), expected / "compare_report.json")
         for altitude in (50.0, 150.0, 300.0):
-            idx = grid.layer_indices(altitude)
+            idx = layer_indices(grid, altitude)
             for name in ("serving_rsrp_dbm", "sinr_db"):
                 layer = report.difference_heatmap(getattr(sinr_before, name)[idx],
                                                   getattr(sinr_after, name)[idx], grid, altitude)
@@ -667,7 +776,7 @@ def stacked_rows_predict_at(scene, assignment, offset_db, points):
     for cell_id in sorted(set(cell_ids)):
         site, cell = scene.cell(cell_id)
         idx = np.asarray([i for i, c in enumerate(cell_ids) if c == cell_id])
-        az, el, loss = kernels.site_geometry(positions[idx], site, scene.radio.frequency_hz)
+        az, el, loss = kernels.site_geometry(*positions[idx].T, site, scene.radio.frequency_hz)
         rows = []
         for sb in cell.sub_beams:
             angle = assignment.angle(cell_id, sb.index)
