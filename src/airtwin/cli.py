@@ -28,7 +28,7 @@ from .optimizer import ObjectiveWeights, greedy_optimize, save_trace
 from .report import (
     DEFAULT_HEATMAP_ALTITUDES_M,
     CompareReport,
-    compare_report,
+    coverage_ratios,
     coverage_report,
     difference_heatmap,
     export_heatmap_csv,
@@ -156,11 +156,6 @@ def _load_mask(path: str) -> np.ndarray:
     return mask
 
 
-def _fields_for(scene, grid, assignment, args):
-    field = build_field(scene, grid, assignment, args.offset_db, threads=args.threads)
-    return field, sinr_from_field(field, scene.radio, args.activity_factor)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -168,7 +163,9 @@ def cmd_build(args) -> int:
     scene, overrides = _load_scene_with_overrides(args.scene, args.set)
     assignment = _assignment_for(scene, args.assignment)
     _write_manifest(args.out, "build", args, overrides)
-    field, sinr = _fields_for(scene, build_voxel_grid(scene.airspace), assignment, args)
+    field = build_field(scene, build_voxel_grid(scene.airspace), assignment, args.offset_db,
+                        threads=args.threads)
+    sinr = sinr_from_field(field, scene.radio, args.activity_factor)
     with open(os.path.join(args.out, "field.csv"), "w") as fh:
         export_field_csv(field, fh)
     with open(os.path.join(args.out, "sinr.csv"), "w") as fh:
@@ -236,7 +233,13 @@ def cmd_optimize(args) -> int:
                                margin_cap_db=args.margin_cap,
                                epsilon_gain=args.epsilon_gain)
     grid = build_voxel_grid(scene.airspace)
-    field, sinr_before = _fields_for(scene, grid, initial, args)
+
+    def coverage(field):   # a report's counts; its SinrField is dropped at once
+        return coverage_ratios(sinr_from_field(field, scene.radio, args.activity_factor),
+                               scene.thresholds)
+
+    field = build_field(scene, grid, initial, args.offset_db, threads=args.threads)
+    before = coverage(field)
     optimized, trace, field = greedy_optimize(scene, grid, initial, weights,
                                               activity_factor=args.activity_factor,
                                               offset_db=args.offset_db, threads=args.threads,
@@ -244,8 +247,7 @@ def cmd_optimize(args) -> int:
     save_assignment(optimized, os.path.join(args.out, "assignment.json"))
     save_trace(trace, os.path.join(args.out, "trace.json"))
 
-    sinr_after = sinr_from_field(field, scene.radio, args.activity_factor)
-    report = compare_report(sinr_before, sinr_after, scene.thresholds)
+    report = CompareReport(before, coverage(field))
     save_json_report(report.to_json_dict(), os.path.join(args.out, "compare_report.json"))
     print(f"objective {trace.initial_objective:.4f} -> {trace.final_objective:.4f}; "
           f"strict RSRP ratio {report.before.ratio('rsrp_strict'):.4f} -> "

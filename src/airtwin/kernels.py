@@ -1,37 +1,24 @@
-"""Per-point RSRP in two steps: site geometry, then one gain formula per sub-beam.
+"""Per-point RSRP in two steps: site geometry, then a stack of sub-beam gains.
 
 Every sub-beam of a site sees a point at the same azimuth, elevation and
-free-space path loss, so ``site_geometry`` works those out once per site and
-``beam_rsrp_numpy`` adds a sub-beam's steered antenna gain on top:
+free-space path loss, so ``site_geometry`` works those out once per site
+(one azimuth per grid column) and checks the site against its points, and
+``beam_rsrp_numpy`` adds sub-beams' steered antenna gain on top:
 
     RSRP = tx_power_dbm + G(wrap(az - az0), el - tilt0) - FSPL + offset_db
 
-``site_geometry`` broadcasts: for a block of the grid's voxel columns it
-gives one azimuth per column and an elevation and path loss per voxel. It is
-the one check of a site against the points it is evaluated at: a point too
-close for a finite path loss, distance 0 included, raises
-``SingularityError`` before anything divides by that distance.
-
 ``G`` comes from the pattern's own terms, so the gain formula exists only
-in ``antenna``. ``AntennaPattern`` is separable: its capped azimuth term
-depends only on ``(hpbw_az_deg, sla_db, azimuth)`` and the column, its
-capped elevation term only on ``(hpbw_el_deg, sla_db, tilt_deg)`` and the
-voxel. ``beam_rsrp_numpy`` computes each once into a dict that holds for one
-geometry (``spectrum``'s fold keeps one per site and block; a site's 14
-sub-beams use 6 to 8 tilts in a random lattice assignment and 1 in the
-baseline) and broadcasts the azimuth term over the layers. A table pattern
-takes ``offset_gain_dbi``. The optimizer's candidate loop builds a
-parametric gain from the same terms and assembles the RSRP with
-``rsrp_from_gain``. The field build and that loop work block by block in
-reused buffers, so ``beam_rsrp_numpy`` and the helpers they call
-(``rsrp_from_gain``, the pattern terms, ``linear_mw`` and ``sinr_db``) take
-an ``out=`` array and run the same operations, in the same order, with or
-without it.
+in ``antenna``. ``beam_rsrp_numpy`` writes the rows of sub-beams that share
+one pattern and power as one (k, *points) stack, each step one numpy call
+for all k rows; ``pattern_runs`` splits a cell's sub-beams into such runs,
+and ``cell_rows`` writes the cell's stack run by run. Work runs block by
+block in reused buffers, so these helpers and those they call (the pattern
+terms, ``rsrp_from_gain``, ``linear_mw`` and ``sinr_db``) take an ``out=``
+array and run the same operations, in the same order, with or without it.
 
-Threading: a grid is split into fixed ranges of columns, each over every
-layer, and points into fixed chunks (``chunks``), whatever the thread count;
-``run_tasks`` spreads independent tasks over one thread pool, so results are
-bit-identical for any ``threads`` value.
+Threading: a grid is split into fixed ranges of columns over every layer,
+and points into fixed chunks (``chunks``), whatever the thread count, so
+``run_tasks`` gives bit-identical results for any ``threads`` value.
 """
 
 from __future__ import annotations
@@ -47,9 +34,9 @@ from .errors import SingularityError
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 _FOUR_PI_OVER_C = 4.0 * math.pi / SPEED_OF_LIGHT_M_S
 
-_CHUNK = 65536  # points (voxels) per work unit; fixed so output never depends on threads
+_CHUNK = 24576  # points (voxels) per work unit; fixed so output never depends on threads
 
-_TENS = np.full(_CHUNK, 10.0)   # the base of every linear_mw
+_TENS = np.full(65536, 10.0)   # the base of every linear_mw; a block's stack takes a few calls
 _TENS.flags.writeable = False
 
 
@@ -98,31 +85,64 @@ def rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db, out=None):
     return np.add(rsrp, offset_db, out=out)
 
 
-def beam_rsrp_numpy(az_deg, el_deg, fspl_db, pattern, angle, tx_power_dbm, offset_db,
-                    out=None, terms=None):
-    """RSRP of one sub-beam steered to ``angle``, from its site's geometry.
+def beam_rsrp_numpy(az_deg, el_deg, fspl_db, pattern, angles, tx_power_dbm, offset_db,
+                    out=None):
+    """The (k, *points) RSRP stack of k sub-beams sharing ``pattern`` and power.
 
-    The azimuth may be one per column, (c,), against (L, c) elevations and
-    path losses. A parametric pattern's capped azimuth term is computed once
-    per ``(hpbw_az_deg, sla_db, azimuth)`` and its capped elevation term once
-    per ``(hpbw_el_deg, sla_db, tilt_deg)`` into ``terms``, a dict for this
-    geometry only, or into a fresh dict; the combine broadcasts them. The bits
-    are the same with or without ``terms`` and ``out``.
+    Row i, steered to ``angles[i]``, has the bits of a one-angle call; ``out``
+    receives the stack. The azimuth may be one per column, (c,), against
+    (L, c) elevations and path losses. A parametric pattern caps the (k, c)
+    azimuth offsets at once and takes every later step on the whole stack in
+    place; a table pattern takes ``offset_gain_dbi`` row by row.
     """
+    ndim = np.ndim(el_deg)
+    az_deg = np.reshape(az_deg, (1,) * (ndim - np.ndim(az_deg)) + np.shape(az_deg))
+    steer = np.reshape([(a.azimuth_deg, a.tilt_deg) for a in angles], (-1, 2) + (1,) * ndim)
+    stack = np.empty((len(angles), *np.shape(el_deg))) if out is None else out
+    delta_az = wrap_angle_deg(az_deg - steer[:, 0])
     if not isinstance(pattern, AntennaPattern):
-        gain_dbi = pattern.offset_gain_dbi(wrap_angle_deg(az_deg - angle.azimuth_deg),
-                                           el_deg - angle.tilt_deg)
-        return rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db, out=out)
-    terms = {} if terms is None else terms
-    az_key = ("az", pattern.hpbw_az_deg, pattern.sla_db, angle.azimuth_deg)
-    if az_key not in terms:
-        delta_az = wrap_angle_deg(az_deg - angle.azimuth_deg)
-        terms[az_key] = pattern.azimuth_attenuation_db(delta_az, out=delta_az)
-    el_key = ("el", pattern.hpbw_el_deg, pattern.sla_db, angle.tilt_deg)
-    if el_key not in terms:
-        terms[el_key] = pattern.elevation_attenuation_db(el_deg - angle.tilt_deg)
-    gain_dbi = pattern.gain_from_attenuation_dbi(terms[az_key], terms[el_key], out=out)
-    return rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db, out=out)
+        for row, daz, tilt in zip(stack, delta_az, steer[:, 1]):
+            rsrp_from_gain(tx_power_dbm, pattern.offset_gain_dbi(daz, el_deg - tilt), fspl_db,
+                           offset_db, out=row)
+        return stack
+    a_az = pattern.azimuth_attenuation_db(delta_az, out=delta_az)
+    a_el = pattern.elevation_attenuation_db(np.subtract(el_deg, steer[:, 1], out=stack),
+                                            out=stack)
+    gain_dbi = pattern.gain_from_attenuation_dbi(a_az, a_el, out=stack)
+    return rsrp_from_gain(tx_power_dbm, gain_dbi, fspl_db, offset_db, out=stack)
+
+
+def pattern_runs(beams):
+    """``(pattern, angles)`` runs of ``beams``: equal parametric patterns share one call."""
+    runs = []
+    for pattern, angle in beams:
+        if runs and isinstance(pattern, AntennaPattern) and runs[-1][0] == pattern:
+            runs[-1][1].append(angle)
+        else:
+            runs.append((pattern, [angle]))
+    return runs
+
+
+def cell_rows(geometry, runs, tx_power_dbm, offset_db, out):
+    """A cell's sub-beam rows at ``geometry`` into ``out``, (k, *points), one call per run."""
+    lo = 0
+    for pattern, angles in runs:
+        beam_rsrp_numpy(*geometry, pattern, angles, tx_power_dbm, offset_db,
+                        out=out[lo:lo + len(angles)])
+        lo += len(angles)
+    return out
+
+
+def add_rows(rows, out):
+    """The in-order sum of ``rows`` along axis 0 into ``out``.
+
+    ``np.add.reduce`` adds rows of one point pairwise from 8 rows on."""
+    if rows[:1].size != 1:
+        return np.add.reduce(rows, axis=0, out=out)
+    out[...] = rows[0]
+    for row in rows[1:]:
+        out += row
+    return out
 
 
 def linear_mw(rsrp_dbm: np.ndarray, out=None) -> np.ndarray:
@@ -130,10 +150,9 @@ def linear_mw(rsrp_dbm: np.ndarray, out=None) -> np.ndarray:
 
     numpy raises a contiguous array of bases about twice as fast as a scalar
     or stride-0 base, with the same bits. So the exponents are raised against
-    the read-only ``_TENS``, in place, one chunk of the last axis at a time
-    (of the whole array, when it is contiguous), and no temporary is made:
-    the optimizer passes a (7, L, C) array of rows that is 200+ MB at paper
-    scale.
+    the read-only ``_TENS``, in place, one piece of the last axis at a time
+    (of the whole array, when it is contiguous, as a block's stack of sub-beam
+    rows is), and no temporary is made.
     """
     mw = np.multiply(rsrp_dbm, 0.1, out=out)
     if np.ndim(mw) == 0:
@@ -151,9 +170,9 @@ def active_backend() -> str:
     return "numpy"
 
 
-def chunks(n, layers=1):
-    """Fixed [lo, hi) ranges of [0, n), each of about ``_CHUNK`` points over ``layers``."""
-    step = max(1, _CHUNK // layers)
+def chunks(n, layers=1, blocks=1):
+    """Fixed [lo, hi) ranges of [0, n), each of about ``blocks * _CHUNK`` points over ``layers``."""
+    step = max(1, blocks * _CHUNK // layers)
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 

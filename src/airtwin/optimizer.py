@@ -19,17 +19,16 @@ admissible angle for this sub-beam and its own delta is non-negative. Since
 the current angle is always a candidate and reuse requires delta >= 0, the
 objective never decreases.
 
-Scoring is incremental. The pass keeps one RadioField, the cell max and cell
-mW sum that ``build_field`` returns. Within one step only the visited
-sub-beam's row changes, so the step recomputes that cell's rows once and
-gathers everything else the score needs (the rest of its cell, the best other
-cell per voxel, the interference from the other cells) into a context; each
-candidate then costs O(N) for N voxels, and the chosen angle rewrites that
-one cell of the field. The context adds rows and cells in the same order as
-the full rebuild (``np.add.reduce`` over a cell's rows, ``assemble_sinr``
-over cells); since floating-point addition is not associative, that fixed
-order is what makes each candidate delta, and the field after each step,
-equal the full rebuild's bit for bit, and the greedy choices with it.
+Scoring is incremental. The pass keeps one RadioField, ``build_field``'s
+cell max and cell mW sum. Within one step only the visited sub-beam's row
+changes, so the step recomputes that cell's rows once and gathers what else
+the score needs (the rest of its cell, the best other cell per voxel, the
+other cells' interference) into a context; each candidate then costs O(N)
+for N voxels, and the chosen angle rewrites that one cell. The context adds
+rows and cells in the full rebuild's order (``kernels.add_rows`` over a
+cell's rows, ``assemble_sinr`` over cells); floating-point addition is not
+associative, so that order makes each candidate delta, the field after each
+step and so the greedy choices equal the full rebuild's bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +61,10 @@ _ANGLE_EQ_TOL = 1e-9
 # 1e100 keep it below 1e120 for any grid that fits in memory, far from float
 # overflow, so every candidate delta is finite; 1e308 would turn them inf/NaN.
 MAX_WEIGHT = 1e100
+
+# A candidate costs about 20 numpy calls per block; at 2 threads, one-chunk blocks
+# cost more in GIL hand-offs (20 candidates, 942,840 voxels: 0.45 s, not 0.36 s).
+_SCORING_BLOCKS = 3
 
 
 @dataclass(frozen=True)
@@ -176,11 +179,17 @@ class _StepContext:
     interference_after: tuple[np.ndarray, ...]  # mW of each later cell, 0 where it is the rival
 
 
+def _columns(geometry, lo, hi):
+    """A site's (azimuth, elevation, FSPL) geometry at grid columns [lo, hi)."""
+    az, el, loss = geometry
+    return az[lo:hi], el[:, lo:hi], loss[:, lo:hi]
+
+
 def _cell_with_row(ctx: _StepContext, voxels, row, cell_max, cell_lin):
     """The scored cell's max and mW sum at ``voxels``, with ``row`` as the scored row.
 
     Writes them into ``cell_max`` (which may be ``row``) and ``cell_lin``, and
-    adds the rows in row order, like ``np.add.reduce(axis=0)`` in build_field.
+    adds the rows in row order, like ``kernels.add_rows`` in build_field.
     """
     linear_mw(row, out=cell_lin)
     cell_lin += ctx.lin_before[voxels]
@@ -192,44 +201,27 @@ def _cell_with_row(ctx: _StepContext, voxels, row, cell_max, cell_lin):
 class _FieldEvaluator:
     """Scores one-angle changes of a RadioField incrementally.
 
-    The state is the current angles and their ``RadioField`` (cell max and
-    cell mW sum), equal to ``build_field`` of those angles bit for bit:
-    ``set_assignment`` calls build_field (or takes the caller's build of it),
-    and ``apply`` rewrites the one cell that a new angle changes. No sub-beam
-    row is kept between steps.
-
-    Each site's geometry to every voxel is computed once here, its azimuth
+    The state is the current angles and their ``RadioField``, equal to
+    ``build_field`` of them bit for bit: ``set_assignment`` builds it (or
+    takes the caller's build), and ``apply`` rewrites the one cell a new
+    angle changes. Each site's geometry is computed once here, its azimuth
     once per column, so a row at any angle costs only the gain formula.
-    ``candidate_deltas`` scores any number of angles for one sub-beam from a
-    per-step context (``_StepContext``). The context recomputes the visited
-    cell's rows once, at the current angles, and holds the parts of the cell
-    and SINR reductions the candidate cannot change, so each candidate costs
-    O(N).
-    ``apply`` reuses the context to write the cell.
 
-    A candidate is scored in one pass per block, a range of columns over
-    every layer, on ``kernels.run_tasks``: the row, its mW, the in-order cell
-    adds, the cell max, the serving compare and select, the in-order
-    interference adds and the SINR all go through a few block-sized buffers
-    per worker, and the block's covered mask and capped margin land in two
-    (L, C) buffers. One count and one sum over those whole buffers, seen as
-    (N,) arrays, then give the score, so the pairwise sum sees the same array
-    for any thread count.
-
-    For a parametric pattern the candidate row is split along the pattern's
-    separable form. ``candidate_deltas`` takes the angles in the caller's
-    order and recomputes the wrapped, capped azimuth term into its one (C,)
-    buffer, one value per voxel column, only when the azimuth differs from
-    the previous angle's, so an az-major lattice pays for ``wrap_angle_deg``
-    once per lattice column; the elevation term, the combine and the RSRP
-    are computed per angle and voxel. A table
-    pattern takes the general ``kernels.beam_rsrp_numpy`` path.
+    ``candidate_deltas`` scores angles for one sub-beam from a per-step
+    context (``_StepContext``): the visited cell's rows at the current
+    angles, computed block by block by ``kernels.cell_rows`` and reduced to
+    what no candidate can change. A candidate then costs one O(N) pass per
+    block through a few buffers per worker into whole (L, C) covered and
+    margin buffers; one count and one sum over those, seen as (N,) arrays,
+    give the score for any thread count. A parametric candidate recomputes
+    its wrapped, capped azimuth term (one value per column) only when its
+    azimuth differs from the previous angle's, so an az-major lattice wraps
+    once per lattice column; a table pattern takes ``kernels.beam_rsrp_numpy``.
 
     Floating-point addition is not associative, so the context keeps the
-    summation order of the full path: the cell's mW sum adds rows in row order
-    like ``np.add.reduce(axis=0)``, and the interference adds cells in cell
-    order like ``assemble_sinr``. That makes every candidate score equal the
-    full rebuild bit for bit.
+    full path's order: a cell's rows in row order, like ``kernels.add_rows``,
+    and cells in cell order, like ``assemble_sinr``. So every candidate
+    score equals the full rebuild's.
     """
 
     def __init__(self, scene, grid, weights, activity_factor, offset_db, threads=1):
@@ -250,7 +242,7 @@ class _FieldEvaluator:
         self.angles: dict[tuple[str, int], Orientation] = {}
         self.field: RadioField | None = None
         n_layers, n_columns = grid.shape
-        self._tasks = kernels.chunks(n_columns, n_layers)
+        self._tasks = kernels.chunks(n_columns, n_layers, _SCORING_BLOCKS)
         self._row = np.empty(grid.shape, dtype=np.float64)
         self._az_term = np.empty(n_columns, dtype=np.float64)
         self._covered = np.empty(grid.shape, dtype=bool)
@@ -260,15 +252,10 @@ class _FieldEvaluator:
 
     def _eval_row_into(self, key, angle, out):
         site, cell, sb = self.scene.sub_beam(*key)
-        az, el, loss = self.geometry[site.id]
-
-        def work(bounds):
-            lo, hi = bounds
-            out[:, lo:hi] = kernels.beam_rsrp_numpy(az[lo:hi], el[:, lo:hi], loss[:, lo:hi],
-                                                    sb.pattern, angle, cell.tx_power_dbm,
-                                                    self.offset_db)
-
-        kernels.run_tasks(work, self._tasks, self.threads)
+        geometry = self.geometry[site.id]
+        kernels.run_tasks(lambda cols: kernels.beam_rsrp_numpy(
+            *_columns(geometry, *cols), sb.pattern, (angle,), cell.tx_power_dbm,
+            self.offset_db, out=out[None, :, slice(*cols)]), self._tasks, self.threads)
 
     def set_assignment(self, assignment: BeamAssignment, field: RadioField | None = None):
         """Take ``assignment`` as the state; ``field``, if given, is its build_field."""
@@ -295,16 +282,27 @@ class _FieldEvaluator:
         s = self.cell_ids.index(key[0])
         keys = [k for k in self.beam_keys if k[0] == key[0]]
         j = keys.index(key)
+        site, cell, _ = self.scene.sub_beam(*key)
+        runs = kernels.pattern_runs((self.scene.sub_beam(*k)[2].pattern, self.angles[k])
+                                    for k in keys)
         shape = self.grid.shape
-        rows = np.empty((len(keys), *shape), dtype=np.float64)
-        for i, k in enumerate(keys):
-            self._eval_row_into(k, self.angles[k], rows[i])
-        max_other_rows = np.maximum.reduce(np.delete(rows, j, axis=0), axis=0,
-                                           initial=-np.inf)
-        lin = linear_mw(rows, out=rows)   # in place: at paper scale the rows are 200+ MB
-        lin_before = np.add.reduce(lin[:j], axis=0)
-        lin_after = tuple(lin[j + 1:].copy())
-        del rows, lin
+        max_other_rows, lin_before = np.empty((2, *shape))
+        lin_after = np.empty((len(keys) - j - 1, *shape))
+
+        def work(bounds):   # the cell's rows on one block, reduced around row j
+            lo, hi = bounds
+            rows = kernels.cell_rows(_columns(self.geometry[site.id], lo, hi), runs,
+                                     cell.tx_power_dbm, self.offset_db,
+                                     np.empty((len(keys), shape[0], hi - lo)))
+            max_other = max_other_rows[:, lo:hi]
+            np.maximum.reduce(rows[:j], axis=0, initial=-np.inf, out=max_other)
+            np.maximum(max_other, np.maximum.reduce(rows[j + 1:], axis=0, initial=-np.inf),
+                       out=max_other)
+            lin = kernels.linear_mw(rows, out=rows)
+            kernels.add_rows(lin[:j], lin_before[:, lo:hi])
+            lin_after[..., lo:hi] = lin[j + 1:]
+
+        kernels.run_tasks(work, self._tasks, self.threads)
         cell_max, cell_lin = (a.reshape(-1, *shape) for a in (self.field.cell_rsrp_dbm,
                                                               self.field.cell_lin_mw))
         others = [c for c in range(len(self.cell_ids)) if c != s]
@@ -323,7 +321,7 @@ class _FieldEvaluator:
             key=key,
             cell=s,
             lin_before=lin_before,
-            lin_after=lin_after,
+            lin_after=tuple(lin_after),
             max_other_rows=max_other_rows,
             rival_dbm=rival_dbm,
             # A tie goes to the smaller id; for floats, x >= r is x > nextafter(r, -inf).
@@ -365,8 +363,8 @@ class _FieldEvaluator:
         """
         pattern, tx_power_dbm, az, el, loss = beam
         if not isinstance(pattern, AntennaPattern):
-            out[:] = kernels.beam_rsrp_numpy(az[cols], el[:, cols], loss[:, cols], pattern,
-                                             angle, tx_power_dbm, self.offset_db)
+            kernels.beam_rsrp_numpy(az[cols], el[:, cols], loss[:, cols], pattern, (angle,),
+                                    tx_power_dbm, self.offset_db, out=out[None])
             return
         a_az = self._az_term[cols]
         if new_azimuth:

@@ -178,15 +178,6 @@ class CompareReport:
         }
 
 
-def compare_report(sinr_before: SinrField, sinr_after: SinrField,
-                   thresholds: CoverageThresholds, mask=None) -> CompareReport:
-    """Coverage reports for two configurations; ``to_json_dict`` adds per-ratio deltas."""
-    if sinr_before.grid.count != sinr_after.grid.count:
-        raise DimensionError("before/after fields do not share a grid")
-    return CompareReport(before=coverage_ratios(sinr_before, thresholds, mask),
-                         after=coverage_ratios(sinr_after, thresholds, mask))
-
-
 def save_json_report(data: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)

@@ -71,45 +71,34 @@ def cell_fold(scene: SceneConfig, assignment: BeamAssignment, offset_db: float, 
     points into row ``cell_ids.index(cell)`` of the (len(cell_ids), *points)
     arrays it is given, which may be views. Passed ``geometry(...)`` itself,
     it holds one site's geometry at a time; folds of several assignments may
-    share a list of it. Each sub-beam row is computed into one buffer of the
-    points' shape and folded straight into its cell's row of the outputs: a
-    cell's first row is copied in, and each later row is added by an
-    in-place max and an in-place add of its mW. So no (sub-beam, point)
-    array is ever made. A site's dict of azimuth and elevation terms serves
-    only its own points. Callers pass one ``kernels.chunks`` range at a time.
-
-    Deterministic for any chunking: the max is exact, and each cell's mW sum
-    adds its rows in sub-beam index order for every point, the order of
-    ``np.add.reduce(axis=0)``.
+    share a list of it. A cell takes one pass: ``kernels.cell_rows`` writes
+    its sub-beam rows as one (sub-beams, *points) stack over the one
+    ``kernels.chunks`` range a caller passes, the only (sub-beam, point)
+    array; a max, its mW in place and an in-order sum (``kernels.add_rows``)
+    along axis 0 reduce it. The max is exact and the sum's order is fixed,
+    so the fold is deterministic for any chunking.
     """
     frequency_hz = scene.radio.frequency_hz
     sites = []
     for site in scene.sites:
-        cells = [(cell_ids.index(cell.id),
-                  [(sb.pattern, assignment.angle(cell.id, sb.index), cell.tx_power_dbm)
-                   for sb in sorted(cell.sub_beams, key=lambda b: b.index)])
+        cells = [(cell_ids.index(cell.id), len(cell.sub_beams), cell.tx_power_dbm,
+                  kernels.pattern_runs((sb.pattern, assignment.angle(cell.id, sb.index))
+                                       for sb in sorted(cell.sub_beams, key=lambda b: b.index)))
                  for cell in site.cells if cell.id in cell_ids]
         if cells:
             sites.append((site, cells))
+    depth = max((k for _, cells in sites for _, k, _, _ in cells), default=0)
 
     def geometry(x, y, z):
         return (kernels.site_geometry(x, y, z, site, frequency_hz) for site, _ in sites)
 
     def fold(geometry, cell_rsrp, cell_lin):
-        row = np.empty(cell_rsrp.shape[1:], dtype=np.float64)
+        stack = np.empty((depth, *cell_rsrp.shape[1:]), dtype=np.float64)
         for (_, cells), site_geometry in zip(sites, geometry):
-            terms = {}
-            for c, beams in cells:
-                rsrp, lin = cell_rsrp[c], cell_lin[c]
-                for i, (pattern, angle, tx_power_dbm) in enumerate(beams):
-                    kernels.beam_rsrp_numpy(*site_geometry, pattern, angle, tx_power_dbm,
-                                            offset_db, out=row, terms=terms)
-                    if i == 0:
-                        rsrp[:] = row
-                        lin[:] = kernels.linear_mw(row, out=row)
-                    else:
-                        np.maximum(rsrp, row, out=rsrp)
-                        lin += kernels.linear_mw(row, out=row)
+            for c, k, tx_power_dbm, runs in cells:
+                rows = kernels.cell_rows(site_geometry, runs, tx_power_dbm, offset_db, stack[:k])
+                np.maximum.reduce(rows, axis=0, out=cell_rsrp[c])
+                kernels.add_rows(kernels.linear_mw(rows, out=rows), cell_lin[c])
 
     return geometry, fold
 

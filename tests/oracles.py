@@ -16,6 +16,7 @@ from airtwin.antenna import AntennaPattern, Orientation
 from airtwin.errors import InputError, SceneValidationError
 from airtwin.interference import sinr_from_field
 from airtwin.optimizer import ObjectiveWeights, _same_angle, score_fields
+from airtwin.report import CompareReport, coverage_ratios
 from airtwin.scene import (
     BeamAssignment,
     CoverageThresholds,
@@ -88,6 +89,12 @@ def brute_force_optimize(scene: SceneConfig, grid: VoxelGrid,
             best_value = value
             best_assignment = assignment
     return best_assignment, float(best_value)
+
+
+def compare_report(sinr_before, sinr_after, thresholds, mask=None) -> CompareReport:
+    """The compare report of two whole SinrFields, as ``evaluate --compare-to`` writes it."""
+    return CompareReport(before=coverage_ratios(sinr_before, thresholds, mask),
+                         after=coverage_ratios(sinr_after, thresholds, mask))
 
 
 def replaced(assignment: BeamAssignment, key: tuple[str, int],

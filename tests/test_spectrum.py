@@ -36,7 +36,7 @@ from airtwin.spectrum import (
     predict_at,
 )
 from factories import DEMO_SCENE, demo_doc, simple_scene, with_table_beam
-from oracles import contains, layer_bounds, layer_indices, replaced
+from oracles import compare_report, contains, layer_bounds, layer_indices, replaced
 
 C = 299_792_458.0
 
@@ -689,8 +689,8 @@ class TestStreamedSinrField:
             report.coverage_ratios(sinr_after, scene.thresholds, mask).to_json_dict(),
             expected / "coverage_report.json")
         report.save_json_report(
-            report.compare_report(sinr_before, sinr_after, scene.thresholds,
-                                  mask).to_json_dict(), expected / "compare_report.json")
+            compare_report(sinr_before, sinr_after, scene.thresholds, mask).to_json_dict(),
+            expected / "compare_report.json")
         for altitude in (50.0, 150.0, 300.0):
             idx = layer_indices(grid, altitude)
             for name in ("serving_rsrp_dbm", "sinr_db"):
