@@ -19,23 +19,29 @@ admissible angle for this sub-beam and its own delta is non-negative. Since
 the current angle is always a candidate and reuse requires delta >= 0, the
 objective never decreases.
 
-Scoring is incremental. The pass keeps one RadioField, ``build_field``'s
-cell max and cell mW sum. Within one step only the visited sub-beam's row
-changes, so the step recomputes that cell's rows once and gathers what else
-the score needs (the rest of its cell, the best other cell per voxel, the
-other cells' interference) into a context; each candidate then costs O(N)
-for N voxels, and the chosen angle rewrites that one cell. The context adds
-rows and cells in the full rebuild's order (``kernels.add_rows`` over a
-cell's rows, ``assemble_sinr`` over cells); floating-point addition is not
-associative, so that order makes each candidate delta, the field after each
-step and so the greedy choices equal the full rebuild's bit for bit.
+Scoring is incremental and block-major. The pass keeps one RadioField,
+``build_field``'s cell max and cell mW sum. Within one step only the
+visited sub-beam's row changes, so each scoring block (a range of voxel
+columns over every layer) recomputes that cell's rows on its columns,
+gathers what no candidate can change there (the rest of its cell, the best
+other cell per voxel, the other cells' interference) into a block context,
+and scores every candidate against it in O(voxels of the block); nothing
+per-voxel outlives its block. Each candidate leaves a covered count and a
+margin sum per block. The objective, on the full path too, sums each
+block's margins with one ``np.sum`` and adds the block sums in block
+order. The context adds rows and cells in the full rebuild's order
+(``kernels.add_rows`` over a cell's rows, ``assemble_sinr`` over cells);
+floating-point addition is not associative, so these orders make each
+candidate's total equal the full path's objective bit for bit. The chosen
+angle refolds that one cell with ``build_field``'s fold, so the field after
+each step is ``build_field``'s, and the objective after it is the chosen
+candidate's total.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +58,7 @@ from .interference import (
 )
 from .antenna import AntennaPattern, Orientation, wrap_angle_deg
 from .scene import BeamAssignment, CoverageThresholds, SceneConfig, VoxelGrid
-from .spectrum import RadioField, build_field
+from .spectrum import RadioField, build_field, cell_fold
 
 _ANGLE_EQ_TOL = 1e-9
 
@@ -62,8 +68,9 @@ _ANGLE_EQ_TOL = 1e-9
 # overflow, so every candidate delta is finite; 1e308 would turn them inf/NaN.
 MAX_WEIGHT = 1e100
 
-# A candidate costs about 20 numpy calls per block; at 2 threads, one-chunk blocks
-# cost more in GIL hand-offs (20 candidates, 942,840 voxels: 0.45 s, not 0.36 s).
+# A scoring block is this many kernel chunks, about 73,728 voxels. Scoring
+# every candidate on one block before the next, `optimize` on 942,840 voxels at
+# 2 threads took 39-41 s with 1 chunk, 31-33 s with 3 and 36-37 s with 6.
 _SCORING_BLOCKS = 3
 
 
@@ -134,49 +141,45 @@ def save_trace(trace: OptimizationTrace, path) -> None:
 
 def _score_terms(serving_rsrp_dbm, sinr_db, weights: ObjectiveWeights,
                  thresholds: CoverageThresholds, covered=None, margin=None):
-    """The per-voxel part of ``score_fields``: the covered mask and the capped margin."""
+    """One scoring block's covered count and capped-margin sum.
+
+    ``np.sum`` adds pairwise, so the sum's bits depend on the array it sees:
+    the capped margins go into ``margin`` (or a new array), which must be the
+    block's C-contiguous (L, c) array. ``margin`` may be ``sinr_db``.
+    """
     covered = np.greater_equal(serving_rsrp_dbm, thresholds.rsrp_strict_dbm, out=covered)
     covered &= sinr_db >= thresholds.sinr_basic_db
     margin = np.subtract(sinr_db, thresholds.sinr_strict_db, out=margin)
-    return covered, np.minimum(margin, weights.margin_cap_db, out=margin)
+    return (np.count_nonzero(covered),
+            np.sum(np.minimum(margin, weights.margin_cap_db, out=margin)))
 
 
-def _score_total(covered, margin, weights: ObjectiveWeights) -> float:
-    """The reduction of ``score_fields``, over the whole (N,) arrays.
+def _totals(table, weights: ObjectiveWeights):
+    """The objective of each column of a (2, blocks, n) table of block terms.
 
-    ``np.sum`` adds pairwise, so its bits depend on the array it sees; a
-    caller that fills the arrays chunk by chunk still sums them at once.
+    ``table[0]`` holds covered counts and ``table[1]`` margin sums, one row
+    per scoring block; the margin sums are added in block order.
     """
-    return (weights.alpha * int(np.count_nonzero(covered))
-            + weights.beta * float(np.sum(margin)))
+    counts, margins = table
+    return (weights.alpha * counts.sum(axis=0)
+            + weights.beta * kernels.add_rows(margins, np.empty(margins.shape[1:])))
 
 
 def score_fields(serving_rsrp_dbm, sinr_db, weights: ObjectiveWeights,
-                 thresholds: CoverageThresholds) -> float:
-    return _score_total(*_score_terms(serving_rsrp_dbm, sinr_db, weights, thresholds),
-                        weights)
+                 thresholds: CoverageThresholds, shape) -> float:
+    """The objective of a grid's serving RSRP and SINR, (N,) arrays of its (L, C) ``shape``.
 
-
-@dataclass(frozen=True)
-class _StepContext:
-    """Everything a candidate score needs that does not depend on the candidate.
-
-    Built for one scored sub-beam ``key`` and valid until the evaluator's
-    state changes. Every array has the grid's (L, C) shape. "Rival" is the
-    best cell other than the scored sub-beam's own (first max, so ties go to
-    the smaller id); it serves wherever the scored cell does not.
+    The margin is summed per scoring block, a ``kernels.chunks`` range of
+    columns over every layer: ``np.sum`` of each block's margins, then the
+    block sums in block order, as the greedy pass sums them.
     """
-
-    key: tuple[str, int]
-    cell: int                            # the scored sub-beam's cell, into cell_ids
-    lin_before: np.ndarray               # in-order mW sum of the cell's earlier rows
-    lin_after: tuple[np.ndarray, ...]    # mW of the cell's later rows, in row order
-    max_other_rows: np.ndarray           # max over the cell's other rows (-inf if none)
-    rival_dbm: np.ndarray                # the rival's RSRP (-inf if no other cell)
-    serves_above: np.ndarray             # the scored cell serves where its max exceeds this
-    interference_if_serving: np.ndarray  # in-order mW sum of every other cell
-    interference_before: np.ndarray      # in-order mW sum of earlier cells, rival skipped
-    interference_after: tuple[np.ndarray, ...]  # mW of each later cell, 0 where it is the rival
+    n_layers, n_columns = shape
+    serving, sinr = (np.reshape(a, shape) for a in (serving_rsrp_dbm, sinr_db))
+    blocks = kernels.chunks(n_columns, n_layers, _SCORING_BLOCKS)
+    table = np.zeros((2, len(blocks), 1))
+    for b, (lo, hi) in enumerate(blocks):
+        table[:, b, 0] = _score_terms(serving[:, lo:hi], sinr[:, lo:hi], weights, thresholds)
+    return float(_totals(table, weights)[0])
 
 
 def _columns(geometry, lo, hi):
@@ -185,43 +188,35 @@ def _columns(geometry, lo, hi):
     return az[lo:hi], el[:, lo:hi], loss[:, lo:hi]
 
 
-def _cell_with_row(ctx: _StepContext, voxels, row, cell_max, cell_lin):
-    """The scored cell's max and mW sum at ``voxels``, with ``row`` as the scored row.
-
-    Writes them into ``cell_max`` (which may be ``row``) and ``cell_lin``, and
-    adds the rows in row order, like ``kernels.add_rows`` in build_field.
-    """
-    linear_mw(row, out=cell_lin)
-    cell_lin += ctx.lin_before[voxels]
-    for lin in ctx.lin_after:
-        cell_lin += lin[voxels]
-    np.maximum(row, ctx.max_other_rows[voxels], out=cell_max)
-
-
 class _FieldEvaluator:
-    """Scores one-angle changes of a RadioField incrementally.
+    """Scores one-angle changes of a RadioField block by block.
 
     The state is the current angles and their ``RadioField``, equal to
     ``build_field`` of them bit for bit: ``set_assignment`` builds it (or
-    takes the caller's build), and ``apply`` rewrites the one cell a new
-    angle changes. Each site's geometry is computed once here, its azimuth
-    once per column, so a row at any angle costs only the gain formula.
+    takes the caller's build), and ``apply`` refolds the one cell a new
+    angle changes with ``build_field``'s own fold, ``spectrum.cell_fold``.
+    Each site's geometry is computed once here, its azimuth once per column.
 
-    ``candidate_deltas`` scores angles for one sub-beam from a per-step
-    context (``_StepContext``): the visited cell's rows at the current
-    angles, computed block by block by ``kernels.cell_rows`` and reduced to
-    what no candidate can change. A candidate then costs one O(N) pass per
-    block through a few buffers per worker into whole (L, C) covered and
-    margin buffers; one count and one sum over those, seen as (N,) arrays,
-    give the score for any thread count. A parametric candidate recomputes
-    its wrapped, capped azimuth term (one value per column) only when its
-    azimuth differs from the previous angle's, so an az-major lattice wraps
-    once per lattice column; a table pattern takes ``kernels.beam_rsrp_numpy``.
+    ``totals`` scores angles for one sub-beam one scoring block at a time, a
+    ``kernels.chunks`` range of columns over every layer (``_tasks``). A
+    block's context is what no candidate can change there: the visited
+    cell's other rows, recomputed on the block's columns by
+    ``kernels.cell_rows`` (their max, the in-order mW sum of the rows before
+    the visited one and the mW of each row after it), and from the field's
+    block the rival cell (the best other cell, first max, so ties go to the
+    smaller id) and the other cells' interference. The block then scores
+    every candidate in O(block) through a few buffers it allocates, and
+    keeps each one's covered count and margin sum in a (blocks x
+    candidates) table. A parametric candidate recomputes its wrapped,
+    capped azimuth term (one value per column) only when its azimuth
+    differs from the previous angle's, so an az-major lattice wraps once
+    per lattice column; a table pattern takes ``kernels.beam_rsrp_numpy``.
 
-    Floating-point addition is not associative, so the context keeps the
-    full path's order: a cell's rows in row order, like ``kernels.add_rows``,
-    and cells in cell order, like ``assemble_sinr``. So every candidate
-    score equals the full rebuild's.
+    Floating-point addition is not associative, so the scores keep the full
+    path's order: a cell's rows in row order, like ``kernels.add_rows``,
+    cells in cell order, like ``assemble_sinr``, and margin sums in block
+    order, like ``score_fields``. So each total equals the full path's
+    objective of the changed angles bit for bit, for any thread count.
     """
 
     def __init__(self, scene, grid, weights, activity_factor, offset_db, threads=1):
@@ -243,19 +238,6 @@ class _FieldEvaluator:
         self.field: RadioField | None = None
         n_layers, n_columns = grid.shape
         self._tasks = kernels.chunks(n_columns, n_layers, _SCORING_BLOCKS)
-        self._row = np.empty(grid.shape, dtype=np.float64)
-        self._az_term = np.empty(n_columns, dtype=np.float64)
-        self._covered = np.empty(grid.shape, dtype=bool)
-        self._margin = np.empty(grid.shape, dtype=np.float64)
-        self._objective = None
-        self._context = None
-
-    def _eval_row_into(self, key, angle, out):
-        site, cell, sb = self.scene.sub_beam(*key)
-        geometry = self.geometry[site.id]
-        kernels.run_tasks(lambda cols: kernels.beam_rsrp_numpy(
-            *_columns(geometry, *cols), sb.pattern, (angle,), cell.tx_power_dbm,
-            self.offset_db, out=out[None, :, slice(*cols)]), self._tasks, self.threads)
 
     def set_assignment(self, assignment: BeamAssignment, field: RadioField | None = None):
         """Take ``assignment`` as the state; ``field``, if given, is its build_field."""
@@ -264,158 +246,98 @@ class _FieldEvaluator:
                                 threads=self.threads)
         self.field = field
         self.angles = dict(assignment.angles)
-        self._rescore()
 
-    def _rescore(self):
-        self._context = None
+    def objective(self) -> float:
+        """The current objective on the full path: ``assemble_sinr``, then ``score_fields``."""
         _, serving_dbm, sinr = assemble_sinr(self.field.cell_rsrp_dbm, self.field.cell_lin_mw,
                                              self.noise_floor, self.activity_factor)
-        self._objective = score_fields(serving_dbm, sinr, self.weights, self.thresholds)
+        return score_fields(serving_dbm, sinr, self.weights, self.thresholds, self.grid.shape)
 
-    @property
-    def objective(self) -> float:
-        return self._objective
+    def _cell_blocks(self, cells, lo, hi):
+        """The field's cell max and mW sum of ``cells`` at columns [lo, hi), (cells, L, c) views."""
+        return (a.reshape(-1, *self.grid.shape)[cells, :, lo:hi]
+                for a in (self.field.cell_rsrp_dbm, self.field.cell_lin_mw))
 
-    def _step_context(self, key) -> _StepContext:
-        if self._context is not None and self._context.key == key:
-            return self._context
+    def totals(self, key, angles) -> list[float]:
+        """The objective of steering ``key`` to each of ``angles``; the state is unchanged."""
         s = self.cell_ids.index(key[0])
         keys = [k for k in self.beam_keys if k[0] == key[0]]
         j = keys.index(key)
-        site, cell, _ = self.scene.sub_beam(*key)
+        site, cell, sb = self.scene.sub_beam(*key)
+        pattern = sb.pattern
         runs = kernels.pattern_runs((self.scene.sub_beam(*k)[2].pattern, self.angles[k])
                                     for k in keys)
-        shape = self.grid.shape
-        max_other_rows, lin_before = np.empty((2, *shape))
-        lin_after = np.empty((len(keys) - j - 1, *shape))
+        others = [c for c in range(len(self.cell_ids)) if c != s]
+        table = np.zeros((2, len(self._tasks), len(angles)))
 
-        def work(bounds):   # the cell's rows on one block, reduced around row j
-            lo, hi = bounds
-            rows = kernels.cell_rows(_columns(self.geometry[site.id], lo, hi), runs,
-                                     cell.tx_power_dbm, self.offset_db,
-                                     np.empty((len(keys), shape[0], hi - lo)))
-            max_other = max_other_rows[:, lo:hi]
-            np.maximum.reduce(rows[:j], axis=0, initial=-np.inf, out=max_other)
+        def work(b):   # block b's context, then every candidate on it
+            az, el, loss = geometry = _columns(self.geometry[site.id], *self._tasks[b])
+            cell_max, cell_lin = self._cell_blocks(slice(None), *self._tasks[b])
+            rows = kernels.cell_rows(geometry, runs, cell.tx_power_dbm, self.offset_db,
+                                     np.empty((len(keys), *el.shape)))
+            max_other = np.maximum.reduce(rows[:j], axis=0, initial=-np.inf)
             np.maximum(max_other, np.maximum.reduce(rows[j + 1:], axis=0, initial=-np.inf),
                        out=max_other)
             lin = kernels.linear_mw(rows, out=rows)
-            kernels.add_rows(lin[:j], lin_before[:, lo:hi])
-            lin_after[..., lo:hi] = lin[j + 1:]
-
-        kernels.run_tasks(work, self._tasks, self.threads)
-        cell_max, cell_lin = (a.reshape(-1, *shape) for a in (self.field.cell_rsrp_dbm,
-                                                              self.field.cell_lin_mw))
-        others = [c for c in range(len(self.cell_ids)) if c != s]
-        if others:   # the serving rule of assemble_sinr: ties keep the smaller id
-            rival, rival_dbm = first_max(cell_max, others)
-        else:
-            rival_dbm = np.full(shape, -np.inf)
-            rival = np.full(shape, s + 1)
-        if_serving = np.zeros(shape)
-        before = np.zeros(shape)
-        for c in others:
-            if_serving += cell_lin[c]
-            if c < s:
-                np.add(before, cell_lin[c], out=before, where=rival != c)
-        self._context = _StepContext(
-            key=key,
-            cell=s,
-            lin_before=lin_before,
-            lin_after=tuple(lin_after),
-            max_other_rows=max_other_rows,
-            rival_dbm=rival_dbm,
+            lin_before = kernels.add_rows(lin[:j], np.empty(el.shape))
+            if others:   # the serving rule of assemble_sinr: ties keep the smaller id
+                rival, rival_dbm = first_max(cell_max, others)
+            else:
+                rival, rival_dbm = np.full(el.shape, s + 1), np.full(el.shape, -np.inf)
             # A tie goes to the smaller id; for floats, x >= r is x > nextafter(r, -inf).
-            serves_above=np.where(s < rival, np.nextafter(rival_dbm, -np.inf), rival_dbm),
-            interference_if_serving=if_serving,
-            interference_before=before,
-            interference_after=tuple(np.where(rival != c, cell_lin[c], 0.0)
-                                     for c in others if c > s))
-        return self._context
+            serves_above = np.where(s < rival, np.nextafter(rival_dbm, -np.inf), rival_dbm)
+            if_serving, before = np.zeros((2, *el.shape))   # in-order mW sums of other cells
+            after = []   # mW of each later cell, 0 where it is the rival
+            for c in others:
+                if_serving += cell_lin[c]
+                if c < s:
+                    np.add(before, cell_lin[c], out=before, where=rival != c)
+                else:
+                    after.append(np.where(rival != c, cell_lin[c], 0.0))
+            row, mw = np.empty((2, *el.shape))
+            serves, rival_serves = np.empty((2, *el.shape), dtype=bool)
+            a_az, last_az = np.empty(az.shape), None
+            for i, angle in enumerate(angles):
+                if not isinstance(pattern, AntennaPattern):
+                    kernels.beam_rsrp_numpy(az, el, loss, pattern, (angle,), cell.tx_power_dbm,
+                                            self.offset_db, out=row[None])
+                else:   # kernels.beam_rsrp_numpy's operands and order
+                    if angle.azimuth_deg != last_az:
+                        last_az = angle.azimuth_deg
+                        pattern.azimuth_attenuation_db(wrap_angle_deg(az - last_az), out=a_az)
+                    np.subtract(el, angle.tilt_deg, out=row)
+                    pattern.elevation_attenuation_db(row, out=row)
+                    pattern.gain_from_attenuation_dbi(a_az, row, out=row)
+                    kernels.rsrp_from_gain(cell.tx_power_dbm, row, loss, self.offset_db, out=row)
+                linear_mw(row, out=mw)   # the cell's mW sum, rows in row order
+                mw += lin_before
+                for term in lin[j + 1:]:
+                    mw += term
+                np.maximum(row, max_other, out=row)   # the cell max
+                np.greater(row, serves_above, out=serves)
+                np.less_equal(row, serves_above, out=rival_serves)
+                np.copyto(row, rival_dbm, where=rival_serves)   # now the serving RSRP
+                interference = np.add(before, mw, out=mw)
+                for term in after:
+                    interference += term
+                np.copyto(interference, if_serving, where=serves)
+                sinr = sinr_db(row, interference, self.noise_floor, self.activity_factor,
+                               out=interference)
+                table[:, b, i] = _score_terms(row, sinr, self.weights, self.thresholds,
+                                              serves, sinr)
 
-    def _score_chunk(self, ctx: _StepContext, voxels, row, buffers):
-        """Write the covered mask and capped margin at ``voxels`` for candidate ``row``.
-
-        ``voxels`` indexes a block of the (L, C) arrays; ``row`` and
-        ``buffers`` are block-sized scratch, and ``row`` is overwritten.
-        The operands and their order are those of the full path.
-        """
-        lin, serves, rival_serves = buffers
-        _cell_with_row(ctx, voxels, row, row, lin)   # row becomes the cell max
-        np.greater(row, ctx.serves_above[voxels], out=serves)
-        np.less_equal(row, ctx.serves_above[voxels], out=rival_serves)
-        np.copyto(row, ctx.rival_dbm[voxels], where=rival_serves)   # now the serving RSRP
-        interference = np.add(ctx.interference_before[voxels], lin, out=lin)
-        for term in ctx.interference_after:
-            interference += term[voxels]
-        np.copyto(interference, ctx.interference_if_serving[voxels], where=serves)
-        sinr = sinr_db(row, interference, self.noise_floor, self.activity_factor,
-                       out=interference)
-        _score_terms(row, sinr, self.weights, self.thresholds,
-                     self._covered[voxels], self._margin[voxels])
-
-    def _candidate_row(self, beam, angle, new_azimuth, cols: slice, out):
-        """The RSRP of ``beam`` steered to ``angle`` at columns ``cols``, into ``out``.
-
-        A parametric pattern recomputes the wrapped, capped azimuth term of
-        each column into ``_az_term`` only when ``new_azimuth``; the elevation
-        term, the combine and the RSRP follow the operands and order of
-        ``kernels.beam_rsrp_numpy``. A table pattern takes that function.
-        """
-        pattern, tx_power_dbm, az, el, loss = beam
-        if not isinstance(pattern, AntennaPattern):
-            kernels.beam_rsrp_numpy(az[cols], el[:, cols], loss[:, cols], pattern, (angle,),
-                                    tx_power_dbm, self.offset_db, out=out[None])
-            return
-        a_az = self._az_term[cols]
-        if new_azimuth:
-            pattern.azimuth_attenuation_db(wrap_angle_deg(az[cols] - angle.azimuth_deg),
-                                           out=a_az)
-        np.subtract(el[:, cols], angle.tilt_deg, out=out)
-        pattern.elevation_attenuation_db(out, out=out)
-        pattern.gain_from_attenuation_dbi(a_az, out, out=out)
-        kernels.rsrp_from_gain(tx_power_dbm, out, loss[:, cols], self.offset_db, out=out)
-
-    def candidate_deltas(self, key, angles) -> list[float]:
-        """Objective change for steering ``key`` to each angle; state unchanged."""
-        ctx = self._step_context(key)
-        site, cell, sb = self.scene.sub_beam(*key)
-        beam = (sb.pattern, cell.tx_power_dbm, *self.geometry[site.id])
-        tasks = self._tasks
-        size = (self.grid.shape[0], max((hi - lo for lo, hi in tasks), default=0))
-        scratch = queue.SimpleQueue()   # one set of block buffers per running task
-        for _ in range(min(self.threads, len(tasks))):
-            scratch.put((np.empty(size), np.empty(size), np.empty(size, dtype=bool),
-                         np.empty(size, dtype=bool)))
-        last_az, deltas = None, []
-        for angle in angles:
-            new_azimuth = angle.azimuth_deg != last_az
-            last_az = angle.azimuth_deg
-
-            def work(bounds):
-                lo, hi = bounds
-                chunk_buffers = scratch.get()
-                try:
-                    row, *buffers = (b[:, :hi - lo] for b in chunk_buffers)
-                    self._candidate_row(beam, angle, new_azimuth, slice(lo, hi), row)
-                    self._score_chunk(ctx, np.s_[:, lo:hi], row, buffers)
-                finally:
-                    scratch.put(chunk_buffers)
-
-            kernels.run_tasks(work, tasks, self.threads)
-            deltas.append(_score_total(self._covered.ravel(), self._margin.ravel(),
-                                       self.weights) - self._objective)
-        return deltas
+        kernels.run_tasks(work, range(len(self._tasks)), self.threads)
+        return _totals(table, self.weights).tolist()
 
     def apply(self, key, angle):
-        """Steer ``key`` to ``angle``: rewrite its cell's max and mW sum, rescore."""
-        ctx = self._step_context(key)
-        row = self._row
-        self._eval_row_into(key, angle, row)
-        _cell_with_row(ctx, slice(None), row,
-                       *(a[ctx.cell].reshape(row.shape) for a in (self.field.cell_rsrp_dbm,
-                                                                  self.field.cell_lin_mw)))
+        """Steer ``key`` to ``angle``: refold its cell into the field, as build_field does."""
         self.angles[key] = angle
-        self._rescore()
+        s = self.cell_ids.index(key[0])
+        geometry = self.geometry[self.scene.sub_beam(*key)[0].id]
+        _, fold = cell_fold(self.scene, BeamAssignment(self.angles), self.offset_db, (key[0],))
+        kernels.run_tasks(lambda cols: fold([_columns(geometry, *cols)],
+                                            *self._cell_blocks(slice(s, s + 1), *cols)),
+                          self._tasks, self.threads)
 
 
 def default_order(scene: SceneConfig) -> list[tuple[str, int]]:
@@ -446,7 +368,7 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
     initial.validate_for(scene, require_lattice=True)
     ev = _FieldEvaluator(scene, grid, weights, activity_factor, offset_db, threads)
     ev.set_assignment(initial, field)
-    initial_objective = ev.objective
+    initial_objective = objective = ev.objective()
     last_assigned: dict[str, Orientation] = {}
     steps = []
 
@@ -460,10 +382,11 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
         if not any(_same_angle(cur, c) for c in candidates):
             candidates.append(cur)   # current angle always competes, last index
 
-        before = ev.objective
-        deltas = ev.candidate_deltas(key, candidates)
+        before = objective
+        totals = ev.totals(key, candidates)
+        deltas = [total - before for total in totals]
         best_i = int(np.argmax(deltas))  # ties resolve to the smallest lattice index
-        chosen = candidates[best_i]
+        chosen, objective = candidates[best_i], totals[best_i]
         chosen_delta = best_delta = deltas[best_i]
         reused = False
 
@@ -473,11 +396,11 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
             # Reuse only angles this sub-beam could legally hold itself.
             if sb.admits(reuse_angle):
                 matches = [i for i, c in enumerate(candidates) if _same_angle(c, reuse_angle)]
-                reuse_delta = (deltas[matches[0]] if matches
-                               else ev.candidate_deltas(key, [reuse_angle])[0])
-                if reuse_delta >= 0.0:
-                    chosen = reuse_angle
-                    chosen_delta = reuse_delta
+                reuse_total = (totals[matches[0]] if matches
+                               else ev.totals(key, [reuse_angle])[0])
+                if reuse_total - before >= 0.0:
+                    chosen, objective = reuse_angle, reuse_total
+                    chosen_delta = reuse_total - before
                     reused = True
 
         ev.apply(key, chosen)
@@ -485,9 +408,9 @@ def greedy_optimize(scene: SceneConfig, grid: VoxelGrid, initial: BeamAssignment
         steps.append(TraceStep(
             cell_id=cell_id, beam_index=index, n_candidates=len(candidates),
             chosen_az_deg=chosen.azimuth_deg, chosen_tilt_deg=chosen.tilt_deg,
-            reused=reused, objective_before=before, objective_after=ev.objective,
+            reused=reused, objective_before=before, objective_after=objective,
             best_delta=best_delta, chosen_delta=chosen_delta))
 
     trace = OptimizationTrace(steps=tuple(steps), initial_objective=initial_objective,
-                              final_objective=ev.objective)
+                              final_objective=objective)
     return BeamAssignment(ev.angles), trace, ev.field

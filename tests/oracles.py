@@ -43,7 +43,7 @@ def objective(scene: SceneConfig, grid: VoxelGrid, assignment: BeamAssignment,
     field = build_field(scene, grid, assignment, offset_db, threads=threads)
     sinr_field = sinr_from_field(field, scene.radio, activity_factor)
     return score_fields(sinr_field.serving_rsrp_dbm, sinr_field.sinr_db,
-                        weights, thresholds)
+                        weights, thresholds, grid.shape)
 
 
 def brute_force_optimize(scene: SceneConfig, grid: VoxelGrid,

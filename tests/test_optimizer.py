@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +20,18 @@ from airtwin.optimizer import (
     save_trace,
     score_fields,
 )
-from airtwin.scene import BeamAssignment, CoverageThresholds, SceneConfig, Site, build_voxel_grid
+from airtwin.scene import (
+    BeamAssignment,
+    CoverageThresholds,
+    SceneConfig,
+    Site,
+    SteeringBounds,
+    build_voxel_grid,
+    scene_from_dict,
+)
 from airtwin.spectrum import build_field
 
-from factories import random_instance, simple_scene, with_table_beam
+from factories import demo_doc, random_instance, simple_scene, with_table_beam
 from oracles import CapExceededError, brute_force_optimize, objective, replaced
 
 W = ObjectiveWeights(alpha=1.0, beta=0.1, margin_cap_db=10.0, epsilon_gain=0.005)
@@ -47,7 +56,7 @@ class TestObjective:
         thr = CoverageThresholds(rsrp_basic_dbm=-200.0, rsrp_strict_dbm=-150.0,
                                  sinr_basic_db=voxel_sinr - 1.0, sinr_strict_db=voxel_sinr)
         w = ObjectiveWeights(alpha=0.0, beta=1.0, margin_cap_db=10.0)
-        value = score_fields(sinr.serving_rsrp_dbm[:1], sinr.sinr_db[:1], w, thr)
+        value = score_fields(sinr.serving_rsrp_dbm[:1], sinr.sinr_db[:1], w, thr, (1, 1))
         assert value == 0.0
 
     def test_matches_recomputation_from_fields(self, tiny):
@@ -107,20 +116,23 @@ class TestScoreCandidate:
         return ev
 
     def test_noop_delta_zero(self, tiny):
-        scene, _ = tiny
+        scene, grid = tiny
         assignment = BeamAssignment.baseline(scene)
         key = ("cell0", 0)
         ev = self.evaluator(scene, assignment)
-        assert ev.candidate_deltas(key, [assignment.angles[key]]) == [0.0]
+        assert ev.totals(key, [assignment.angles[key]]) == [objective(scene, grid, assignment, W)]
 
     def test_applying_best_then_rescoring_gives_zero(self, tiny):
-        scene, _ = tiny
+        scene, grid = tiny
         key = ("cell0", 0)
         cands = scene.sub_beam(*key)[2].lattice()
         ev = self.evaluator(scene, BeamAssignment.baseline(scene))
-        best = cands[int(np.argmax(ev.candidate_deltas(key, cands)))]
+        totals = ev.totals(key, cands)
+        best = cands[int(np.argmax(totals))]
         ev.apply(key, best)
-        assert ev.candidate_deltas(key, [best]) == [0.0]
+        assert ev.objective() == max(totals)
+        assert ev.totals(key, [best]) == [max(totals)]
+        assert max(totals) == objective(scene, grid, BeamAssignment(ev.angles), W)
 
     def test_incremental_equals_full_recompute(self):
         for seed in (0, 1, 2):
@@ -129,10 +141,8 @@ class TestScoreCandidate:
             assignment = BeamAssignment.baseline(scene)
             key = ("cell1", 0)
             angle = Orientation(assignment.angles[key].azimuth_deg, 7.0)
-            [delta] = self.evaluator(scene, assignment).candidate_deltas(key, [angle])
-            full = (objective(scene, grid, replaced(assignment, key, angle), W)
-                    - objective(scene, grid, assignment, W))
-            assert delta == pytest.approx(full, abs=1e-6)
+            [total] = self.evaluator(scene, assignment).totals(key, [angle])
+            assert total == objective(scene, grid, replaced(assignment, key, angle), W)
 
 
 def co_sited_tie_scene() -> SceneConfig:
@@ -148,8 +158,8 @@ def co_sited_tie_scene() -> SceneConfig:
                                      cells=(far,))))
 
 
-def assert_deltas_exact(scene, keys, threads=1, order=None):
-    """Every lattice angle's incremental delta equals the full rebuild's, bit for bit.
+def assert_totals_exact(scene, keys, threads=1, order=None):
+    """Every lattice angle's incremental total equals the full path's objective, bit for bit.
 
     ``order(lattice)`` gives the angles in the order they are scored
     (default: the lattice's own az-major order).
@@ -159,14 +169,14 @@ def assert_deltas_exact(scene, keys, threads=1, order=None):
     ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0, threads)
     ev.set_assignment(current)
     before = objective(scene, grid, current, W, threads=threads)
-    assert ev.objective == before
+    assert ev.objective() == before
     for key in keys:
         lattice = scene.sub_beam(*key)[2].lattice()
         if order is not None:
             lattice = order(lattice)
         full = [objective(scene, grid, replaced(current, key, angle), W, threads=threads)
-                - before for angle in lattice]
-        assert ev.candidate_deltas(key, lattice) == full, key
+                for angle in lattice]
+        assert ev.totals(key, lattice) == full, key
     return ev
 
 
@@ -191,7 +201,7 @@ class TestCandidateDeltasExact:
         simple_scene(n_cells=4, n_beams=3),
     ], ids=["random0", "random1", "random2", "simple"])
     def test_first_middle_last_sub_beam_of_each_cell(self, scene):
-        assert_deltas_exact(scene, scene.beam_keys())
+        assert_totals_exact(scene, scene.beam_keys())
 
     def test_tied_cell_maxima_serve_the_smaller_id(self):
         scene = co_sited_tie_scene()
@@ -201,32 +211,32 @@ class TestCandidateDeltasExact:
         np.testing.assert_array_equal(field.cell_rsrp_dbm[0], field.cell_rsrp_dbm[1])
         sinr = sinr_from_field(field, scene.radio, 1.0)
         assert not np.any(sinr.serving_index == 1)
-        ev = assert_deltas_exact(scene, scene.beam_keys())
+        ev = assert_totals_exact(scene, scene.beam_keys())
         for key in (("cell0", 0), ("cell1", 1)):   # steering to the same angle keeps the tie
-            assert ev.candidate_deltas(key, [current.angles[key]]) == [0.0]
+            assert ev.totals(key, [current.angles[key]]) == [ev.objective()]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_threads_and_chunk_boundaries(self, monkeypatch, threads):
         monkeypatch.setattr(kernels, "_CHUNK", 997)
         scene = simple_scene(n_cells=2, n_beams=3, radius_m=100.0, z_max_m=60.0, voxel_m=8.0)
         assert build_voxel_grid(scene.airspace).count > 3 * kernels._CHUNK
-        assert_deltas_exact(scene, scene.beam_keys(), threads=threads)
-        assert_deltas_exact(scene, scene.beam_keys(), threads=threads, order=interleaved)
+        assert_totals_exact(scene, scene.beam_keys(), threads=threads)
+        assert_totals_exact(scene, scene.beam_keys(), threads=threads, order=interleaved)
 
     def test_chunk_buffers_under_more_workers_than_cores(self, monkeypatch):
-        # Each running chunk task holds its own scratch buffers; two tasks
-        # writing one set would change some delta. A tiny switch interval
+        # Each scoring block allocates its own buffers; two blocks writing
+        # one set would change some total. A tiny switch interval
         # makes the workers interleave inside the numpy calls' Python glue.
         monkeypatch.setattr(kernels, "_CHUNK", 101)
         scene = simple_scene(n_cells=3, n_beams=3, radius_m=100.0, z_max_m=60.0, voxel_m=10.0)
         grid = build_voxel_grid(scene.airspace)
         key = ("cell1", 1)
         lattice = scene.sub_beam(*key)[2].lattice()
-        deltas = {}
+        totals = {}
         for threads in (1, 6):
             ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0, threads)
             ev.set_assignment(BeamAssignment.baseline(scene))
-            deltas[threads] = ev.candidate_deltas(key, lattice)
+            totals[threads] = ev.totals(key, lattice)
         ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0, 6)
         ev.set_assignment(BeamAssignment.baseline(scene))
         stressed = []
@@ -234,23 +244,23 @@ class TestCandidateDeltasExact:
         sys.setswitchinterval(1e-6)
         try:
             worker = threading.Thread(
-                target=lambda: stressed.append(ev.candidate_deltas(key, lattice)))
+                target=lambda: stressed.append(ev.totals(key, lattice)))
             worker.start()
             worker.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert grid.count > 6 * kernels._CHUNK
-        assert deltas[6] == deltas[1]
-        assert stressed == [deltas[1]]
+        assert totals[6] == totals[1]
+        assert stressed == [totals[1]]
 
     def test_table_pattern_sub_beam(self):
         # The table-pattern sub-beam takes the general kernel path; the other
         # sub-beams of its cell and site take the separable one.
         scene = with_table_beam(simple_scene(n_cells=3, n_beams=3))
         assert isinstance(scene.sub_beam("cell0", 0)[2].pattern, TablePattern)
-        assert_deltas_exact(scene, scene.beam_keys())
-        assert_deltas_exact(scene, scene.beam_keys(), order=interleaved)
+        assert_totals_exact(scene, scene.beam_keys())
+        assert_totals_exact(scene, scene.beam_keys(), order=interleaved)
 
     @pytest.mark.parametrize("order, returns", [(lambda lat: lat[::-1], False),
                                                  (interleaved, True), (shuffled, True)],
@@ -260,7 +270,7 @@ class TestCandidateDeltasExact:
         azimuths = [a.azimuth_deg for a in order(scene.sub_beam("cell0", 0)[2].lattice())]
         runs = [az for i, az in enumerate(azimuths) if i == 0 or az != azimuths[i - 1]]
         assert (len(runs) > len(set(runs))) == returns   # an azimuth comes back after another
-        assert_deltas_exact(scene, scene.beam_keys(), order=order)
+        assert_totals_exact(scene, scene.beam_keys(), order=order)
 
     def test_same_angle_on_another_site_after_a_call(self):
         # A term kept from the previous call would belong to another site.
@@ -269,11 +279,10 @@ class TestCandidateDeltasExact:
         current = BeamAssignment.baseline(scene)
         ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0)
         ev.set_assignment(current)
-        before = objective(scene, grid, current, W)
         angle = Orientation(current.angles[("cell0", 0)].azimuth_deg, 5.0)
         for key in (("cell0", 0), ("cell1", 0)):
-            full = objective(scene, grid, replaced(current, key, angle), W) - before
-            assert ev.candidate_deltas(key, [angle]) == [full], key
+            full = objective(scene, grid, replaced(current, key, angle), W)
+            assert ev.totals(key, [angle]) == [full], key
 
     def test_simple_cell2_lattice_crosses_north(self):
         scene = simple_scene(n_cells=4, n_beams=3)
@@ -285,20 +294,19 @@ class TestCandidateDeltasExact:
                                    scene.cell("cell2")[0],
                                    scene.radio.frequency_hz)[0]
         assert az.min() < 0.0 < az.max()   # the site sees voxels on both sides of north
-        assert_deltas_exact(scene, keys)
+        assert_totals_exact(scene, keys)
 
 
 def test_wrap_once_per_lattice_column(monkeypatch):
-    """Losing the per-azimuth term makes this 56 wraps, not 7."""
+    """Losing the per-azimuth term makes this 56 wraps more than the context's, not 7."""
     scene = simple_scene(n_cells=2, tilt_bounds=(0.0, 21.0), candidate_step=(5.0, 3.0))
     grid = build_voxel_grid(scene.airspace)
-    assert grid.count <= kernels._CHUNK   # one chunk: one wrap per distinct azimuth
+    assert grid.count <= kernels._CHUNK   # one block: one wrap per distinct azimuth
     key = ("cell0", 0)
     lattice = scene.sub_beam(*key)[2].lattice()
     assert len(lattice) == 56 and len({a.azimuth_deg for a in lattice}) == 7
     ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0)
     ev.set_assignment(BeamAssignment.baseline(scene))
-    ev.candidate_deltas(key, [])   # the step context's rows are not counted
     calls = []
     original = antenna.wrap_angle_deg
 
@@ -308,8 +316,83 @@ def test_wrap_once_per_lattice_column(monkeypatch):
 
     for module in (antenna, kernels, optimizer):
         monkeypatch.setattr(module, "wrap_angle_deg", counted)
-    ev.candidate_deltas(key, lattice)
-    assert len(calls) == 7
+    assert ev.totals(key, []) == []   # the block context's rows alone
+    context = len(calls)
+    assert context > 0
+    calls.clear()
+    ev.totals(key, lattice)
+    assert len(calls) == context + 7
+
+
+def test_block_workspace_stays_below_one_grid_array(monkeypatch):
+    """One ``totals`` call holds one block's context and buffers, never a grid-sized array.
+
+    A whole-grid step context would take about (sub-beams + 2 x cells) arrays
+    of ``grid.count`` float64 values, 19 for the demo scene.
+    """
+    scene = scene_from_dict(demo_doc(radius_m=300.0, z_max_m=300.0, voxel_m=10.0))
+    grid = build_voxel_grid(scene.airspace)
+    n_layers, n_columns = grid.shape
+    monkeypatch.setattr(kernels, "_CHUNK", 10 * n_layers)
+    ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0)
+    assert len(ev._tasks) > 80
+    ev.set_assignment(BeamAssignment.baseline(scene))
+    key = ("s1c1", 3)
+    lattice = scene.sub_beam(*key)[2].lattice()
+    tracemalloc.start()
+    try:
+        totals = ev.totals(key, lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(totals) == len(lattice) > 1
+    assert peak < grid.count * 8, peak / (grid.count * 8)
+
+
+def off_lattice_reuse_scene() -> SceneConfig:
+    """cell0's two sub-beams have lattices half an azimuth step apart.
+
+    Sub-beam 0 has one candidate, (az, 0), which is sub-beam 1's baseline: off
+    sub-beam 1's lattice, but admissible to it. So when sub-beam 1 starts on
+    its lattice, the reuse rule scores sub-beam 0's angle in a second call.
+    """
+    scene = simple_scene(n_cells=2, n_beams=2, radius_m=100.0, z_max_m=60.0, voxel_m=8.0)
+    site = scene.sites[0]
+    cell = site.cells[0]
+    beam0, beam1 = cell.sub_beams
+    az = beam0.baseline.azimuth_deg - 10.0
+    beam0 = replace(beam0, baseline=Orientation(az, 0.0), bounds=SteeringBounds(az, az, 0.0, 0.0))
+    beam1 = replace(beam1, baseline=Orientation(az, 0.0),
+                    bounds=SteeringBounds(az - 12.5, az + 12.5, 0.0, 15.0))
+    cells = (replace(cell, sub_beams=(beam0, beam1)),)
+    return replace(scene, sites=(replace(site, cells=cells), *scene.sites[1:]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_objective_after_each_step_equals_the_full_path(monkeypatch, threads):
+    monkeypatch.setattr(kernels, "_CHUNK", 101)
+    scene = off_lattice_reuse_scene()
+    grid = build_voxel_grid(scene.airspace)
+    assert len(kernels.chunks(grid.shape[1], grid.shape[0], optimizer._SCORING_BLOCKS)) > 8
+    key = ("cell0", 1)
+    reuse_angle = scene.sub_beam("cell0", 0)[2].baseline
+    sb = scene.sub_beam(*key)[2]
+    assert sb.admits(reuse_angle)
+    assert not any(optimizer._same_angle(reuse_angle, a) for a in sb.lattice())
+    current = replaced(BeamAssignment.baseline(scene), key, sb.lattice()[22])
+    w = ObjectiveWeights(alpha=1.0, beta=0.1, margin_cap_db=10.0, epsilon_gain=1e6)
+    _, trace, _ = greedy_optimize(scene, grid, current, w, threads=threads)
+    value = objective(scene, grid, current, w, threads=threads)
+    assert trace.initial_objective == value
+    for step in trace.steps:
+        assert step.objective_before == value
+        angle = Orientation(step.chosen_az_deg, step.chosen_tilt_deg)
+        current = replaced(current, (step.cell_id, step.beam_index), angle)
+        value = objective(scene, grid, current, w, threads=threads)
+        assert step.objective_after == value, step
+    assert trace.final_objective == value
+    [step] = [s for s in trace.steps if (s.cell_id, s.beam_index) == key]
+    assert step.reused and Orientation(step.chosen_az_deg, step.chosen_tilt_deg) == reuse_angle
 
 
 class TestGreedy:

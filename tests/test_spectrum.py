@@ -414,7 +414,7 @@ class TestBuildField:
             lattice = scene.sub_beam(*key)[2].lattice()
             angle = lattice[(5 * i + 3) % len(lattice)]
             other = keys[(11 * i + 5) % len(keys)]   # apply must not reuse its context
-            ev.candidate_deltas(other, scene.sub_beam(*other)[2].lattice()[:2])
+            ev.totals(other, scene.sub_beam(*other)[2].lattice()[:2])
             ev.apply(key, angle)
             assignment = replaced(assignment, key, angle)
             assert ev.angles == assignment.angles
