@@ -240,22 +240,32 @@ def load_pattern_table(path) -> TablePattern:
 
     The (az, el) samples must form a complete regular grid.
     """
-    rows = []
+    rows, where = [], "header"
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-                "az_deg", "el_deg", "gain_dbi",
-            ]:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [f.strip() for f in header] != ["az_deg", "el_deg", "gain_dbi"]:
                 raise SceneSchemaError(
                     f"{path}: pattern table header must be 'az_deg,el_deg,gain_dbi'"
                 )
+            where = "data row 1"
             for row in reader:
-                rows.append((float(row["az_deg"]), float(row["el_deg"]), float(row["gain_dbi"])))
+                if not row:   # a blank line
+                    continue
+                if len(row) < 3:
+                    raise SceneSchemaError(
+                        f"{path}: {where}: expected 3 fields (az_deg,el_deg,gain_dbi), "
+                        f"got {len(row)}")
+                rows.append((float(row[0]), float(row[1]), float(row[2])))
+                where = f"data row {len(rows) + 1}"
     except OSError as exc:
         raise SceneSchemaError(f"cannot read pattern table {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise SceneSchemaError(f"{path}: {where}: unreadable CSV: {exc}") from exc
     except ValueError as exc:
-        raise SceneSchemaError(f"{path}: non-numeric value in pattern table: {exc}") from exc
+        raise SceneSchemaError(
+            f"{path}: {where}: non-numeric value in pattern table: {exc}") from exc
     if not rows:
         raise SceneSchemaError(f"{path}: pattern table is empty")
     _check_table_values(path, *np.asarray(rows).T)

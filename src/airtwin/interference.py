@@ -173,13 +173,13 @@ def build_sinr_field(scene: SceneConfig, grid: VoxelGrid, assignments, offset_db
 def export_sinr_csv(sinr_field: SinrField, fh) -> None:
     """Write `x_m,y_m,z_m,serving_cell,rsrp_dbm,sinr_db`, voxel order."""
     grid = sinr_field.grid
-    ids = np.asarray(_csv.formatted(sinr_field.cell_ids, ""), dtype=object)
+    ids = _csv.text_rows(sinr_field.cell_ids)
 
     def lines(lo, hi):
         centers = grid.voxel_centers(lo, hi)
         return [[*(_csv.distinct(centers[:, axis], ".3f") for axis in range(3)),
-                 ids[sinr_field.serving_index[lo:hi]].tolist(),
-                 _csv.formatted(sinr_field.serving_rsrp_dbm[lo:hi], ".4f"),
-                 _csv.formatted(sinr_field.sinr_db[lo:hi], ".4f")]]
+                 _csv.take(ids, sinr_field.serving_index[lo:hi]),
+                 _csv.fixed(sinr_field.serving_rsrp_dbm[lo:hi], 4),
+                 _csv.fixed(sinr_field.sinr_db[lo:hi], 4)]]
 
     _csv.write_csv(fh, "x_m,y_m,z_m,serving_cell,rsrp_dbm,sinr_db", grid.count, lines)

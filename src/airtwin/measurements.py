@@ -127,6 +127,7 @@ def load_measurements(path, mapping=None) -> MeasurementSet:
     origin = position.get("origin_lla")
 
     seq, positions, cell_ids, rsrp = [], [], [], []
+    fields = None
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -137,6 +138,9 @@ def load_measurements(path, mapping=None) -> MeasurementSet:
                 raise SceneSchemaError(f"{path}: missing column(s) {missing}")
             has_seq = "seq" in columns and columns["seq"] in fields
             for i, row in enumerate(reader):
+                if None in row.values():   # the row ends before the header does
+                    raise SceneSchemaError(f"{path}: data row {i + 1}: fewer fields than the "
+                                           f"header's {len(fields)}")
                 try:
                     x = float(row[columns["x_m"]])
                     y = float(row[columns["y_m"]])
@@ -167,6 +171,9 @@ def load_measurements(path, mapping=None) -> MeasurementSet:
                 rsrp.append(value)
     except (OSError, UnicodeDecodeError) as exc:
         raise SceneSchemaError(f"cannot read measurement file {path}: {exc}") from exc
+    except csv.Error as exc:   # each data row read so far was kept, or raised
+        where = "header" if fields is None else f"data row {len(seq) + 1}"
+        raise SceneSchemaError(f"{path}: {where}: unreadable CSV: {exc}") from exc
 
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     rsrp = np.asarray(rsrp, dtype=np.float64)
@@ -198,6 +205,6 @@ def save_measurements(measurements: MeasurementSet, fh) -> None:
     """
     m = measurements
     _csv.write_csv(fh, ",".join(NATIVE_COLUMNS), len(m), lambda lo, hi: [[
-        _csv.formatted(m.seq[lo:hi], ""),
+        _csv.distinct(m.seq[lo:hi], ""),
         *(_csv.distinct(m.positions[lo:hi, axis], ".6f") for axis in range(3)),
-        _csv.distinct(m.cell_ids[lo:hi], ""), _csv.formatted(m.rsrp_dbm[lo:hi], ".4f")]])
+        _csv.distinct(m.cell_ids[lo:hi], ""), _csv.fixed(m.rsrp_dbm[lo:hi], 4)]])

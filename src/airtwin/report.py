@@ -161,7 +161,7 @@ def export_heatmap_csv(layer: HeatmapLayer, fh) -> None:
     """Write `x_m,y_m,delta_db`, one line per voxel of the layer."""
     _csv.write_csv(fh, "x_m,y_m,delta_db", len(layer.delta_db), lambda lo, hi: [[
         _csv.distinct(layer.x_m[lo:hi], ".3f"), _csv.distinct(layer.y_m[lo:hi], ".3f"),
-        _csv.formatted(layer.delta_db[lo:hi], ".4f")]])
+        _csv.fixed(layer.delta_db[lo:hi], 4)]])
 
 
 @dataclass(frozen=True)

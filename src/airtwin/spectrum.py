@@ -183,13 +183,10 @@ def calibrate_offset(predicted, measured) -> CalibrationOffset:
 
 def export_field_csv(field: RadioField, fh) -> None:
     """Write `x_m,y_m,z_m,cell_id,rsrp_dbm`, voxel-major then cell lexicographic."""
-    ids = _csv.formatted(field.cell_ids, "")
-
-    def lines(lo, hi):   # one record per voxel: its coordinates, then a line per cell
+    def lines(lo, hi):   # one record per voxel: a line per cell, each with its coordinates
         centers = field.grid.voxel_centers(lo, hi)
-        xyz = list(map(",".join, zip(*(_csv.distinct(centers[:, axis], ".3f")
-                                       for axis in range(3)))))
-        return [[xyz, cell_id, _csv.formatted(field.cell_rsrp_dbm[c, lo:hi], ".4f")]
-                for c, cell_id in enumerate(ids)]
+        xyz = [_csv.distinct(centers[:, axis], ".3f") for axis in range(3)]
+        return [[*xyz, cell_id, _csv.fixed(field.cell_rsrp_dbm[c, lo:hi], 4)]
+                for c, cell_id in enumerate(field.cell_ids)]
 
     _csv.write_csv(fh, "x_m,y_m,z_m,cell_id,rsrp_dbm", field.grid.count, lines)

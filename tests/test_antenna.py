@@ -231,6 +231,22 @@ class TestTablePattern:
         with pytest.raises(SceneSchemaError, match="regular grid"):
             load_pattern_table(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("az_deg,el_deg,gain_dbi\n0,0,1\n0,5\n", "data row 2: expected 3 fields"),
+        ("az_deg,el_deg,gain_dbi\n0,0," + "1" * 131_073 + "\n", "data row 1: unreadable CSV"),
+        ("az_deg,el_deg,gain_dbi\n0,0,1\n0,5,x\n", "data row 2: non-numeric value"),
+    ])
+    def test_unreadable_row_names_file_and_row(self, tmp_path, text, message):
+        path = tmp_path / "pattern.csv"
+        path.write_text(text)
+        with pytest.raises(SceneSchemaError, match=re.escape(f"{path}: {message}")):
+            load_pattern_table(path)
+
+    def test_header_names_may_carry_spaces(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text("az_deg, el_deg, gain_dbi\n-10,0,1\n-10,5,2\n10,0,3\n10,5,4\n\n")
+        assert load_pattern_table(path).gain_dbi.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("az,el,g\n0,0,1\n")

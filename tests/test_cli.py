@@ -492,6 +492,19 @@ MEASUREMENT_CASES = {
 FAILURE_CASES.update({f"measurement_{name}": (2, [command])
                       for name, (command, *_) in MEASUREMENT_CASES.items()})
 
+# A CSV the reader cannot take: a pattern table row with too few fields, or a
+# measurement field past the csv module's 131,072-character limit; each error
+# names the file and the row. The test writes the file.
+LONG_FIELD_ROW = "0,1,2,3,s1c1," + "x" * 200_000 + "\n"
+UNREADABLE_CASES = {
+    "table_short_row": ("evaluate", "az_deg,el_deg,gain_dbi\n0,0\n"),
+    "measurement_long_field": ("calibrate", "seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n" + LONG_FIELD_ROW),
+    "measurement_long_field_validate": ("validate",
+                                        "seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n" + LONG_FIELD_ROW),
+}
+FAILURE_CASES.update({f"unreadable_{name}": (2, [command])
+                      for name, (command, _) in UNREADABLE_CASES.items()})
+
 # A mapping file with a value of the wrong type, an unknown frame or an origin
 # latitude past a pole; each error names the mapping file and the key. The test
 # writes the mapping over a native-schema measurement file.
@@ -590,6 +603,14 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         position, token = ASSIGNMENT_CASES[case[len("assignment_"):]][1:]
         write_assignment(assignment, tiny_scene_path, position, token)
         argv += ["--assignment", str(assignment)]
+    if case.startswith("unreadable_"):
+        unreadable = tmp_path / "unreadable.csv"
+        unreadable.write_text(UNREADABLE_CASES[case[len("unreadable_"):]][1])
+        if argv[0] == "evaluate":
+            argv += ["--set", f'sites.0.cells.0.sub_beams.0.pattern={{"type":"table",'
+                              f'"path":"{unreadable}"}}']
+        else:
+            argv += ["--measurements", str(unreadable)]
     if case.startswith("mapping_"):
         mapping = tmp_path / "mapping.json"
         update, key = MAPPING_CASES[case[len("mapping_"):]]
@@ -635,6 +656,8 @@ def test_failure_contract(case, tiny_scene_path, tmp_path, capsys):
         assert "airspace.center_m" in err
     if case.startswith("site_"):
         assert "from site 'site0' at (" in err
+    if case.startswith("unreadable_"):
+        assert err.startswith(f"error: {unreadable}: data row 1: ")
     if case.startswith("table_"):
         assert f"{table}: column {TABLE_CASES[case[len('table_'):]][0]} must be finite" in err
     if out.is_dir():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,26 @@ class TestMeasurementSet:
         path = tmp_path / "m.csv"
         path.write_text("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n0,0,0,0,a,oops\n")
         with pytest.raises(SceneSchemaError, match="row 1"):
+            load_measurements(path)
+
+    @pytest.mark.parametrize("row", ["0,0,10,10,-80", "0,0,10"])
+    def test_short_row_names_file_and_row(self, row, tmp_path):
+        # the cell id column comes last, so a short row used to give the id None
+        path = tmp_path / "m.csv"
+        path.write_text(f"seq,x_m,y_m,z_m,rsrp_dbm,cell_id\n0,0,10,10,-80,a\n{row}\n")
+        with pytest.raises(SceneSchemaError,
+                           match=re.escape(f"{path}: data row 2: fewer fields than the header's 6")):
+            load_measurements(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n0,0,0,0,a,-80\n1,0,0,0,a," + "9" * 131_073 + "\n",
+         "data row 2"),
+        ("seq,x_m,y_m,z_m,cell_id," + "r" * 131_073 + "\n", "header"),
+    ])
+    def test_field_past_the_csv_limit_names_file_and_row(self, text, where, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(SceneSchemaError, match=re.escape(f"{path}: {where}: unreadable CSV")):
             load_measurements(path)
 
     @pytest.mark.parametrize("row, message", [
