@@ -238,7 +238,8 @@ def _bilinear(xs, ys, table, x, y):
 def load_pattern_table(path) -> TablePattern:
     """Load a pattern table CSV with header ``az_deg,el_deg,gain_dbi``.
 
-    The (az, el) samples must form a complete regular grid.
+    Each data row holds exactly three fields, and the (az, el) samples must
+    form a complete regular grid.
     """
     rows, where = [], "header"
     try:
@@ -253,7 +254,7 @@ def load_pattern_table(path) -> TablePattern:
             for row in reader:
                 if not row:   # a blank line
                     continue
-                if len(row) < 3:
+                if len(row) != 3:   # a 4th field may be a decimal comma's second half
                     raise SceneSchemaError(
                         f"{path}: {where}: expected 3 fields (az_deg,el_deg,gain_dbi), "
                         f"got {len(row)}")

@@ -141,6 +141,9 @@ def load_measurements(path, mapping=None) -> MeasurementSet:
                 if None in row.values():   # the row ends before the header does
                     raise SceneSchemaError(f"{path}: data row {i + 1}: fewer fields than the "
                                            f"header's {len(fields)}")
+                if None in row:   # DictReader files the fields past the header's under None
+                    raise SceneSchemaError(f"{path}: data row {i + 1}: more fields than the "
+                                           f"header's {len(fields)}")
                 try:
                     x = float(row[columns["x_m"]])
                     y = float(row[columns["y_m"]])

@@ -25,11 +25,16 @@ visited sub-beam's row changes, so each scoring block (a range of voxel
 columns over every layer) recomputes that cell's rows on its columns,
 gathers what no candidate can change there (the rest of its cell, the best
 other cell per voxel, the other cells' interference) into a block context,
-and scores every candidate against it in O(voxels of the block); nothing
-per-voxel outlives its block. Each candidate leaves a covered count and a
-margin sum per block. The objective, on the full path too, sums each
-block's margins with one ``np.sum`` and adds the block sums in block
-order. The context adds rows and cells in the full rebuild's order
+and scores every candidate against it; nothing per-voxel outlives its
+block. A parametric pattern caps its attenuation at the front-to-back
+ratio, so where no candidate's azimuth and elevation terms add up to less
+than ``fbr_db`` every candidate has the same row, the pattern's floor.
+Each block scores that floor row once, then every candidate on the other,
+live voxels only (about 58% of the demo grid's). Each candidate leaves a
+covered count and a margin sum per block. The objective, on the full path
+too, sums each block's margins with one ``np.sum`` over the whole block,
+floored voxels included, and adds the block sums in block order. The
+context adds rows and cells in the full rebuild's order
 (``kernels.add_rows`` over a cell's rows, ``assemble_sinr`` over cells);
 floating-point addition is not associative, so these orders make each
 candidate's total equal the full path's objective bit for bit. The chosen
@@ -141,17 +146,11 @@ def save_trace(trace: OptimizationTrace, path) -> None:
 
 def _score_terms(serving_rsrp_dbm, sinr_db, weights: ObjectiveWeights,
                  thresholds: CoverageThresholds, covered=None, margin=None):
-    """One scoring block's covered count and capped-margin sum.
-
-    ``np.sum`` adds pairwise, so the sum's bits depend on the array it sees:
-    the capped margins go into ``margin`` (or a new array), which must be the
-    block's C-contiguous (L, c) array. ``margin`` may be ``sinr_db``.
-    """
+    """Each voxel's covered flag and capped margin; ``margin`` may be ``sinr_db``."""
     covered = np.greater_equal(serving_rsrp_dbm, thresholds.rsrp_strict_dbm, out=covered)
     covered &= sinr_db >= thresholds.sinr_basic_db
     margin = np.subtract(sinr_db, thresholds.sinr_strict_db, out=margin)
-    return (np.count_nonzero(covered),
-            np.sum(np.minimum(margin, weights.margin_cap_db, out=margin)))
+    return covered, np.minimum(margin, weights.margin_cap_db, out=margin)
 
 
 def _totals(table, weights: ObjectiveWeights):
@@ -171,15 +170,39 @@ def score_fields(serving_rsrp_dbm, sinr_db, weights: ObjectiveWeights,
 
     The margin is summed per scoring block, a ``kernels.chunks`` range of
     columns over every layer: ``np.sum`` of each block's margins, then the
-    block sums in block order, as the greedy pass sums them.
+    block sums in block order, as the greedy pass sums them. ``np.sum`` adds
+    pairwise, so its bits depend on the array it sees: each block's margins
+    are a new C-contiguous (L, c) array, as in the greedy pass.
     """
     n_layers, n_columns = shape
     serving, sinr = (np.reshape(a, shape) for a in (serving_rsrp_dbm, sinr_db))
     blocks = kernels.chunks(n_columns, n_layers, _SCORING_BLOCKS)
     table = np.zeros((2, len(blocks), 1))
     for b, (lo, hi) in enumerate(blocks):
-        table[:, b, 0] = _score_terms(serving[:, lo:hi], sinr[:, lo:hi], weights, thresholds)
+        covered, margin = _score_terms(serving[:, lo:hi], sinr[:, lo:hi], weights, thresholds)
+        table[:, b, 0] = np.count_nonzero(covered), np.sum(margin)
     return float(_totals(table, weights)[0])
+
+
+def _elevation_term(pattern, el, tilt_deg, out):
+    """``pattern``'s capped elevation term at elevations ``el`` for ``tilt_deg``, into ``out``."""
+    return pattern.elevation_attenuation_db(np.subtract(el, tilt_deg, out=out), out=out)
+
+
+def _floored(pattern: AntennaPattern, a_az, el, tilts):
+    """The voxels where no candidate lifts a sub-beam off its pattern's floor.
+
+    ``a_az`` holds the capped azimuth term, one per column, of each
+    candidate azimuth, and ``tilts`` the candidate tilts. Rounded addition
+    is monotone, so where the least azimuth term plus the least elevation
+    term reaches ``fbr_db``, so does every candidate's own sum: there the
+    gain of every candidate is ``g_max - fbr`` bit for bit.
+    """
+    least, term = np.full(el.shape, np.inf), np.empty(el.shape)
+    for tilt in tilts:
+        np.minimum(least, _elevation_term(pattern, el, tilt, out=term), out=least)
+    least += np.minimum.reduce(list(a_az), axis=0, initial=np.inf)
+    return least >= pattern.fbr_db
 
 
 def _columns(geometry, lo, hi):
@@ -199,24 +222,34 @@ class _FieldEvaluator:
 
     ``totals`` scores angles for one sub-beam one scoring block at a time, a
     ``kernels.chunks`` range of columns over every layer (``_tasks``). A
-    block's context is what no candidate can change there: the visited
-    cell's other rows, recomputed on the block's columns by
-    ``kernels.cell_rows`` (their max, the in-order mW sum of the rows before
-    the visited one and the mW of each row after it), and from the field's
-    block the rival cell (the best other cell, first max, so ties go to the
-    smaller id) and the other cells' interference. The block then scores
-    every candidate in O(block) through a few buffers it allocates, and
-    keeps each one's covered count and margin sum in a (blocks x
-    candidates) table. A parametric candidate recomputes its wrapped,
-    capped azimuth term (one value per column) only when its azimuth
-    differs from the previous angle's, so an az-major lattice wraps once
-    per lattice column; a table pattern takes ``kernels.beam_rsrp_numpy``.
+    block's context (``_block_context``) is what no candidate can change
+    there: the visited cell's other rows, recomputed on the block's columns
+    by ``kernels.cell_rows`` (their max, the in-order mW sum of the rows
+    before the visited one and the mW of each row after it), and from the
+    field's block the rival cell (the best other cell, first max, so ties go
+    to the smaller id) and the other cells' interference.
 
-    Floating-point addition is not associative, so the scores keep the full
-    path's order: a cell's rows in row order, like ``kernels.add_rows``,
-    cells in cell order, like ``assemble_sinr``, and margin sums in block
-    order, like ``score_fields``. So each total equals the full path's
-    objective of the changed angles bit for bit, for any thread count.
+    A parametric pattern's gain is ``g_max - min(a_az + a_el, fbr)``. The
+    block computes each candidate azimuth's wrapped, capped term once (one
+    value per column) and finds the voxels where no candidate's sum is
+    below ``fbr`` (``_floored``): there every candidate's row is the floor
+    row, ``g_max - fbr``, bit for bit. That row is scored once over the
+    whole block, its capped margins kept in a block-sized buffer and its
+    covered count on the floored voxels kept apart. The context is then
+    compacted to the other, live voxels, and every candidate runs the same
+    steps (``_serve_and_score``) on those alone, tilt by tilt, so one
+    elevation term is held at a time. Its margins overwrite the buffer's
+    live voxels and ``np.sum`` takes the whole buffer: the array it sums is
+    the one the full path sums. A table pattern has no floor; all its
+    voxels are live, and its rows come from ``kernels.beam_rsrp_numpy``.
+
+    Every step is elementwise, so a voxel's values do not depend on which
+    others are computed with it. Floating-point addition is not
+    associative, so the scores keep the full path's order: a cell's rows in
+    row order, like ``kernels.add_rows``, cells in cell order, like
+    ``assemble_sinr``, and margin sums in block order, like
+    ``score_fields``. So each total equals the full path's objective of the
+    changed angles bit for bit, for any thread count.
     """
 
     def __init__(self, scene, grid, weights, activity_factor, offset_db, threads=1):
@@ -265,69 +298,129 @@ class _FieldEvaluator:
         j = keys.index(key)
         site, cell, sb = self.scene.sub_beam(*key)
         pattern = sb.pattern
+        parametric = isinstance(pattern, AntennaPattern)
         runs = kernels.pattern_runs((self.scene.sub_beam(*k)[2].pattern, self.angles[k])
                                     for k in keys)
-        others = [c for c in range(len(self.cell_ids)) if c != s]
+        by_tilt = {}   # candidate indices by tilt: one elevation term at a time
+        for i, angle in enumerate(angles):
+            by_tilt.setdefault(angle.tilt_deg, []).append(i)
+        azimuths = dict.fromkeys(angle.azimuth_deg for angle in angles)
         table = np.zeros((2, len(self._tasks), len(angles)))
 
-        def work(b):   # block b's context, then every candidate on it
+        def work(b):   # block b's context and floor, then every candidate on its live voxels
             az, el, loss = geometry = _columns(self.geometry[site.id], *self._tasks[b])
-            cell_max, cell_lin = self._cell_blocks(slice(None), *self._tasks[b])
-            rows = kernels.cell_rows(geometry, runs, cell.tx_power_dbm, self.offset_db,
-                                     np.empty((len(keys), *el.shape)))
-            max_other = np.maximum.reduce(rows[:j], axis=0, initial=-np.inf)
-            np.maximum(max_other, np.maximum.reduce(rows[j + 1:], axis=0, initial=-np.inf),
-                       out=max_other)
-            lin = kernels.linear_mw(rows, out=rows)
-            lin_before = kernels.add_rows(lin[:j], np.empty(el.shape))
-            if others:   # the serving rule of assemble_sinr: ties keep the smaller id
-                rival, rival_dbm = first_max(cell_max, others)
-            else:
-                rival, rival_dbm = np.full(el.shape, s + 1), np.full(el.shape, -np.inf)
-            # A tie goes to the smaller id; for floats, x >= r is x > nextafter(r, -inf).
-            serves_above = np.where(s < rival, np.nextafter(rival_dbm, -np.inf), rival_dbm)
-            if_serving, before = np.zeros((2, *el.shape))   # in-order mW sums of other cells
-            after = []   # mW of each later cell, 0 where it is the rival
-            for c in others:
-                if_serving += cell_lin[c]
-                if c < s:
-                    np.add(before, cell_lin[c], out=before, where=rival != c)
-                else:
-                    after.append(np.where(rival != c, cell_lin[c], 0.0))
-            row, mw = np.empty((2, *el.shape))
-            serves, rival_serves = np.empty((2, *el.shape), dtype=bool)
-            a_az, last_az = np.empty(az.shape), None
-            for i, angle in enumerate(angles):
-                if not isinstance(pattern, AntennaPattern):
-                    kernels.beam_rsrp_numpy(az, el, loss, pattern, (angle,), cell.tx_power_dbm,
-                                            self.offset_db, out=row[None])
-                else:   # kernels.beam_rsrp_numpy's operands and order
-                    if angle.azimuth_deg != last_az:
-                        last_az = angle.azimuth_deg
-                        pattern.azimuth_attenuation_db(wrap_angle_deg(az - last_az), out=a_az)
-                    np.subtract(el, angle.tilt_deg, out=row)
-                    pattern.elevation_attenuation_db(row, out=row)
-                    pattern.gain_from_attenuation_dbi(a_az, row, out=row)
-                    kernels.rsrp_from_gain(cell.tx_power_dbm, row, loss, self.offset_db, out=row)
-                linear_mw(row, out=mw)   # the cell's mW sum, rows in row order
-                mw += lin_before
-                for term in lin[j + 1:]:
-                    mw += term
-                np.maximum(row, max_other, out=row)   # the cell max
-                np.greater(row, serves_above, out=serves)
-                np.less_equal(row, serves_above, out=rival_serves)
-                np.copyto(row, rival_dbm, where=rival_serves)   # now the serving RSRP
-                interference = np.add(before, mw, out=mw)
-                for term in after:
-                    interference += term
-                np.copyto(interference, if_serving, where=serves)
-                sinr = sinr_db(row, interference, self.noise_floor, self.activity_factor,
-                               out=interference)
-                table[:, b, i] = _score_terms(row, sinr, self.weights, self.thresholds,
-                                              serves, sinr)
+            context, after = self._block_context(geometry, runs, cell.tx_power_dbm, s, j,
+                                                 self._tasks[b])
+            if parametric:
+                a_az = {azimuth: pattern.azimuth_attenuation_db(wrap_angle_deg(az - azimuth))
+                        for azimuth in azimuths}
+                floored = _floored(pattern, a_az.values(), el, by_tilt)
+            else:   # a table pattern has no floor
+                floored = np.zeros(el.shape, dtype=bool)
+            row, mw, serves = np.empty(el.shape), np.empty(el.shape), np.empty(el.shape, bool)
+            floor_count = 0
+            if floored.any():
+                floor = pattern.gain_from_attenuation_dbi(pattern.fbr_db, 0.0)
+                kernels.rsrp_from_gain(cell.tx_power_dbm, floor, loss, self.offset_db, out=row)
+                covered, _ = self._serve_and_score(row, context, after, mw, serves, mw)
+                floor_count = np.count_nonzero(np.logical_and(covered, floored, out=covered))
+            margins = mw   # the floor's margins; each candidate overwrites the live ones
+            live = np.logical_not(floored, out=floored)
+            del row   # before the compaction, which holds its copies and the row stack at once
+            for i in range(len(context)):   # each full array dropped once compacted
+                context[i] = context[i][live]
+            for i, (lin, keep) in enumerate(after):   # dense: a plain add per candidate
+                after[i] = np.where(keep[live], lin[live], 0.0), True
+            loss, serves = loss[live], serves[live]
+            cols = np.broadcast_to(np.arange(live.shape[1]), live.shape)[live]
+            row, mw = np.empty((2, cols.size))
+            if not parametric:   # its rows take each voxel's azimuth
+                az = np.take(az, cols)
+            for tilt, members in by_tilt.items():
+                term = el[live]   # the elevations; a parametric pattern's term, in place
+                if parametric:
+                    _elevation_term(pattern, term, tilt, out=term)
+                for i in members:
+                    if parametric:   # kernels.beam_rsrp_numpy's operands and order
+                        # "clip" writes straight into row; "raise" would buffer it
+                        np.take(a_az[angles[i].azimuth_deg], cols, out=row, mode="clip")
+                        pattern.gain_from_attenuation_dbi(row, term, out=row)
+                        kernels.rsrp_from_gain(cell.tx_power_dbm, row, loss, self.offset_db,
+                                               out=row)
+                    else:
+                        kernels.beam_rsrp_numpy(az, term, loss, pattern, (angles[i],),
+                                                cell.tx_power_dbm, self.offset_db, out=row[None])
+                    covered, margin = self._serve_and_score(row, context, after, mw, serves, mw)
+                    margins[live] = margin
+                    table[:, b, i] = floor_count + np.count_nonzero(covered), np.sum(margins)
 
         kernels.run_tasks(work, range(len(self._tasks)), self.threads)
         return _totals(table, self.weights).tolist()
+
+    def _block_context(self, geometry, runs, tx_power_dbm, s, j, columns):
+        """What no candidate for row ``j`` of cell ``s`` changes at ``columns`` [lo, hi).
+
+        A list of (L, c) arrays: the max of the cell's other rows, the rival
+        cell's RSRP (the best other cell, first max), the level a row must
+        pass to serve, the interference if the cell serves, the in-order mW
+        sum of the earlier cells where they do not serve; then the in-order
+        mW sum of the cell's rows before ``j`` and the mW of each row after
+        it. Those last are rows of the cell's stack, recomputed on the block
+        by ``kernels.cell_rows``, so the stack is freed once they are
+        dropped. And, for each later cell, its mW (a view of the field) and
+        where it is not the rival, the voxels its mW adds to the interference.
+        """
+        el = geometry[1]
+        cell_max, cell_lin = self._cell_blocks(slice(None), *columns)
+        rows = kernels.cell_rows(geometry, runs, tx_power_dbm, self.offset_db,
+                                 np.empty((sum(len(angles) for _, angles in runs), *el.shape)))
+        max_other = np.maximum.reduce(rows[:j], axis=0, initial=-np.inf)
+        np.maximum(max_other, np.maximum.reduce(rows[j + 1:], axis=0, initial=-np.inf),
+                   out=max_other)
+        lin = kernels.linear_mw(rows, out=rows)
+        lin_before = kernels.add_rows(lin[:j], lin[j])   # the visited row's own slot
+        others = [c for c in range(len(self.cell_ids)) if c != s]
+        if others:   # the serving rule of assemble_sinr: ties keep the smaller id
+            rival, rival_dbm = first_max(cell_max, others)
+        else:
+            rival, rival_dbm = np.full(el.shape, s + 1), np.full(el.shape, -np.inf)
+        # A tie goes to the smaller id; for floats, x >= r is x > nextafter(r, -inf).
+        serves_above = np.where(s < rival, np.nextafter(rival_dbm, -np.inf), rival_dbm)
+        if_serving, before = np.zeros(el.shape), np.zeros(el.shape)
+        after = []
+        for c in others:
+            if_serving += cell_lin[c]
+            if c < s:
+                np.add(before, cell_lin[c], out=before, where=rival != c)
+            else:
+                after.append((cell_lin[c], rival != c))
+        return [max_other, rival_dbm, serves_above, if_serving, before, lin_before,
+                *lin[j + 1:]], after
+
+    def _serve_and_score(self, row, context, after, mw, serves, margin):
+        """Covered flags and capped margins of the visited cell holding ``row``.
+
+        ``context`` and ``after`` are ``_block_context``'s at the same voxels
+        as ``row``, full or compacted; ``after`` pairs each later cell's mW
+        with the voxels it adds to (``True``: every one). The steps run
+        elementwise, in the full path's order: the cell's rows in row order,
+        then cells in cell order. ``row``, ``mw`` and ``serves`` are
+        overwritten; ``margin`` may be ``mw``.
+        """
+        max_other, rival_dbm, serves_above, if_serving, before, *rows = context
+        linear_mw(row, out=mw)   # the cell's mW sum, rows in row order
+        for term in rows:
+            mw += term
+        np.maximum(row, max_other, out=row)   # the cell max
+        np.greater(row, serves_above, out=serves)
+        np.maximum(row, rival_dbm, out=row)   # the serving RSRP
+        interference = np.add(before, mw, out=mw)
+        for term, keep in after:
+            np.add(interference, term, out=interference, where=keep)
+        np.copyto(interference, if_serving, where=serves)
+        sinr = sinr_db(row, interference, self.noise_floor, self.activity_factor,
+                       out=interference)
+        return _score_terms(row, sinr, self.weights, self.thresholds, serves, margin)
 
     def apply(self, key, angle):
         """Steer ``key`` to ``angle``: refold its cell into the field, as build_field does."""

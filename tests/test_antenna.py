@@ -233,6 +233,8 @@ class TestTablePattern:
 
     @pytest.mark.parametrize("text, message", [
         ("az_deg,el_deg,gain_dbi\n0,0,1\n0,5\n", "data row 2: expected 3 fields"),
+        ("az_deg,el_deg,gain_dbi\n-10,0,1,7\n", "data row 1: expected 3 fields"),
+        ("az_deg,el_deg,gain_dbi\n0,0,1\n0,5,1,5\n", "data row 2: expected 3 fields"),
         ("az_deg,el_deg,gain_dbi\n0,0," + "1" * 131_073 + "\n", "data row 1: unreadable CSV"),
         ("az_deg,el_deg,gain_dbi\n0,0,1\n0,5,x\n", "data row 2: non-numeric value"),
     ])

@@ -492,12 +492,19 @@ MEASUREMENT_CASES = {
 FAILURE_CASES.update({f"measurement_{name}": (2, [command])
                       for name, (command, *_) in MEASUREMENT_CASES.items()})
 
-# A CSV the reader cannot take: a pattern table row with too few fields, or a
-# measurement field past the csv module's 131,072-character limit; each error
-# names the file and the row. The test writes the file.
+# A CSV the reader cannot take: a pattern table row with too few or too many
+# fields, a measurement row longer than its header (a decimal comma splits the
+# RSRP in two), or a measurement field past the csv module's 131,072-character
+# limit; each error names the file and the row. The test writes the file.
 LONG_FIELD_ROW = "0,1,2,3,s1c1," + "x" * 200_000 + "\n"
+DECIMAL_COMMA_ROW = "0,0,10,10,s1c1,-49,7859\n"
 UNREADABLE_CASES = {
     "table_short_row": ("evaluate", "az_deg,el_deg,gain_dbi\n0,0\n"),
+    "table_long_row": ("evaluate", "az_deg,el_deg,gain_dbi\n-10,0,1,7\n"),
+    "measurement_decimal_comma": ("calibrate",
+                                  "seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n" + DECIMAL_COMMA_ROW),
+    "measurement_decimal_comma_validate": ("validate", "seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n"
+                                           + DECIMAL_COMMA_ROW),
     "measurement_long_field": ("calibrate", "seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n" + LONG_FIELD_ROW),
     "measurement_long_field_validate": ("validate",
                                         "seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n" + LONG_FIELD_ROW),

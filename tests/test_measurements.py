@@ -97,6 +97,16 @@ class TestMeasurementSet:
                            match=re.escape(f"{path}: data row 2: fewer fields than the header's 6")):
             load_measurements(path)
 
+    @pytest.mark.parametrize("row", ["0,0,10,10,-80,a,7", "0,0,10,10,-80,7859,a"])
+    def test_long_row_names_file_and_row(self, row, tmp_path):
+        # DictReader files a row's fields past the header's under the key None,
+        # so a decimal comma (-80,7859) used to load as -80 with no error
+        path = tmp_path / "m.csv"
+        path.write_text(f"seq,x_m,y_m,z_m,rsrp_dbm,cell_id\n0,0,10,10,-80,a\n{row}\n")
+        with pytest.raises(SceneSchemaError,
+                           match=re.escape(f"{path}: data row 2: more fields than the header's 6")):
+            load_measurements(path)
+
     @pytest.mark.parametrize("text, where", [
         ("seq,x_m,y_m,z_m,cell_id,rsrp_dbm\n0,0,0,0,a,-80\n1,0,0,0,a," + "9" * 131_073 + "\n",
          "data row 2"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from airtwin import antenna, kernels, optimizer
-from airtwin.antenna import Orientation, TablePattern
+from airtwin.antenna import AntennaPattern, Orientation, TablePattern
 from airtwin.errors import ConfigurationError
 from airtwin.interference import sinr_from_field
 from airtwin.optimizer import (
@@ -158,7 +158,7 @@ def co_sited_tie_scene() -> SceneConfig:
                                      cells=(far,))))
 
 
-def assert_totals_exact(scene, keys, threads=1, order=None):
+def assert_totals_exact(scene, keys, threads=1, order=None, offset_db=0.0, activity_factor=1.0):
     """Every lattice angle's incremental total equals the full path's objective, bit for bit.
 
     ``order(lattice)`` gives the angles in the order they are scored
@@ -166,18 +166,30 @@ def assert_totals_exact(scene, keys, threads=1, order=None):
     """
     grid = build_voxel_grid(scene.airspace)
     current = BeamAssignment.baseline(scene)
-    ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0, threads)
+    ev = _FieldEvaluator(scene, grid, W, activity_factor, offset_db, threads)
     ev.set_assignment(current)
-    before = objective(scene, grid, current, W, threads=threads)
+    radio = {"activity_factor": activity_factor, "offset_db": offset_db, "threads": threads}
+    before = objective(scene, grid, current, W, **radio)
     assert ev.objective() == before
     for key in keys:
         lattice = scene.sub_beam(*key)[2].lattice()
         if order is not None:
             lattice = order(lattice)
-        full = [objective(scene, grid, replaced(current, key, angle), W, threads=threads)
+        full = [objective(scene, grid, replaced(current, key, angle), W, **radio)
                 for angle in lattice]
         assert ev.totals(key, lattice) == full, key
     return ev
+
+
+def floored(scene, key):
+    """``optimizer._floored`` of ``key``'s lattice over the whole grid of ``scene``."""
+    site, _, sb = scene.sub_beam(*key)
+    grid = build_voxel_grid(scene.airspace)
+    az, el, _ = kernels.site_geometry(*grid.coordinates(), site, scene.radio.frequency_hz)
+    lattice = sb.lattice()
+    a_az = [sb.pattern.azimuth_attenuation_db(antenna.wrap_angle_deg(az - azimuth))
+            for azimuth in {a.azimuth_deg for a in lattice}]
+    return optimizer._floored(sb.pattern, a_az, el, {a.tilt_deg for a in lattice})
 
 
 def interleaved(lattice):
@@ -262,6 +274,27 @@ class TestCandidateDeltasExact:
         assert_totals_exact(scene, scene.beam_keys())
         assert_totals_exact(scene, scene.beam_keys(), order=interleaved)
 
+    def test_offset_and_activity_factor(self):
+        scene = simple_scene(n_cells=4, n_beams=3)
+        assert_totals_exact(scene, scene.beam_keys(), offset_db=3.5, activity_factor=0.5)
+
+    @pytest.mark.parametrize("pattern, az_halfwidth_deg, tilt_bounds, voxel_m, share", [
+        (AntennaPattern(fbr_db=100.0), 15.0, (0.0, 15.0), 20.0, (0.0, 0.0)),
+        (AntennaPattern(hpbw_az_deg=2.0, hpbw_el_deg=2.0, sla_db=20.0, fbr_db=20.0),
+         5.0, (0.0, 5.0), 10.0, (0.95, 0.99)),
+    ], ids=["fbr_above_both_caps", "narrow_beam"])
+    def test_no_voxel_or_almost_every_voxel_floored(self, pattern, az_halfwidth_deg,
+                                                     tilt_bounds, voxel_m, share):
+        # A fbr above the two capped terms' sum leaves no floor, so every voxel
+        # is live; a narrow beam leaves a few dozen live voxels per sub-beam.
+        scene = simple_scene(n_cells=3, n_beams=3, pattern=pattern, voxel_m=voxel_m,
+                             az_halfwidth_deg=az_halfwidth_deg, tilt_bounds=tilt_bounds)
+        for key in scene.beam_keys():
+            assert share[0] <= floored(scene, key).mean() <= share[1], key
+        assert_totals_exact(scene, scene.beam_keys())
+        assert_totals_exact(scene, scene.beam_keys(), order=interleaved, offset_db=3.5,
+                            activity_factor=0.5)
+
     @pytest.mark.parametrize("order, returns", [(lambda lat: lat[::-1], False),
                                                  (interleaved, True), (shuffled, True)],
                              ids=["reversed", "interleaved", "shuffled"])
@@ -299,11 +332,22 @@ class TestCandidateDeltasExact:
 
 def test_wrap_once_per_lattice_column(monkeypatch):
     """Losing the per-azimuth term makes this 56 wraps more than the context's, not 7."""
+    assert_one_wrap_per_lattice_column(monkeypatch, list)
+
+
+def test_wrap_once_per_lattice_column_in_tilt_major_order(monkeypatch):
+    """No two consecutive tilt-major angles share an azimuth, so a term kept
+    only from the previous angle would also make this 56 wraps, not 7."""
+    assert_one_wrap_per_lattice_column(monkeypatch, interleaved)
+
+
+def assert_one_wrap_per_lattice_column(monkeypatch, order):
+    """Scoring a 56-angle lattice of 7 azimuths, in ``order``, wraps 7 times past its context."""
     scene = simple_scene(n_cells=2, tilt_bounds=(0.0, 21.0), candidate_step=(5.0, 3.0))
     grid = build_voxel_grid(scene.airspace)
     assert grid.count <= kernels._CHUNK   # one block: one wrap per distinct azimuth
     key = ("cell0", 0)
-    lattice = scene.sub_beam(*key)[2].lattice()
+    lattice = order(scene.sub_beam(*key)[2].lattice())
     assert len(lattice) == 56 and len({a.azimuth_deg for a in lattice}) == 7
     ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0)
     ev.set_assignment(BeamAssignment.baseline(scene))
@@ -322,6 +366,55 @@ def test_wrap_once_per_lattice_column(monkeypatch):
     calls.clear()
     ev.totals(key, lattice)
     assert len(calls) == context + 7
+
+
+def test_floor_mask_holds_every_voxel_a_candidate_lifts():
+    """Outside the live voxels every candidate's gain is the floor, g_max - fbr, bit for bit."""
+    scene = scene_from_dict(demo_doc())
+    grid = build_voxel_grid(scene.airspace)
+    for key in [k for k in scene.beam_keys() if k[0] == "s1c1"]:
+        site, _, sb = scene.sub_beam(*key)
+        pattern = sb.pattern
+        az, el, _ = kernels.site_geometry(*grid.coordinates(), site, scene.radio.frequency_hz)
+        floor = pattern.g_max_dbi - pattern.fbr_db
+        mask = floored(scene, key)
+        assert 0.2 < mask.mean() < 0.9, key
+        for angle in sb.lattice():
+            a_az = pattern.azimuth_attenuation_db(antenna.wrap_angle_deg(az - angle.azimuth_deg))
+            a_el = pattern.elevation_attenuation_db(el - angle.tilt_deg)
+            assert not np.any(mask & (a_az + a_el < pattern.fbr_db)), (key, angle)
+            gain = pattern.offset_gain_dbi(antenna.wrap_angle_deg(az - angle.azimuth_deg),
+                                           el - angle.tilt_deg)
+            assert np.all(gain[mask] == floor), (key, angle)
+
+
+def test_one_call_holds_fewer_block_arrays_than_before():
+    """The heaviest ``totals`` calls of the demo pass stay under 20 block-sized arrays.
+
+    The demo grid is one scoring block. Each cell's first sub-beam is the
+    heaviest call of its cell: it keeps the mW of the six rows after it.
+    Before the floor pass these calls held 17.4-22.4 arrays of
+    ``grid.count`` float64 values at their peak; they now hold 16.0-19.0.
+    The rival's index dies with the block context, the visited row's own
+    slot takes the in-order mW sum of the rows before it, the later cells'
+    mW stay views of the field until they are compacted, and each full
+    context array is dropped once it is compacted.
+    """
+    scene = scene_from_dict(demo_doc())
+    grid = build_voxel_grid(scene.airspace)
+    ev = _FieldEvaluator(scene, grid, W, 1.0, 0.0)
+    assert len(ev._tasks) == 1
+    ev.set_assignment(BeamAssignment.baseline(scene))
+    peaks = {}
+    for key in [k for k in default_order(scene) if k[1] == 0]:
+        lattice = scene.sub_beam(*key)[2].lattice()
+        tracemalloc.start()
+        try:
+            ev.totals(key, lattice)
+            peaks[key] = tracemalloc.get_traced_memory()[1] / (grid.count * 8)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 20.0, peaks
 
 
 def test_block_workspace_stays_below_one_grid_array(monkeypatch):
